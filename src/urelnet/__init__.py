@@ -13,7 +13,6 @@ from .scene import (
 from .pairs import BatchSpec, ObjectPair, PairSampler, PairStatus, classify_pair, generate_for_scene
 from .features import (
     EmbeddingTable,
-    FeatureBundle,
     FeatureExtractor,
     FeatureStore,
     TripletStatistics,
@@ -22,7 +21,7 @@ from .features import (
     internal_linguistic,
     spatial_features,
 )
-from .model import InferringModel, ModelConfig, PairPrediction, RelationNetwork, build_model, joint_loss, score_relation
+from .model import InferringModel, ModelConfig, RelationNetwork, build_model, joint_loss
 from .evaluation import EvalConfig, PredictionSet, match_predictions, predict_scene, recall_at_n, zero_shot_filter
 from .dataset import Dataset, load_dataset, save_dataset
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -37,13 +36,11 @@ __all__ = [
     "DetectedObject",
     "EmbeddingTable",
     "EvalConfig",
-    "FeatureBundle",
     "FeatureExtractor",
     "FeatureStore",
     "InferringModel",
     "ModelConfig",
     "ObjectPair",
-    "PairPrediction",
     "PairSampler",
     "PairStatus",
     "PredictionSet",
@@ -74,7 +71,6 @@ __all__ = [
     "run_training",
     "save_checkpoint",
     "save_dataset",
-    "score_relation",
     "spatial_features",
     "union_box",
     "zero_shot_filter",

@@ -45,25 +45,31 @@ def load_checkpoint(path) -> Tuple[ModelConfig, Dict[str, np.ndarray]]:
         magic = fh.read(8)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise CheckpointError(f"{path}: truncated before the header length")
+        version, header_len = struct.unpack("<II", prefix)
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt header ({exc})") from None
-        config = ModelConfig.from_json_dict(header["config"])
+            config = ModelConfig.from_json_dict(header["config"])
+            blocks = [(b["name"], tuple(int(d) for d in b["shape"])) for b in header["blocks"]]
+            if any(not isinstance(n, str) or min(shape, default=0) < 0 for n, shape in blocks):
+                raise ValueError("block names must be strings and dimensions non-negative")
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers JSON and UTF-8 decoding and ModelConfig's checks.
+            raise CheckpointError(f"{path}: corrupt header ({exc!r})") from None
         params = {}
-        for block in header["blocks"]:
-            shape = tuple(block["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in blocks:
+            count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise CheckpointError(
-                    f"{path}: truncated block {block['name']!r} "
+                    f"{path}: truncated block {name!r} "
                     f"(expected {count * 8} bytes, got {len(raw)})"
                 )
-            params[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
     return config, params

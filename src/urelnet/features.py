@@ -198,6 +198,8 @@ class EmbeddingTable:
                     raise IngestionError(
                         f"{path}: line {lineno}: non-numeric embedding value ({exc})"
                     ) from None
+                if not np.isfinite(vec).all():
+                    raise IngestionError(f"{path}: line {lineno}: non-finite embedding value")
                 if dim is None:
                     dim = len(vec)
                     if dim == 0:
@@ -267,20 +269,49 @@ class FeatureStore:
 
     @classmethod
     def from_files(cls, data_path, index_path) -> "FeatureStore":
+        """Load and validate a store: every index row must be in range and
+        every feature value finite."""
         import json
 
-        with open(index_path, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
-        dim = int(index["dim"])
-        keys = index["keys"]
-        flat = np.fromfile(data_path, dtype="<f8")
-        expected = len(keys) * dim
+        try:
+            with open(index_path, "r", encoding="utf-8") as fh:
+                index = json.load(fh)
+            dim = int(index["dim"])
+            if dim <= 0:
+                raise ValueError(f"dim must be positive, got {dim}")
+            keys = index["keys"]
+            count = len(keys)
+            bad = [k for k, row in keys.items() if type(row) is not int or not 0 <= row < count]
+        except FileNotFoundError:
+            raise IngestionError(f"feature index file not found: {index_path}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IngestionError(f"{index_path}: malformed feature index ({exc!r})") from None
+        if bad:
+            raise IngestionError(
+                f"{index_path}: key {bad[0]!r} has row {keys[bad[0]]!r}, "
+                f"outside [0, {count})"
+            )
+        try:
+            flat = np.fromfile(data_path, dtype="<f8")
+        except FileNotFoundError:
+            raise IngestionError(f"feature file not found: {data_path}") from None
+        expected = count * dim
         if flat.size != expected:
             raise IngestionError(
                 f"{data_path}: expected {expected} float64 values "
-                f"({len(keys)} rows x {dim}), found {flat.size}"
+                f"({count} rows x {dim}), found {flat.size}"
             )
-        rows = flat.reshape(len(keys), dim)
+        rows = flat.reshape(count, dim)
+        # One BLAS pass: the sum of squares is non-finite when any value is,
+        # or when large finite values overflow, which the exact check admits.
+        with np.errstate(over="ignore"):
+            sum_sq = flat @ flat
+        if not np.isfinite(sum_sq):
+            bad_rows = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad_rows.size:
+                raise IngestionError(
+                    f"{data_path}: non-finite values in feature row {bad_rows[0]}"
+                )
         vectors = {key: rows[row].copy() for key, row in keys.items()}
         return cls(dim, vectors)
 
@@ -298,29 +329,6 @@ class FeatureStore:
         }
         with open(index_path, "w", encoding="utf-8") as fh:
             json.dump(index, fh, sort_keys=True, indent=1)
-
-
-@dataclass
-class FeatureBundle:
-    """Raw per-pair features of the three modals, before any learned transform."""
-
-    visual_subject: np.ndarray
-    visual_object: np.ndarray
-    visual_union: np.ndarray
-    spatial: np.ndarray
-    external_subject: np.ndarray
-    external_object: np.ndarray
-    internal: np.ndarray
-
-    def __post_init__(self):
-        if self.spatial.shape != (SPATIAL_DIM,):
-            raise DimensionError(f"spatial features must be 8-dim, got {self.spatial.shape}")
-        for name in STREAMS:
-            arr = getattr(self, name)
-            if not np.isfinite(arr).all():
-                raise IngestionError(f"non-finite values in feature stream {name!r}")
-        if abs(float(self.internal.sum()) - 1.0) > 1e-9 or (self.internal < 0).any():
-            raise DatasetValidationError("internal linguistic feature is not a distribution")
 
 
 @dataclass
@@ -354,7 +362,7 @@ class FeatureMatrix:
 
 
 class FeatureExtractor:
-    """Assembles per-pair bundles from the store, statistics, and embeddings.
+    """Assembles batched feature matrices from the store, statistics, and embeddings.
 
     Internal linguistic vectors depend only on the category pair and are
     cached, as are per-category external embeddings.
@@ -397,27 +405,6 @@ class FeatureExtractor:
             name = self.vocab.object_names[category]
             self._external_cache[category] = external_linguistic(self.embeddings, name)
         return self._external_cache[category]
-
-    def bundle(self, pair: ObjectPair, scene: SceneRecord) -> FeatureBundle:
-        if pair.subject.feature_key is None or pair.object.feature_key is None:
-            raise IngestionError(
-                f"scene {scene.image_id!r}: pair ({pair.subject_index}, "
-                f"{pair.object_index}) has detections without feature keys"
-            )
-        if pair.union_feature_key is None:
-            raise IngestionError(
-                f"scene {scene.image_id!r}: pair ({pair.subject_index}, "
-                f"{pair.object_index}) has no union feature key"
-            )
-        return FeatureBundle(
-            visual_subject=self.store.vector(pair.subject.feature_key),
-            visual_object=self.store.vector(pair.object.feature_key),
-            visual_union=self.store.vector(pair.union_feature_key),
-            spatial=spatial_features(pair.subject.box, pair.object.box),
-            external_subject=self._external(pair.subject.category),
-            external_object=self._external(pair.object.category),
-            internal=self._internal(pair.subject.category, pair.object.category),
-        )
 
     def _stream_rows(self, name: str, pairs, scene) -> List[np.ndarray]:
         if name == "visual_subject":
@@ -468,15 +455,3 @@ class FeatureExtractor:
         return FeatureMatrix(
             {name: np.stack(self._stream_rows(name, pairs, scene)) for name in names}
         )
-
-
-def assemble_bundle(
-    pair: ObjectPair,
-    scene: SceneRecord,
-    stats: TripletStatistics,
-    embeddings: EmbeddingTable | None,
-    store: FeatureStore,
-    vocab: Vocabulary,
-) -> FeatureBundle:
-    """One-shot bundle assembly; use FeatureExtractor for repeated calls."""
-    return FeatureExtractor(store, stats, embeddings, vocab).bundle(pair, scene)

@@ -12,12 +12,13 @@ confidence subnetwork.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, ModeError
+from .errors import DimensionError, ModeError, StateError
 from .features import SPATIAL_DIM, FeatureMatrix
 from .nn import DenseLayer, sigmoid, sigmoid_ce
 
@@ -107,22 +108,7 @@ class ModelConfig:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "predicate_count": self.predicate_count,
-            "object_count": self.object_count,
-            "visual_dim": self.visual_dim,
-            "embedding_dim": self.embedding_dim,
-            "transform_dim": self.transform_dim,
-            "dc_hidden_dim": self.dc_hidden_dim,
-            "rel_hidden_dim": self.rel_hidden_dim,
-            "enabled_modals": list(self.enabled_modals),
-            "fusion_mode": self.fusion_mode,
-            "dc_feed": self.dc_feed,
-            "dc_undetermined_weight": self.dc_undetermined_weight,
-            "rel_undetermined_weight": self.rel_undetermined_weight,
-            "dc_loss_weight": self.dc_loss_weight,
-            "im_mode": self.im_mode,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
@@ -181,34 +167,14 @@ def required_streams(config: ModelConfig) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-@dataclass
-class PairPrediction:
-    """Model outputs for one pair: confidence scalar and M sigmoid probabilities."""
-
-    determinate_confidence: float
-    predicate_probabilities: np.ndarray
-
-
-def score_relation(
-    prediction: PairPrediction, subject_conf: float, object_conf: float
-) -> np.ndarray:
-    """Relation scores: predicate probabilities scaled by pair confidence
-    and the two detector confidences."""
-    return (
-        prediction.predicate_probabilities
-        * prediction.determinate_confidence
-        * subject_conf
-        * object_conf
-    )
-
-
 def score_relations(
     rel_probs: np.ndarray,
     dc_probs: np.ndarray,
     subject_confs: np.ndarray,
     object_confs: np.ndarray,
 ) -> np.ndarray:
-    """Batched score_relation: (B, M) scores."""
+    """Relation scores (B, M): predicate probabilities scaled by pair
+    confidence and the two detector confidences."""
     scale = dc_probs * subject_confs * object_confs
     return rel_probs * scale[:, None]
 
@@ -223,6 +189,7 @@ class RelationNetwork:
         dims = config.stream_dims()
         t = config.transform_dim
         self.streams = [s for _, streams in self.spec for s in streams]
+        self.stream_dims = {s: dims[s] for s in self.streams}
         self.modalities = [m for m, _ in self.spec]
         self.fused_dim = len(self.spec) * t
         self.layers: Dict[str, DenseLayer] = {}
@@ -292,7 +259,17 @@ class RelationNetwork:
         return sigmoid(logits)
 
     def forward(self, features: FeatureMatrix) -> Tuple[np.ndarray, np.ndarray]:
-        """Returns (dc_probs (B,), rel_probs (B, M)); caches for backward."""
+        """Returns (dc_probs (B,), rel_probs (B, M)); caches for backward.
+
+        Stream shapes are checked here, once per call; the layers do not
+        check their inputs.
+        """
+        for s, dim in self.stream_dims.items():
+            if features[s].shape != (features.count, dim):
+                raise DimensionError(
+                    f"feature stream {s!r} has shape {features[s].shape}, "
+                    f"expected ({features.count}, {dim})"
+                )
         fused = self.fuse_features(features)
         dc_probs = self.dc_forward(fused)
         if self.config.dc_feed == "probability":
@@ -304,13 +281,6 @@ class RelationNetwork:
         self._cache["rel_probs"] = rel_probs
         return dc_probs, rel_probs
 
-    def predict(self, features: FeatureMatrix) -> List[PairPrediction]:
-        dc_probs, rel_probs = self.forward(features)
-        return [
-            PairPrediction(float(dc_probs[b]), rel_probs[b].copy())
-            for b in range(features.count)
-        ]
-
     # -- backward ----------------------------------------------------------
 
     def backward(self, d_rel_logits: np.ndarray, d_dc_logits: np.ndarray) -> Dict[str, np.ndarray]:
@@ -319,8 +289,16 @@ class RelationNetwork:
         The confidence signal fed to the relation head is part of the graph,
         so its gradient is routed back into the confidence subnetwork.
         """
+        if "fused" not in self._cache:
+            raise StateError("backward called before forward")
         fused = self._cache["fused"]
         dc_probs = self._cache["dc_probs"]
+        expected = (fused.shape[0], self.config.predicate_count)
+        if d_rel_logits.shape != expected or d_dc_logits.shape != expected[:1]:
+            raise DimensionError(
+                f"head gradients {d_rel_logits.shape} and {d_dc_logits.shape} do not "
+                f"match the forward batch {expected}"
+            )
         d_rel_hidden = self.layers["rel.out"].backward(d_rel_logits)
         d_rel_in = self.layers["rel.hidden"].backward(d_rel_hidden)
         d_fused = d_rel_in[:, : self.fused_dim].copy()
@@ -548,21 +526,6 @@ class InferringModel:
                 if name.startswith(prefix)
             }
             net.load_parameters(subset)
-
-
-def combine_im_scores(
-    union_scores: np.ndarray,
-    subject_prediction: PairPrediction,
-    object_prediction: PairPrediction,
-) -> np.ndarray:
-    """Elementwise product of the union scores with both auxiliary predictions."""
-    return (
-        union_scores
-        * subject_prediction.predicate_probabilities
-        * subject_prediction.determinate_confidence
-        * object_prediction.predicate_probabilities
-        * object_prediction.determinate_confidence
-    )
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator):

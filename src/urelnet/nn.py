@@ -1,6 +1,6 @@
 """Minimal dense-network engine in float64 numpy.
 
-Explicit forward/backward for linear layers with relu/sigmoid/identity
+Explicit forward/backward for linear layers with relu/identity
 activations, fused sigmoid cross-entropy, Adam with piecewise-constant
 exponential learning-rate decay, and finite-difference gradient checking.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import DimensionError, DivergenceError, StateError
 
 PROB_CLAMP = 1e-7
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -87,24 +87,15 @@ class DenseLayer:
         return self.weight.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(
-                f"layer expects input dim {self.in_dim}, got shape {x.shape}"
-            )
+        """Batched forward pass over (B, in_dim) rows.
+
+        Input widths are checked once per call at the model boundary
+        (RelationNetwork.forward), not here.
+        """
         z = x @ self.weight.T + self.bias
         self._input = x
         self._pre = z
-        if self.activation == "relu":
-            out = relu(z)
-        elif self.activation == "sigmoid":
-            out = sigmoid(z)
-        else:
-            out = z
-        return out[0] if squeeze else out
+        return relu(z) if self.activation == "relu" else z
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients and return the input gradient.
@@ -113,55 +104,12 @@ class DenseLayer:
         """
         if self._input is None or self._pre is None:
             raise StateError("backward called before forward")
-        g = np.asarray(grad_output, dtype=np.float64)
-        squeeze = g.ndim == 1
-        if squeeze:
-            g = g[None, :]
-        if g.shape != (self._input.shape[0], self.out_dim):
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match output "
-                f"({self._input.shape[0]}, {self.out_dim})"
-            )
+        g = grad_output
         if self.activation == "relu":
             g = g * (self._pre > 0)
-        elif self.activation == "sigmoid":
-            s = sigmoid(self._pre)
-            g = g * s * (1.0 - s)
         self.grad_weight = g.T @ self._input
         self.grad_bias = g.sum(axis=0)
-        grad_input = g @ self.weight
-        return grad_input[0] if squeeze else grad_input
-
-
-class MLP:
-    """Plain layer stack; forward caches what backward needs."""
-
-    def __init__(self, layers: Sequence[DenseLayer]):
-        self.layers = list(layers)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
-        return grad_output
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"layer{i}.weight"] = layer.weight
-            out[f"layer{i}.bias"] = layer.bias
-        return out
-
-    def gradients(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"layer{i}.weight"] = layer.grad_weight
-            out[f"layer{i}.bias"] = layer.grad_bias
-        return out
+        return g @ self.weight
 
 
 @dataclass

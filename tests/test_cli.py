@@ -106,6 +106,18 @@ def test_error_is_machine_readable(workspace, capsys, tmp_path):
     assert "category" in err["error"]
 
 
+def test_truncated_checkpoint_is_one_json_error_line(workspace, capsys, tmp_path):
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes((workspace / "run" / "checkpoint.bin").read_bytes()[:12])
+    code = main([
+        "evaluate", "--dataset", str(workspace / "ds"), "--checkpoint", str(cut),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["category"] == "checkpoint-error"
+
+
 def test_invalid_dataset_error_category(tmp_path, capsys):
     (tmp_path / "broken").mkdir()
     (tmp_path / "broken" / "dataset.json").write_text("{nope", encoding="utf-8")

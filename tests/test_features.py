@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,25 +275,25 @@ def _pair_scene_fixture():
     return vocab, scene, store, emb, stats, pair
 
 
-def test_bundle_shapes_and_invariants():
+def test_matrix_one_pair_shapes_and_invariants():
     vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
-    extractor = FeatureExtractor(store, stats, emb, vocab)
-    bundle = extractor.bundle(pair, scene)
-    assert bundle.visual_subject.shape == (4,)
-    assert bundle.visual_union.shape == (4,)
-    assert bundle.spatial.shape == (8,)
-    assert bundle.external_subject.shape == (2,)
-    assert bundle.internal.shape == (3,)
-    assert bundle.internal.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(bundle.external_subject, [1.0, 0.0])
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([pair], scene)
+    assert matrix.count == 1
+    assert matrix["visual_subject"].shape == (1, 4)
+    assert matrix["visual_union"].shape == (1, 4)
+    assert matrix["spatial"].shape == (1, 8)
+    assert matrix["external_subject"].shape == (1, 2)
+    assert matrix["internal"].shape == (1, 3)
+    assert matrix["internal"][0].sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(matrix["external_subject"][0], [1.0, 0.0])
 
 
-def test_bundle_missing_visual_vector_errors():
+def test_matrix_missing_visual_vector_errors():
     vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
     del store.vectors["img|det|1"]
     extractor = FeatureExtractor(store, stats, emb, vocab)
-    with pytest.raises(IngestionError, match="img|det|1"):
-        extractor.bundle(pair, scene)
+    with pytest.raises(IngestionError, match=r"'img\|det\|1'"):
+        extractor.matrix([pair], scene)
 
 
 def test_matrix_stacks_rows():
@@ -313,3 +315,67 @@ def test_feature_store_roundtrip(tmp_path):
     assert len(loaded) == 5
     for key, vec in store.vectors.items():
         np.testing.assert_array_equal(loaded.vector(key), vec)
+
+
+def _saved_store(tmp_path, rows=2):
+    store = FeatureStore(3, {f"k{i}": np.full(3, float(i)) for i in range(rows)})
+    store.save(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    return tmp_path / "f.bin", tmp_path / "f.idx.json"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_store_rejects_non_finite_row(tmp_path, value):
+    data, index = _saved_store(tmp_path)
+    flat = np.fromfile(data, dtype="<f8")
+    flat[4] = value
+    flat.tofile(data)
+    with pytest.raises(IngestionError, match="non-finite values in feature row 1"):
+        FeatureStore.from_files(data, index)
+
+
+def test_feature_store_accepts_large_finite_values(tmp_path):
+    data, index = _saved_store(tmp_path)
+    np.full(6, 1e200).tofile(data)
+    loaded = FeatureStore.from_files(data, index)
+    np.testing.assert_array_equal(loaded.vector("k1"), np.full(3, 1e200))
+
+
+@pytest.mark.parametrize("row", [-1, 2, 7, 1.0, "1"])
+def test_feature_store_rejects_index_row_out_of_range(tmp_path, row):
+    data, index = _saved_store(tmp_path)
+    doc = json.loads(index.read_text())
+    doc["keys"]["k1"] = row
+    index.write_text(json.dumps(doc))
+    with pytest.raises(IngestionError, match="'k1'"):
+        FeatureStore.from_files(data, index)
+
+
+def test_feature_store_missing_index(tmp_path):
+    data, index = _saved_store(tmp_path)
+    index.unlink()
+    with pytest.raises(IngestionError, match="not found"):
+        FeatureStore.from_files(data, index)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    '{"keys": {"k0": 0, "k1": 1}}',
+    '{"dim": 3}',
+    '{"dim": 0, "keys": {}}',
+    '{"dim": "three", "keys": {"k0": 0, "k1": 1}}',
+    '{"dim": 3, "keys": ["k0", "k1"]}',
+])
+def test_feature_store_malformed_index(tmp_path, text):
+    data, index = _saved_store(tmp_path)
+    index.write_text(text)
+    with pytest.raises(IngestionError, match="malformed feature index"):
+        FeatureStore.from_files(data, index)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_embedding_file_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"a 1.0 2.0\nb 1.0 {value}\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match="line 2: non-finite"):
+        EmbeddingTable.from_file(path)

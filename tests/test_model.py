@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from urelnet.errors import ModeError
+from urelnet.errors import DimensionError, ModeError, StateError
 from urelnet.features import STREAMS, FeatureMatrix
 from urelnet.model import (
     ALL_MODALS,
     InferringModel,
     ModelConfig,
-    PairPrediction,
     RelationNetwork,
     build_model,
-    combine_im_scores,
     joint_loss,
     joint_loss_gradients,
-    score_relation,
     score_relations,
     stream_spec,
 )
@@ -215,21 +212,20 @@ def test_dc_loss_symmetry_on_mirrored_batches():
 
 
 def test_score_relation_identity_and_scaling():
-    pred = PairPrediction(1.0, np.array([0.2, 0.7, 0.1]))
-    np.testing.assert_allclose(score_relation(pred, 1.0, 1.0), [0.2, 0.7, 0.1])
-    half = PairPrediction(0.5, np.array([0.2, 0.7, 0.1]))
-    np.testing.assert_allclose(score_relation(half, 1.0, 1.0), [0.1, 0.35, 0.05])
+    rel = np.array([[0.2, 0.7, 0.1], [0.2, 0.7, 0.1]])
+    ones = np.ones(2)
+    scores = score_relations(rel, np.array([1.0, 0.5]), ones, ones)
+    np.testing.assert_allclose(scores, [[0.2, 0.7, 0.1], [0.1, 0.35, 0.05]])
 
 
 def test_score_relation_argmax_invariant():
+    # Per-pair scaling never changes which predicate a pair ranks first.
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        probs = rng.uniform(0.01, 0.99, size=6)
-        pred_a = PairPrediction(float(rng.uniform(0.01, 1)), probs)
-        pred_b = PairPrediction(float(rng.uniform(0.01, 1)), probs)
-        sa = score_relation(pred_a, float(rng.uniform(0.01, 1)), float(rng.uniform(0.01, 1)))
-        sb = score_relation(pred_b, float(rng.uniform(0.01, 1)), float(rng.uniform(0.01, 1)))
-        assert np.argmax(sa) == np.argmax(sb)
+    probs = rng.uniform(0.01, 0.99, size=(20, 6))
+    for _ in range(2):
+        dc, subj, obj = rng.uniform(0.01, 1, size=(3, 20))
+        scores = score_relations(probs, dc, subj, obj)
+        np.testing.assert_array_equal(scores.argmax(axis=1), probs.argmax(axis=1))
 
 
 def test_full_graph_gradient_check_transforming():
@@ -293,6 +289,17 @@ def test_gradient_flows_into_fusion_from_dc():
     assert np.abs(grads["transform.visual_subject.weight"]).max() > 0
 
 
+def test_backward_checks_its_inputs():
+    config = toy_config()
+    net = RelationNetwork(config, np.random.default_rng(11))
+    with pytest.raises(StateError):
+        net.backward(np.zeros((2, config.predicate_count)), np.zeros(2))
+    features, _, _ = random_batch(config, np.random.default_rng(12), batch=2)
+    dc, rel = net.forward(features)
+    with pytest.raises(DimensionError, match="head gradients"):
+        net.backward(rel, dc[:, None])
+
+
 def test_modes_have_identical_stage_widths():
     for modals in MODAL_SUBSETS:
         a = RelationNetwork(
@@ -338,9 +345,20 @@ def test_im_auxiliary_networks_use_reduced_streams():
 
 
 def test_im_combine_identity():
-    union_scores = np.array([0.3, 0.1, 0.6])
-    ones = PairPrediction(1.0, np.ones(3))
-    np.testing.assert_array_equal(combine_im_scores(union_scores, ones, ones), union_scores)
+    # IM score = union score x (rel x dc) of each auxiliary network.
+    rng = np.random.default_rng(10)
+    config = toy_config(im_mode=True)
+    model = InferringModel(config, rng)
+    features, _, _ = random_batch(config, rng, batch=5)
+    subj, obj = rng.uniform(0.1, 1.0, size=(2, 5))
+    combined = model.relation_scores(features, subj, obj)
+    outputs = model.forward(features)
+    dc_u, rel_u = outputs["union"]
+    expected = score_relations(rel_u, dc_u, subj, obj)
+    for role in ("subject", "object"):
+        dc, rel = outputs[role]
+        expected = expected * (rel * dc[:, None])
+    np.testing.assert_allclose(combined, expected, rtol=1e-12, atol=0)
 
 
 def test_im_combined_bounded_by_factors():

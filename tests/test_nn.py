@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from urelnet.errors import DimensionError, DivergenceError, StateError
+from urelnet.features import FeatureMatrix
+from urelnet.model import ModelConfig, joint_loss, make_gradient_check_problem
 from urelnet.nn import (
-    MLP,
     AdamState,
     DenseLayer,
     adam_step,
@@ -18,30 +19,29 @@ from urelnet.nn import (
 
 def test_identity_layer_passthrough():
     layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-    x = np.array([1.0, -2.0, 3.0])
+    x = np.array([[1.0, -2.0, 3.0]])
     np.testing.assert_array_equal(layer.forward(x), x)
 
 
 def test_relu_clips_negative_preactivation():
     layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
-    np.testing.assert_array_equal(layer.forward(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-
-def test_sigmoid_of_zero_is_half():
-    layer = DenseLayer(np.zeros((1, 2)), np.zeros(1), "sigmoid")
-    assert layer.forward(np.array([3.0, -4.0]))[0] == 0.5
+    np.testing.assert_array_equal(layer.forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
 
 def test_forward_shape_mismatch():
-    layer = DenseLayer(np.eye(3), np.zeros(3))
-    with pytest.raises(DimensionError):
-        layer.forward(np.zeros(4))
+    # Stream widths are checked at the model boundary, not by each layer.
+    model, features, _, _ = _toy_problem(0)
+    spatial = features["spatial"]
+    for bad in (spatial[:, :7], spatial[:3], spatial[0]):
+        wrong = FeatureMatrix({**features.streams, "spatial": bad})
+        with pytest.raises(DimensionError, match="spatial"):
+            model.forward(wrong)
 
 
 def test_backward_before_forward_is_state_error():
     layer = DenseLayer(np.eye(2), np.zeros(2))
     with pytest.raises(StateError):
-        layer.backward(np.zeros(2))
+        layer.backward(np.zeros((1, 2)))
 
 
 def test_sigmoid_ce_values():
@@ -57,14 +57,14 @@ def test_fused_sigmoid_ce_gradient_identity():
     # d(CE(sigmoid(z), y))/dz == p - y for a single sigmoid output.
     rng = np.random.default_rng(0)
     layer = DenseLayer(rng.standard_normal((1, 3)), rng.standard_normal(1), "identity")
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
     z = layer.forward(x)
     p = sigmoid(z)
     y = 1.0
     layer.backward(p - y)  # fused gradient applied to the logits
 
     def loss():
-        return float(sigmoid_ce(sigmoid(layer.forward(x)), y)[0])
+        return float(sigmoid_ce(sigmoid(layer.forward(x)), y)[0, 0])
 
     numeric = finite_difference_gradients(loss, {"w": layer.weight, "b": layer.bias})
     np.testing.assert_allclose(layer.grad_weight, numeric["w"], atol=1e-8)
@@ -81,29 +81,26 @@ def test_zero_upstream_gradient_gives_zero_grads():
     assert not grad_in.any()
 
 
-def _toy_mlp(rng):
-    return MLP(
-        [
-            DenseLayer.create(4, 6, "relu", rng),
-            DenseLayer.create(6, 5, "relu", rng),
-            DenseLayer.create(5, 2, "identity", rng),
-        ]
+def _toy_problem(seed):
+    """Small relation network with a batch clear of relu kinks."""
+    config = ModelConfig(
+        predicate_count=3, object_count=3, visual_dim=4, embedding_dim=3,
+        transform_dim=3, dc_hidden_dim=3, rel_hidden_dim=4,
     )
+    return make_gradient_check_problem(config, np.random.default_rng(seed))
 
 
-def _mlp_loss(mlp, x, y):
-    return float(sigmoid_ce(sigmoid(mlp.forward(x)), y).sum())
+def _forward_loss(model, features, labels, mask):
+    dc, rel = model.forward(features)
+    return joint_loss(dc, rel, labels, mask, model.config)[0]
 
 
-def test_mlp_gradients_match_finite_differences():
-    rng = np.random.default_rng(2)
-    mlp = _toy_mlp(rng)
-    x = rng.standard_normal((3, 4))
-    y = rng.integers(0, 2, size=(3, 2)).astype(float)
-    p = sigmoid(mlp.forward(x))
-    mlp.backward(p - y)
+def test_network_gradients_match_finite_differences():
+    model, features, labels, mask = _toy_problem(2)
+    _, _, grads = model.loss_and_gradients(features, labels, mask)
     report = gradient_check(
-        lambda: _mlp_loss(mlp, x, y), mlp.parameters(), mlp.gradients(), tolerance=1e-4
+        lambda: _forward_loss(model, features, labels, mask),
+        model.parameters(), grads, tolerance=1e-4,
     )
     assert report.passed, report.lines()
 
@@ -111,7 +108,7 @@ def test_mlp_gradients_match_finite_differences():
 def test_gradient_check_trivially_passes_on_constant_loss():
     # Identity network with a loss that never moves: all gradients zero.
     layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-    layer.forward(np.ones(3))
+    layer.forward(np.ones((1, 3)))
     report = gradient_check(
         lambda: 0.0,
         {"w": layer.weight, "b": layer.bias},
@@ -123,19 +120,15 @@ def test_gradient_check_trivially_passes_on_constant_loss():
 
 
 def test_gradient_check_detects_corruption():
-    rng = np.random.default_rng(3)
-    mlp = _toy_mlp(rng)
-    x = rng.standard_normal((3, 4))
-    y = rng.integers(0, 2, size=(3, 2)).astype(float)
-    p = sigmoid(mlp.forward(x))
-    mlp.backward(p - y)
-    grads = mlp.gradients()
-    grads["layer1.weight"] = grads["layer1.weight"] * 2.0
+    model, features, labels, mask = _toy_problem(3)
+    _, _, grads = model.loss_and_gradients(features, labels, mask)
+    grads["rel.hidden.weight"] = grads["rel.hidden.weight"] * 2.0
     report = gradient_check(
-        lambda: _mlp_loss(mlp, x, y), mlp.parameters(), grads, tolerance=1e-4
+        lambda: _forward_loss(model, features, labels, mask),
+        model.parameters(), grads, tolerance=1e-4,
     )
     assert not report.passed
-    assert report.worst_block == "layer1.weight"
+    assert report.worst_block == "rel.hidden.weight"
 
 
 def test_adam_schedule_vrd_preset_values():
@@ -184,18 +177,14 @@ def test_adam_matches_reference_update():
 
 
 def test_loss_decreases_under_adam():
-    rng = np.random.default_rng(4)
-    mlp = _toy_mlp(rng)
-    x = rng.standard_normal((8, 4))
-    y = rng.integers(0, 2, size=(8, 2)).astype(float)
-    params = mlp.parameters()
+    model, features, labels, mask = _toy_problem(4)
+    params = model.parameters()
     state = AdamState.create(params, base_lr=5e-3)
     losses = []
     for _ in range(100):
-        p = sigmoid(mlp.forward(x))
-        losses.append(float(sigmoid_ce(p, y).mean()))
-        mlp.backward((p - y) / (y.shape[0] * y.shape[1]))
-        adam_step(params, mlp.gradients(), state)
+        loss, _, grads = model.loss_and_gradients(features, labels, mask)
+        losses.append(loss)
+        adam_step(params, grads, state)
     assert losses[-1] < losses[0]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.05  # small transient upticks allowed

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from urelnet.checkpoint import load_checkpoint, load_model, save_checkpoint
+from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, UndefinedMetricError
 from urelnet.model import ModelConfig, build_model
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
@@ -202,6 +203,57 @@ def test_checkpoint_truncated(dataset, tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+TOY_CONFIG = ModelConfig(
+    predicate_count=4, object_count=5, visual_dim=12, embedding_dim=6,
+    transform_dim=7, dc_hidden_dim=5, rel_hidden_dim=9,
+)
+
+
+def test_checkpoint_every_truncation_is_checkpoint_error(tmp_path):
+    path = tmp_path / "toy.bin"
+    save_checkpoint(path, TOY_CONFIG, build_model(TOY_CONFIG, np.random.default_rng(0)).parameters())
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    escaped = []
+    for offset in range(len(data)):
+        cut.write_bytes(data[:offset])
+        try:
+            load_checkpoint(cut)
+        except CheckpointError:
+            continue
+        except Exception as exc:  # any other type breaks the error contract
+            escaped.append((offset, repr(exc)))
+        else:
+            escaped.append((offset, "loaded"))
+    assert not escaped, escaped[:5]
+
+
+def _checkpoint_with_header(path, header):
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
+    return path
+
+
+GOOD_CONFIG = TOY_CONFIG.to_json_dict()
+
+
+@pytest.mark.parametrize("header", [
+    {"blocks": []},
+    {"config": GOOD_CONFIG},
+    [],
+    {"config": {**GOOD_CONFIG, "predicate_count": 0}, "blocks": []},
+    {"config": {**GOOD_CONFIG, "bogus": 1}, "blocks": []},
+    {"config": {**GOOD_CONFIG, "visual_dim": "wide"}, "blocks": []},
+    {"config": GOOD_CONFIG, "blocks": [{"name": "w"}]},
+    {"config": GOOD_CONFIG, "blocks": [{"name": "w", "shape": [-1, 2]}]},
+    {"config": GOOD_CONFIG, "blocks": [{"name": ["w"], "shape": [1]}]},
+])
+def test_checkpoint_bad_header_is_checkpoint_error(tmp_path, header):
+    path = _checkpoint_with_header(tmp_path / "h.bin", header)
+    with pytest.raises(CheckpointError, match="corrupt header"):
         load_checkpoint(path)
 
 
