@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import load_model, save_checkpoint
 from .dataset import load_dataset, save_dataset
-from .errors import UrelnetError
+from .errors import UrelnetError, UsageError
 from .evaluation import ModelScorer, predict_scene
 from .features import build_triplet_statistics
 from .model import ALL_MODALS, ModelConfig
@@ -167,13 +167,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        n_values = tuple(int(n) for n in args.n.split(","))
+    except ValueError:
+        raise UsageError(f"--n takes comma-separated integers, got {args.n!r}") from None
     dataset = load_dataset(args.dataset)
     model = load_model(args.checkpoint)
     report = run_evaluation(
         dataset,
         model,
         tasks=tuple(args.tasks.split(",")),
-        n_values=tuple(int(n) for n in args.n.split(",")),
+        n_values=n_values,
         k=args.k,
         zero_shot=args.zero_shot,
         macro_average=args.macro,
@@ -234,13 +238,12 @@ def cmd_gradcheck(args) -> int:
         )
         model, features, labels, mask = make_gradient_check_problem(config, rng)
         _, _, grads = model.loss_and_gradients(features, labels, mask)
-
-        def loss_fn():
-            loss, _, _ = model.loss_and_gradients(features, labels, mask)
-            return loss
-
         report = gradient_check(
-            loss_fn, model.parameters(), grads, tolerance=args.tolerance, step=args.step
+            lambda: model.loss(features, labels, mask),
+            model.parameters(),
+            grads,
+            tolerance=args.tolerance,
+            step=args.step,
         )
         worst = max(worst, report.max_error)
         status = "pass" if report.passed else "FAIL"

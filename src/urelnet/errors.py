@@ -9,6 +9,15 @@ class UrelnetError(Exception):
     category = "error"
 
 
+class UsageError(UrelnetError, ValueError):
+    """Bad command-line arguments or configuration values.
+
+    Also a ValueError, the type config constructors raise for bad values.
+    """
+
+    category = "usage-error"
+
+
 class GeometryError(UrelnetError):
     """Degenerate or non-finite box geometry."""
 

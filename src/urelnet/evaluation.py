@@ -5,21 +5,30 @@ hit requires: the predicate task pairs ground-truth objects and checks
 categories and predicate only; the phrase task checks IoU of the union
 boxes; the relation task checks both individual box IoUs. Evaluation
 thresholds are inclusive (>= 0.5), unlike the strict generator threshold.
+
+Phrase and relation rank the same detection pairs, and the zero-shot filter
+only drops ground truth, so an evaluation scores each scene once per
+candidate source and k and matches every requested config against that one
+ranking, cut at the largest N that reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, UndefinedMetricError
+from .errors import DimensionError, DivergenceError, UndefinedMetricError, UsageError
 from .features import FeatureExtractor
 from .pairs import ObjectPair, generate_for_scene, gt_pairs_for_scene
 from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, iou, union_box
 
 TASKS = ("predicate", "phrase", "relation")
+
+# Where each task's candidate pairs come from; tasks sharing a source rank
+# the same pairs.
+CANDIDATE_SOURCE = {"predicate": "ground_truth", "phrase": "detections", "relation": "detections"}
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,13 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
+            raise UsageError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise UsageError(f"k must be >= 1, got {self.k}")
+        if not self.n_values:
+            raise UsageError("at least one N value is required")
         if any(n <= 0 for n in self.n_values):
-            raise ValueError("N values must be positive")
+            raise UsageError(f"N values must be positive, got {self.n_values}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,10 @@ class UniformRandomScorer:
 def candidate_pairs(scene: SceneRecord, task: str, predicate_count: int) -> List[ObjectPair]:
     """Pairs to score: ground-truth object pairs (confidence 1) for the
     predicate task, detector pairs otherwise."""
-    if task == "predicate":
+    source = CANDIDATE_SOURCE.get(task)
+    if source is None:
+        raise UsageError(f"task must be one of {TASKS}, got {task!r}")
+    if source == "ground_truth":
         return gt_pairs_for_scene(scene, predicate_count, annotated_only=False)
     return generate_for_scene(scene, predicate_count)
 
@@ -115,8 +129,13 @@ def predict_scene(
     k: int = 1,
     predicate_count: int | None = None,
     pairs: Sequence[ObjectPair] | None = None,
+    _limit: int | None = None,
 ) -> PredictionSet:
-    """Rank the top-k predicates of every candidate pair in one image."""
+    """Rank the top-k predicates of every candidate pair in one image.
+
+    ``_limit`` keeps only the first that many ranked triplets; evaluation
+    passes the largest N it reads.
+    """
     if pairs is None:
         if predicate_count is None:
             raise ValueError("predicate_count is required when pairs are not given")
@@ -124,29 +143,35 @@ def predict_scene(
     if not pairs:
         return PredictionSet(scene.image_id, [])
     scores = np.asarray(scorer(pairs, scene), dtype=np.float64)
-    if scores.shape[0] != len(pairs):
+    if scores.ndim != 2 or scores.shape[0] != len(pairs):
         raise DimensionError(
-            f"scorer returned {scores.shape[0]} rows for {len(pairs)} pairs"
+            f"scorer returned shape {scores.shape} for {len(pairs)} pairs"
         )
     if not np.isfinite(scores).all():
         raise DivergenceError(f"non-finite relation scores for image {scene.image_id!r}")
+    # Per pair, the k best predicates (ties to the lower index); then every
+    # kept entry by score, ties by pair index, then predicate.
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    top_scores = np.take_along_axis(scores, top, axis=1).ravel()
+    predicates = top.ravel()
+    pair_indices = np.repeat(np.arange(len(pairs)), top.shape[1])
+    order = np.lexsort((predicates, pair_indices, -top_scores))[:_limit]
     triplets = []
-    for idx, pair in enumerate(pairs):
-        row = scores[idx]
-        top = np.argsort(-row, kind="stable")[:k]
-        for predicate in top:
-            triplets.append(
-                PredictedTriplet(
-                    subject_box=pair.subject.box,
-                    subject_category=pair.subject.category,
-                    predicate=int(predicate),
-                    object_box=pair.object.box,
-                    object_category=pair.object.category,
-                    score=float(row[predicate]),
-                    pair_index=idx,
-                )
+    for index, predicate, score in zip(
+        pair_indices[order].tolist(), predicates[order].tolist(), top_scores[order].tolist()
+    ):
+        pair = pairs[index]
+        triplets.append(
+            PredictedTriplet(
+                subject_box=pair.subject.box,
+                subject_category=pair.subject.category,
+                predicate=predicate,
+                object_box=pair.object.box,
+                object_category=pair.object.category,
+                score=score,
+                pair_index=index,
             )
-    triplets.sort(key=lambda t: (-t.score, t.pair_index, t.predicate))
+        )
     return PredictionSet(scene.image_id, triplets)
 
 
@@ -232,6 +257,71 @@ def zero_shot_filter(
     return [gt for gt in ground_truth if gt.type_key() not in training_types]
 
 
+@dataclass
+class RecallTally:
+    """Per-image hits and ground-truth counts of one config."""
+
+    config: EvalConfig
+    image_hits: List[List[bool]] = field(default_factory=list)
+    gt_counts: List[int] = field(default_factory=list)
+
+    def recalls(self) -> Dict[str, float]:
+        return {
+            str(n): recall_at_n(self.image_hits, self.gt_counts, n, self.config.macro_average)
+            for n in self.config.n_values
+        }
+
+
+def evaluate_configs(
+    scenes: Sequence[SceneRecord],
+    scorer: Scorer,
+    configs: Sequence[EvalConfig],
+    predicate_count: int,
+    training_types: Set[Tuple[int, int, int]] | None = None,
+) -> List[RecallTally]:
+    """Hits of several configs over one scene collection, one tally per config.
+
+    Each scene is scored and ranked once per (candidate source, k), cut at
+    the largest N of the configs that read that ranking. Greedy matching is
+    decided in rank order, so hits[:n] against the cut ranking equal those
+    against the full one. With zero_shot_only, ground truth is filtered to
+    triplet types unseen in training before counting.
+    """
+    if any(c.zero_shot_only for c in configs) and training_types is None:
+        raise ValueError("zero-shot evaluation requires the training triplet types")
+    limits: Dict[Tuple[str, int], int] = {}
+    for config in configs:
+        key = (CANDIDATE_SOURCE[config.task], config.k)
+        limits[key] = max(limits.get(key, 0), max(config.n_values))
+    tallies = [RecallTally(config) for config in configs]
+    for scene in scenes:
+        ranked: Dict[Tuple[str, int], PredictionSet] = {}
+        for tally in tallies:
+            config = tally.config
+            key = (CANDIDATE_SOURCE[config.task], config.k)
+            if key not in ranked:
+                ranked[key] = predict_scene(
+                    scene,
+                    scorer,
+                    task=config.task,
+                    k=config.k,
+                    predicate_count=predicate_count,
+                    _limit=limits[key],
+                )
+            predictions = ranked[key]
+            read = max(config.n_values)
+            if len(predictions.triplets) > read:
+                predictions = PredictionSet(scene.image_id, predictions.triplets[:read])
+            gt = list(scene.annotations)
+            if config.zero_shot_only:
+                gt = zero_shot_filter(gt, training_types)
+            tally.image_hits.append(
+                match_predictions(predictions, gt, config.task, config.iou_threshold)
+            )
+            tally.gt_counts.append(len(gt))
+    return tallies
+
+
 def evaluate_scenes(
     scenes: Sequence[SceneRecord],
     scorer: Scorer,
@@ -239,25 +329,6 @@ def evaluate_scenes(
     predicate_count: int,
     training_types: Set[Tuple[int, int, int]] | None = None,
 ) -> Dict[str, float]:
-    """Recall@N over a scene collection for one task.
-
-    With zero_shot_only, ground truth is filtered to triplet types unseen in
-    training before counting.
-    """
-    if config.zero_shot_only and training_types is None:
-        raise ValueError("zero-shot evaluation requires the training triplet types")
-    image_hits = []
-    gt_counts = []
-    for scene in scenes:
-        gt = list(scene.annotations)
-        if config.zero_shot_only:
-            gt = zero_shot_filter(gt, training_types)
-        predictions = predict_scene(
-            scene, scorer, task=config.task, k=config.k, predicate_count=predicate_count
-        )
-        image_hits.append(match_predictions(predictions, gt, config.task, config.iou_threshold))
-        gt_counts.append(len(gt))
-    return {
-        str(n): recall_at_n(image_hits, gt_counts, n, config.macro_average)
-        for n in config.n_values
-    }
+    """Recall@N over a scene collection for one config."""
+    (tally,) = evaluate_configs(scenes, scorer, [config], predicate_count, training_types)
+    return tally.recalls()

@@ -10,13 +10,13 @@ vectors of the (lowercased) category name tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from .pairs import ObjectPair
-from .scene import BoundingBox, SceneRecord, Vocabulary, union_box
+from .scene import BoundingBox, SceneRecord, Vocabulary
 
 SPATIAL_DIM = 8
 
@@ -32,30 +32,40 @@ STREAMS = (
 )
 
 
-def spatial_features(subject: BoundingBox, obj: BoundingBox) -> np.ndarray:
-    """8-vector of subject and object corner offsets relative to their union.
+def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """(P, 8) rows of subject and object corner offsets relative to their union.
 
-    Entries are (min-corner and max-corner offsets) / union extent, subject
-    first then object. Invariant under joint translation and uniform
+    ``subjects`` and ``objects`` are (P, 4) arrays of (x_min, y_min, x_max,
+    y_max). Entries are (min-corner and max-corner offsets) / union extent,
+    subject first then object. Invariant under joint translation and uniform
     scaling; swapping the roles swaps the two halves.
     """
-    u = union_box(subject, obj)
-    w, h = u.width, u.height
-    if w <= 0 or h <= 0:
-        raise GeometryError(f"degenerate union box {u.as_tuple()}")
-    return np.array(
+    lo = np.minimum(subjects[:, :2], objects[:, :2])
+    hi = np.maximum(subjects[:, 2:], objects[:, 2:])
+    extent = hi - lo
+    degenerate = ~(extent > 0).all(axis=1)
+    if degenerate.any():
+        row = int(np.flatnonzero(degenerate)[0])
+        raise GeometryError(
+            f"degenerate union box {tuple(np.concatenate([lo[row], hi[row]]).tolist())}"
+        )
+    return np.concatenate(
         [
-            (subject.x_min - u.x_min) / w,
-            (subject.y_min - u.y_min) / h,
-            (subject.x_max - u.x_max) / w,
-            (subject.y_max - u.y_max) / h,
-            (obj.x_min - u.x_min) / w,
-            (obj.y_min - u.y_min) / h,
-            (obj.x_max - u.x_max) / w,
-            (obj.y_max - u.y_max) / h,
+            (subjects[:, :2] - lo) / extent,
+            (subjects[:, 2:] - hi) / extent,
+            (objects[:, :2] - lo) / extent,
+            (objects[:, 2:] - hi) / extent,
         ],
-        dtype=np.float64,
+        axis=1,
     )
+
+
+def spatial_features(subject: BoundingBox, obj: BoundingBox) -> np.ndarray:
+    """The 8-vector of ``spatial_rows`` for one (subject, object) pair."""
+    return spatial_rows(
+        np.array([subject.as_tuple()], dtype=np.float64),
+        np.array([obj.as_tuple()], dtype=np.float64),
+    )[0]
 
 
 @dataclass
@@ -186,7 +196,11 @@ class EmbeddingTable:
         """Parse "token v1 v2 ... vD" lines; dimension fixed by the first line."""
         vectors: Dict[str, np.ndarray] = {}
         dim = None
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except FileNotFoundError:
+            raise IngestionError(f"embedding file not found: {path}") from None
+        with fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
@@ -301,6 +315,9 @@ class FeatureStore:
                 f"{data_path}: expected {expected} float64 values "
                 f"({count} rows x {dim}), found {flat.size}"
             )
+        # Every vector is a view into this one array; read-only, so no caller
+        # can change the store through a vector it was handed.
+        flat.flags.writeable = False
         rows = flat.reshape(count, dim)
         # One BLAS pass: the sum of squares is non-finite when any value is,
         # or when large finite values overflow, which the exact check admits.
@@ -312,7 +329,7 @@ class FeatureStore:
                 raise IngestionError(
                     f"{data_path}: non-finite values in feature row {bad_rows[0]}"
                 )
-        vectors = {key: rows[row].copy() for key, row in keys.items()}
+        vectors = {key: rows[row] for key, row in keys.items()}
         return cls(dim, vectors)
 
     def save(self, data_path, index_path) -> None:
@@ -406,22 +423,27 @@ class FeatureExtractor:
             self._external_cache[category] = external_linguistic(self.embeddings, name)
         return self._external_cache[category]
 
-    def _stream_rows(self, name: str, pairs, scene) -> List[np.ndarray]:
-        if name == "visual_subject":
-            return [self._visual(p.subject.feature_key, p, scene) for p in pairs]
-        if name == "visual_object":
-            return [self._visual(p.object.feature_key, p, scene) for p in pairs]
-        if name == "visual_union":
-            return [self._visual(p.union_feature_key, p, scene) for p in pairs]
+    def _stream(self, name: str, pairs, scene) -> np.ndarray:
         if name == "spatial":
-            return [spatial_features(p.subject.box, p.object.box) for p in pairs]
-        if name == "external_subject":
-            return [self._external(p.subject.category) for p in pairs]
-        if name == "external_object":
-            return [self._external(p.object.category) for p in pairs]
-        if name == "internal":
-            return [self._internal(p.subject.category, p.object.category) for p in pairs]
-        raise DimensionError(f"unknown feature stream {name!r}")
+            return spatial_rows(
+                np.array([p.subject.box.as_tuple() for p in pairs], dtype=np.float64),
+                np.array([p.object.box.as_tuple() for p in pairs], dtype=np.float64),
+            )
+        if name == "visual_subject":
+            rows = [self._visual(p.subject.feature_key, p, scene) for p in pairs]
+        elif name == "visual_object":
+            rows = [self._visual(p.object.feature_key, p, scene) for p in pairs]
+        elif name == "visual_union":
+            rows = [self._visual(p.union_feature_key, p, scene) for p in pairs]
+        elif name == "external_subject":
+            rows = [self._external(p.subject.category) for p in pairs]
+        elif name == "external_object":
+            rows = [self._external(p.object.category) for p in pairs]
+        elif name == "internal":
+            rows = [self._internal(p.subject.category, p.object.category) for p in pairs]
+        else:
+            raise DimensionError(f"unknown feature stream {name!r}")
+        return np.stack(rows)
 
     def _visual(self, key, pair, scene) -> np.ndarray:
         if key is None:
@@ -453,5 +475,5 @@ class FeatureExtractor:
                 {name: np.zeros((0, self._stream_dim(name))) for name in names}
             )
         return FeatureMatrix(
-            {name: np.stack(self._stream_rows(name, pairs, scene)) for name in names}
+            {name: self._stream(name, pairs, scene) for name in names}
         )

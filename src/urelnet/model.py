@@ -393,6 +393,13 @@ class RelationNetwork:
         grads = self.backward(d_rel, d_dc)
         return loss, breakdown, grads
 
+    def loss(
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
+    ) -> float:
+        """The joint loss alone: forward, no backward."""
+        dc_probs, rel_probs = self.forward(features)
+        return joint_loss(dc_probs, rel_probs, labels, determinate_mask, self.config)[0]
+
     def relation_scores(
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray
     ) -> np.ndarray:
@@ -498,6 +505,15 @@ class InferringModel:
             for name, grad in g.items():
                 grads[f"{role}.{name}"] = grad
         return total, breakdown, grads
+
+    def loss(
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
+    ) -> float:
+        """The summed joint loss alone, in the order of ``loss_and_gradients``."""
+        total = 0.0
+        for net in self.networks.values():
+            total += net.loss(features, labels, determinate_mask)
+        return total
 
     def relation_scores(
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray

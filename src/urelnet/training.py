@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError
-from .evaluation import EvalConfig, ModelScorer, evaluate_scenes
+from .evaluation import EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
 from .features import FeatureExtractor, FeatureMatrix, build_triplet_statistics
 from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams
 from .nn import AdamState, adam_step
@@ -246,35 +246,36 @@ def run_evaluation(
 ) -> dict:
     """Metrics report over the chosen split; stable keys for CI assertions.
 
-    A zero-shot block with no unseen triplet types degrades to an error
-    entry without affecting the other blocks.
+    Every config is built before any scene is scored, and each scene is
+    scored once per candidate source. A zero-shot block with no unseen
+    triplet types degrades to an error entry without affecting the other
+    blocks.
     """
+    configs = {}
+    for task in tasks:
+        config = EvalConfig(task=task, n_values=tuple(n_values), k=k, macro_average=macro_average)
+        configs[task, "recall"] = config
+        if zero_shot:
+            configs[task, "zero_shot"] = replace(config, zero_shot_only=True)
     check_model_compatibility(model.config, dataset)
     scenes = dataset.split(split)
     if not scenes:
         raise UndefinedMetricError(f"no scenes in split {split!r}")
     extractor = build_extractor(dataset)
-    scorer = ModelScorer(model, extractor)
-    training_types = extractor.stats.triplet_types()
+    tallies = evaluate_configs(
+        scenes,
+        ModelScorer(model, extractor),
+        list(configs.values()),
+        dataset.vocabulary.predicate_count,
+        training_types=extractor.stats.triplet_types(),
+    )
     report = {"schema_version": 1, "split": split, "k": k, "tasks": {}}
-    for task in tasks:
-        config = EvalConfig(task=task, n_values=tuple(n_values), k=k, macro_average=macro_average)
-        block = {
-            "recall": evaluate_scenes(
-                scenes, scorer, config, dataset.vocabulary.predicate_count
-            )
-        }
-        if zero_shot:
-            zs_config = replace(config, zero_shot_only=True)
-            try:
-                block["zero_shot"] = evaluate_scenes(
-                    scenes,
-                    scorer,
-                    zs_config,
-                    dataset.vocabulary.predicate_count,
-                    training_types=training_types,
-                )
-            except UndefinedMetricError as exc:
-                block["zero_shot"] = {"error": exc.category, "message": str(exc)}
-        report["tasks"][task] = block
+    for (task, block), tally in zip(configs, tallies):
+        entry = report["tasks"].setdefault(task, {})
+        try:
+            entry[block] = tally.recalls()
+        except UndefinedMetricError as exc:
+            if block == "recall":
+                raise
+            entry[block] = {"error": exc.category, "message": str(exc)}
     return report

@@ -62,13 +62,9 @@ def test_acceptance_1_gradient_correctness():
             rng = np.random.default_rng(seed0 + i)
             model, features, labels, mask = make_gradient_check_problem(config, rng)
             _, _, grads = model.loss_and_gradients(features, labels, mask)
-
-            def loss_fn():
-                loss, _, _ = model.loss_and_gradients(features, labels, mask)
-                return loss
-
             report = gradient_check(
-                loss_fn, model.parameters(), grads, tolerance=1e-4, step=1e-6
+                lambda: model.loss(features, labels, mask),
+                model.parameters(), grads, tolerance=1e-4, step=1e-6,
             )
             assert report.passed, (im_mode, i, report.lines())
             worst = max(worst, report.max_error)
@@ -438,13 +434,8 @@ def test_acceptance_7_ablation_plumbing():
             rng = np.random.default_rng(6000 + 2 * subset_index + (fusion == "concatenating"))
             model, features, labels, mask = make_gradient_check_problem(check_config, rng)
             _, _, grads = model.loss_and_gradients(features, labels, mask)
-
-            def loss_fn():
-                loss, _, _ = model.loss_and_gradients(features, labels, mask)
-                return loss
-
-            report = gradient_check(loss_fn, model.parameters(), grads,
-                                    tolerance=1e-4, step=1e-6)
+            report = gradient_check(lambda: model.loss(features, labels, mask),
+                                    model.parameters(), grads, tolerance=1e-4, step=1e-6)
             assert report.passed, (modals, fusion, report.lines())
             trained += 1
     assert trained == len(MODAL_SUBSETS) * 2

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -154,3 +155,44 @@ def test_missing_file_error(capsys, tmp_path):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "ingestion-error"
+
+
+def _single_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_missing_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    (ds / "embeddings.txt").unlink()
+    assert main(["build-stats", "--dataset", str(ds)]) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "ingestion-error"
+    assert "embeddings.txt" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--tasks", "relation,bogus"],
+        ["--n", "50,abc"],
+        ["--n", "0"],
+        ["--k", "0"],
+    ],
+    ids=["tasks", "n-not-int", "n-zero", "k-zero"],
+)
+def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch, bad):
+    from urelnet import evaluation
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a scene was scored before the arguments were checked")
+
+    monkeypatch.setattr(evaluation, "predict_scene", no_scoring)
+    code = main([
+        "evaluate", "--dataset", str(workspace / "ds"),
+        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+    ] + bad)
+    assert code == 1
+    assert _single_error_line(capsys)["category"] == "usage-error"

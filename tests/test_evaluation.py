@@ -1,14 +1,20 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 
 from urelnet.errors import UndefinedMetricError
 from urelnet.evaluation import (
+    TASKS,
     EvalConfig,
     PredictedTriplet,
     PredictionSet,
     UniformRandomScorer,
+    _hit_condition,
+    candidate_pairs,
+    evaluate_configs,
+    evaluate_scenes,
     match_predictions,
     predict_scene,
     recall_at_n,
@@ -71,6 +77,14 @@ def test_predict_scene_k2_doubles_output():
     assert len(result.triplets) == 12
 
 
+def test_predict_scene_rejects_unknown_task():
+    from urelnet.errors import UsageError
+
+    scene = scene_with_detections([det(box(0, 0, 10, 10), 0), det(box(20, 0, 30, 10), 1)])
+    with pytest.raises(UsageError):
+        predict_scene(scene, FixedScorer(np.zeros((2, M))), task="bogus", predicate_count=M)
+
+
 def test_predict_scene_empty_detections():
     scene = scene_with_detections([])
     result = predict_scene(scene, FixedScorer(np.zeros((0, M))), predicate_count=M)
@@ -85,6 +99,33 @@ def test_predict_scene_sorted_with_deterministic_ties():
     ranked = [(t.pair_index, t.predicate) for t in result.triplets]
     # Three 0.5-scored entries tie; order is (pair, predicate) lexicographic.
     assert ranked[:3] == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_predict_scene_k2_ties_across_pairs_and_predicates():
+    detections = [det(box(i * 20, 0, i * 20 + 10, 10), 0) for i in range(3)]
+    scene = scene_with_detections(detections)
+    # All six pairs and every predicate tie: k=2 keeps predicates 0 and 1 of
+    # each pair, ranked by pair index, then predicate.
+    result = predict_scene(scene, FixedScorer(np.full((6, M), 0.5)), k=2, predicate_count=M)
+    ranked = [(t.pair_index, t.predicate) for t in result.triplets]
+    assert ranked == [(p, q) for p in range(6) for q in (0, 1)]
+    # Ties inside a row keep the lower predicates; ties across rows keep
+    # the lower pair first.
+    scores = np.array([[0.2, 0.7, 0.7], [0.7, 0.7, 0.1], [0.7, 0.2, 0.7]] + [[0.0] * M] * 3)
+    result = predict_scene(scene, FixedScorer(scores), k=2, predicate_count=M)
+    ranked = [(t.pair_index, t.predicate, t.score) for t in result.triplets[:6]]
+    assert ranked == [
+        (0, 1, 0.7), (0, 2, 0.7), (1, 0, 0.7), (1, 1, 0.7), (2, 0, 0.7), (2, 2, 0.7)
+    ]
+    cut = predict_scene(scene, FixedScorer(scores), k=2, predicate_count=M, _limit=5)
+    assert cut.triplets == result.triplets[:5]
+    # Rows wide enough for a non-stable sort to pick other tied predicates
+    # at the k-th place.
+    wide = np.zeros((6, 40))
+    wide[:, ::3] = 0.5
+    result = predict_scene(scene, FixedScorer(wide), k=7, predicate_count=M)
+    ranked = [(t.pair_index, t.predicate) for t in result.triplets[:14]]
+    assert ranked == [(p, q) for p in (0, 1) for q in range(0, 21, 3)]
 
 
 def test_exact_prediction_hits_all_tasks():
@@ -202,8 +243,6 @@ def test_macro_average_recall():
 
 def brute_force_max_matching(predictions, ground_truth, task):
     """Maximum bipartite matching by exhaustive permutation (tiny sizes)."""
-    from urelnet.evaluation import _hit_condition
-
     n_gt = len(ground_truth)
     best = 0
     for assignment in itertools.permutations(range(n_gt + len(predictions.triplets)), n_gt):
@@ -329,3 +368,158 @@ def test_uniform_random_scorer_deterministic():
     pairs = generate_for_scene(scene, M)
     scorer = UniformRandomScorer(M, seed=3)
     np.testing.assert_array_equal(scorer(pairs, scene), scorer(pairs, scene))
+
+
+# ----------------------------------------------------------------------
+# The multi-config evaluator against the ranking and matching it replaced.
+# ----------------------------------------------------------------------
+
+
+def random_eval_scene(rng, index):
+    """Ground-truth objects, jittered detections of most of them (some
+    relabelled) plus spurious ones, and a few annotations among the objects."""
+    objects = []
+    for _ in range(int(rng.integers(2, 5))):
+        x, y = rng.uniform(0, 300, size=2)
+        w, h = rng.uniform(20, 90, size=2)
+        objects.append((box(x, y, x + w, y + h), int(rng.integers(3))))
+    annotations = []
+    for _ in range(int(rng.integers(1, 5))):
+        i, j = rng.choice(len(objects), size=2, replace=False)
+        (sbox, scat), (obox, ocat) = objects[i], objects[j]
+        annotations.append(AnnotatedTriplet(sbox, scat, int(rng.integers(M)), obox, ocat))
+    detections = []
+    for b, category in objects:
+        if rng.random() < 0.15:
+            continue
+        dx, dy = rng.uniform(-4, 4, size=2)
+        if rng.random() < 0.15:
+            category = (category + 1) % 3
+        detections.append(det(box(b.x_min + dx, b.y_min + dy, b.x_max + dx, b.y_max + dy),
+                              category, float(rng.uniform(0.3, 1.0))))
+    for _ in range(int(rng.integers(0, 3))):
+        x, y = rng.uniform(0, 300, size=2)
+        detections.append(det(box(x, y, x + 30, y + 30), int(rng.integers(3))))
+    return scene_with_detections(detections, annotations, image_id=f"rand-{index}")
+
+
+class TiedScorer:
+    """Scores from {0, 0.5, 1}, so ties are everywhere; fixed per image and pair count."""
+
+    def __call__(self, pairs, scene):
+        seed = zlib.crc32(scene.image_id.encode("utf-8"))
+        rng = np.random.default_rng((seed, len(pairs)))
+        return rng.integers(0, 3, size=(len(pairs), M)) / 2.0
+
+
+def reference_ranking(scene, scorer, task, k):
+    """Per-pair stable argsort, one triplet object each, then a full sort."""
+    pairs = candidate_pairs(scene, task, M)
+    if not pairs:
+        return []
+    scores = np.asarray(scorer(pairs, scene), dtype=float)
+    triplets = []
+    for idx, pair in enumerate(pairs):
+        row = scores[idx]
+        for predicate in np.argsort(-row, kind="stable")[:k]:
+            triplets.append(
+                pred(pair.subject.box, pair.subject.category, int(predicate),
+                     pair.object.box, pair.object.category, float(row[predicate]), idx)
+            )
+    triplets.sort(key=lambda t: (-t.score, t.pair_index, t.predicate))
+    return triplets
+
+
+def reference_recalls(scenes, scorer, config, training_types):
+    """One full ranking and greedy match per scene for this config alone."""
+    image_hits, gt_counts = [], []
+    for scene in scenes:
+        gt = [g for g in scene.annotations
+              if not config.zero_shot_only or g.type_key() not in training_types]
+        consumed = [False] * len(gt)
+        hits = []
+        for p in reference_ranking(scene, scorer, config.task, config.k):
+            g = next((g for g, truth in enumerate(gt) if not consumed[g]
+                      and _hit_condition(p, truth, config.task, config.iou_threshold)), None)
+            if g is not None:
+                consumed[g] = True
+            hits.append(g is not None)
+        image_hits.append(hits)
+        gt_counts.append(len(gt))
+    out = {}
+    for n in config.n_values:
+        if config.macro_average:
+            out[str(n)] = float(np.mean(
+                [sum(h[:n]) / c for h, c in zip(image_hits, gt_counts) if c > 0]
+            ))
+        else:
+            out[str(n)] = sum(sum(h[:n]) for h in image_hits) / sum(gt_counts)
+    return out
+
+
+EVAL_TRAINING_TYPES = {
+    (s, p, o) for s in range(3) for p in range(M) for o in range(3) if (s + p + o) % 2 == 0
+}
+
+
+def test_evaluator_matches_reference_on_random_scenes():
+    rng = np.random.default_rng(12)
+    scenes = [random_eval_scene(rng, i) for i in range(40)]
+    scorer = TiedScorer()
+    configs = [
+        EvalConfig(task=task, n_values=(1, 3, 10, 1000), k=k,
+                   zero_shot_only=zero_shot, macro_average=macro)
+        for task in TASKS
+        for k in (1, 2)
+        for zero_shot in (False, True)
+        for macro in (False, True)
+    ]
+    tallies = evaluate_configs(scenes, scorer, configs, M, EVAL_TRAINING_TYPES)
+    hits = 0
+    for config, tally in zip(configs, tallies):
+        expected = reference_recalls(scenes, scorer, config, EVAL_TRAINING_TYPES)
+        assert tally.recalls() == expected, config
+        assert evaluate_scenes(scenes, scorer, config, M, EVAL_TRAINING_TYPES) == expected
+        hits += sum(map(sum, tally.image_hits))
+    assert hits > 0
+    # The full ranking itself, ties included, is the reference's.
+    for scene in scenes:
+        for task, k in itertools.product(("predicate", "relation"), (1, 2)):
+            result = predict_scene(scene, scorer, task=task, k=k, predicate_count=M)
+            assert result.triplets == reference_ranking(scene, scorer, task, k)
+
+
+def test_evaluator_scores_each_scene_once_per_source():
+    rng = np.random.default_rng(5)
+    scenes = [random_eval_scene(rng, i) for i in range(6)]
+    scenes = [s for s in scenes if len(s.detections) >= 2]
+    calls = []
+
+    def counting_scorer(pairs, scene):
+        calls.append(scene.image_id)
+        return np.zeros((len(pairs), M))
+
+    configs = [
+        EvalConfig(task=task, zero_shot_only=zero_shot)
+        for task in ("predicate", "phrase", "relation")
+        for zero_shot in (False, True)
+    ]
+    evaluate_configs(scenes, counting_scorer, configs, M, EVAL_TRAINING_TYPES)
+    assert len(calls) == 2 * len(scenes)
+    assert sorted(calls) == sorted(2 * [s.image_id for s in scenes])
+
+
+def test_evaluator_requires_training_types_for_zero_shot():
+    with pytest.raises(ValueError):
+        evaluate_configs([], TiedScorer(), [EvalConfig(zero_shot_only=True)], M)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(task="bogus"), dict(k=0), dict(n_values=(0,)), dict(n_values=())]
+)
+def test_eval_config_rejects_bad_values_as_usage_error(kwargs):
+    from urelnet.errors import UsageError
+
+    with pytest.raises(UsageError) as info:
+        EvalConfig(**kwargs)
+    assert info.value.category == "usage-error"

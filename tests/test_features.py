@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urelnet.errors import DatasetValidationError, IngestionError
+from urelnet.errors import DatasetValidationError, GeometryError, IngestionError
 from urelnet.features import (
     EmbeddingTable,
     FeatureExtractor,
@@ -15,6 +15,7 @@ from urelnet.features import (
     external_linguistic,
     internal_linguistic,
     spatial_features,
+    spatial_rows,
 )
 from urelnet.pairs import classify_pair, detection_union_key
 from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord, Vocabulary
@@ -34,6 +35,38 @@ def test_spatial_hand_example():
     got = spatial_features(BoundingBox(2, 2, 6, 6), BoundingBox(4, 4, 10, 8))
     expected = np.array([0.0, 0.0, -0.5, -1 / 3, 0.25, 1 / 3, 0.0, 0.0])
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def _scalar_spatial(s, o):
+    """The closed form, one pair at a time."""
+    ux1, uy1 = min(s.x_min, o.x_min), min(s.y_min, o.y_min)
+    ux2, uy2 = max(s.x_max, o.x_max), max(s.y_max, o.y_max)
+    w, h = ux2 - ux1, uy2 - uy1
+    return np.array([
+        (s.x_min - ux1) / w, (s.y_min - uy1) / h, (s.x_max - ux2) / w, (s.y_max - uy2) / h,
+        (o.x_min - ux1) / w, (o.y_min - uy1) / h, (o.x_max - ux2) / w, (o.y_max - uy2) / h,
+    ])
+
+
+def test_spatial_rows_bit_identical_to_one_pair_form():
+    rng = np.random.default_rng(2)
+    corners = rng.uniform(-500, 500, size=(2, 300, 2))
+    sizes = rng.uniform(0.01, 400, size=(2, 300, 2))
+    subjects = np.concatenate([corners[0], corners[0] + sizes[0]], axis=1)
+    objects = np.concatenate([corners[1], corners[1] + sizes[1]], axis=1)
+    objects[:50] = subjects[:50]  # identical boxes: zero offsets throughout
+    rows = spatial_rows(subjects, objects)
+    assert rows.shape == (300, 8)
+    for p in range(300):
+        s, o = BoundingBox(*subjects[p]), BoundingBox(*objects[p])
+        assert rows[p].tobytes() == spatial_features(s, o).tobytes()
+        assert rows[p].tobytes() == _scalar_spatial(s, o).tobytes()
+
+
+def test_spatial_rows_reject_degenerate_union():
+    good = [0.0, 0.0, 2.0, 2.0]
+    with pytest.raises(GeometryError):
+        spatial_rows(np.array([good, [1.0, 1.0, 1.0, 1.0]]), np.array([good, [1.0, 1.0, 1.0, 1.0]]))
 
 
 def test_spatial_identical_boxes_all_zero():
@@ -315,6 +348,23 @@ def test_feature_store_roundtrip(tmp_path):
     assert len(loaded) == 5
     for key, vec in store.vectors.items():
         np.testing.assert_array_equal(loaded.vector(key), vec)
+
+
+def test_feature_store_keeps_read_only_views(tmp_path):
+    store = FeatureStore(3, {})
+    rng = np.random.default_rng(1)
+    for i in range(4):
+        store.add(f"k{i}", rng.standard_normal(3))
+    store.save(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    index = json.loads((tmp_path / "f.idx.json").read_text())["keys"]
+    on_disk = np.fromfile(tmp_path / "f.bin", dtype="<f8").reshape(4, 3)
+    loaded = FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    for key, row in index.items():
+        vec = loaded.vector(key)
+        np.testing.assert_array_equal(vec, on_disk[row])
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+    assert len({id(loaded.vector(k).base) for k in index}) == 1
 
 
 def _saved_store(tmp_path, rows=2):

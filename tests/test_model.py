@@ -77,8 +77,7 @@ def check_model_gradients(model, features, labels, mask, tolerance=1e-4):
     params = model.parameters()
 
     def loss_fn():
-        loss, _, _ = model.loss_and_gradients(features, labels, mask)
-        return loss
+        return model.loss(features, labels, mask)
 
     # step 1e-6: small enough that relu kink crossings are vanishingly rare,
     # large enough that float64 roundoff stays orders below the tolerance.
@@ -394,6 +393,16 @@ def test_im_union_loss_equals_non_im_loss():
     plain.load_parameters(model.networks["union"].parameters())
     plain_loss, _, _ = plain.loss_and_gradients(features, labels, mask)
     assert terms["union.loss"] == pytest.approx(plain_loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("im_mode", [False, True])
+def test_forward_only_loss_equals_loss_and_gradients(im_mode):
+    rng = np.random.default_rng(10)
+    config = toy_config(im_mode=im_mode)
+    model = InferringModel(config, rng) if im_mode else RelationNetwork(config, rng)
+    features, labels, mask = random_batch(config, rng, batch=5)
+    expected, _, _ = model.loss_and_gradients(features, labels, mask)
+    assert model.loss(features, labels, mask) == expected
 
 
 def test_loss_gradients_vanish_for_missing_status():

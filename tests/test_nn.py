@@ -5,7 +5,7 @@ import pytest
 
 from urelnet.errors import DimensionError, DivergenceError, StateError
 from urelnet.features import FeatureMatrix
-from urelnet.model import ModelConfig, joint_loss, make_gradient_check_problem
+from urelnet.model import ModelConfig, make_gradient_check_problem
 from urelnet.nn import (
     AdamState,
     DenseLayer,
@@ -90,16 +90,11 @@ def _toy_problem(seed):
     return make_gradient_check_problem(config, np.random.default_rng(seed))
 
 
-def _forward_loss(model, features, labels, mask):
-    dc, rel = model.forward(features)
-    return joint_loss(dc, rel, labels, mask, model.config)[0]
-
-
 def test_network_gradients_match_finite_differences():
     model, features, labels, mask = _toy_problem(2)
     _, _, grads = model.loss_and_gradients(features, labels, mask)
     report = gradient_check(
-        lambda: _forward_loss(model, features, labels, mask),
+        lambda: model.loss(features, labels, mask),
         model.parameters(), grads, tolerance=1e-4,
     )
     assert report.passed, report.lines()
@@ -124,7 +119,7 @@ def test_gradient_check_detects_corruption():
     _, _, grads = model.loss_and_gradients(features, labels, mask)
     grads["rel.hidden.weight"] = grads["rel.hidden.weight"] * 2.0
     report = gradient_check(
-        lambda: _forward_loss(model, features, labels, mask),
+        lambda: model.loss(features, labels, mask),
         model.parameters(), grads, tolerance=1e-4,
     )
     assert not report.passed

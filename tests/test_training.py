@@ -290,3 +290,37 @@ def test_zero_shot_block_degrades_gracefully(dataset):
     assert "recall" in block and "50" in block["recall"]
     zs = block["zero_shot"]
     assert isinstance(zs["50"], float) or zs.get("error") == "undefined-metric"
+
+
+def test_run_evaluation_scores_once_per_source_and_matches_per_task_loop(dataset, monkeypatch):
+    from dataclasses import replace
+
+    from urelnet import evaluation
+    from urelnet.evaluation import EvalConfig, ModelScorer, evaluate_scenes
+    from urelnet.training import build_extractor
+
+    model = run_training(dataset, quick_run(dataset, steps=10)).model
+    calls = []
+    original = ModelScorer.__call__
+
+    def counting(self, pairs, scene):
+        calls.append(scene.image_id)
+        return original(self, pairs, scene)
+
+    monkeypatch.setattr(evaluation.ModelScorer, "__call__", counting)
+    tasks = ("predicate", "phrase", "relation")
+    report = run_evaluation(dataset, model, tasks=tasks, n_values=(5, 50), k=2, zero_shot=True)
+    scenes = dataset.split("test")
+    assert len(calls) == 2 * len(scenes)
+    # The same numbers as scoring every (task, zero-shot) block on its own.
+    extractor = build_extractor(dataset)
+    scorer = ModelScorer(model, extractor)
+    m = dataset.vocabulary.predicate_count
+    for task in tasks:
+        config = EvalConfig(task=task, n_values=(5, 50), k=2)
+        assert report["tasks"][task]["recall"] == evaluate_scenes(scenes, scorer, config, m)
+        zero_shot = evaluate_scenes(
+            scenes, scorer, replace(config, zero_shot_only=True), m,
+            training_types=extractor.stats.triplet_types(),
+        )
+        assert report["tasks"][task]["zero_shot"] == zero_shot
