@@ -138,6 +138,7 @@ def load_dataset(path) -> Dataset:
         raise IngestionError(f"dataset file not found: {doc_path}") from None
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{doc_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    _require(isinstance(raw, dict), f"{doc_path}: expected a JSON object, got {type(raw).__name__}")
     _require(
         raw.get("schema_version") == SCHEMA_VERSION,
         f"unsupported schema_version {raw.get('schema_version')!r}",

@@ -18,9 +18,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, ModeError, StateError
+from .errors import DimensionError, ModeError, StateError, UsageError
 from .features import SPATIAL_DIM, FeatureMatrix
-from .nn import DenseLayer, sigmoid, sigmoid_ce
+from .nn import Arena, DenseLayer, glorot_uniform, sigmoid, sigmoid_ce
 
 MODAL_VISUAL = "visual"
 MODAL_SPATIAL = "spatial"
@@ -67,14 +67,14 @@ class ModelConfig:
 
     def __post_init__(self):
         if not self.enabled_modals:
-            raise ValueError("at least one modal must be enabled")
+            raise UsageError("at least one modal must be enabled")
         unknown = set(self.enabled_modals) - set(ALL_MODALS)
         if unknown:
-            raise ValueError(f"unknown modals {sorted(unknown)}")
+            raise UsageError(f"unknown modals {sorted(unknown)}")
         if self.fusion_mode not in FUSION_MODES:
-            raise ValueError(f"fusion_mode must be one of {FUSION_MODES}")
+            raise UsageError(f"fusion_mode must be one of {FUSION_MODES}")
         if self.dc_feed not in DC_FEEDS:
-            raise ValueError(f"dc_feed must be one of {DC_FEEDS}")
+            raise UsageError(f"dc_feed must be one of {DC_FEEDS}")
         for name in (
             "predicate_count",
             "object_count",
@@ -85,10 +85,10 @@ class ModelConfig:
             "rel_hidden_dim",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise UsageError(f"{name} must be positive")
         for name in ("dc_undetermined_weight", "rel_undetermined_weight", "dc_loss_weight"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise UsageError(f"{name} must be >= 0")
         # Normalize modal order so configurations compare and serialize stably.
         object.__setattr__(
             self,
@@ -167,6 +167,57 @@ def required_streams(config: ModelConfig) -> Tuple[str, ...]:
     return tuple(seen)
 
 
+def layer_plan(config: ModelConfig, role: str = "union") -> List[Tuple[str, int, int, str]]:
+    """(name, in_dim, out_dim, activation) of every layer of one network,
+    in the order its weights are drawn."""
+    spec = stream_spec(config, role)
+    dims = config.stream_dims()
+    t = config.transform_dim
+    streams = [s for _, names in spec for s in names]
+    fused_dim = len(spec) * t
+    plan = []
+    if config.fusion_mode == "transforming":
+        plan += [(f"transform.{s}", dims[s], t, "relu") for s in streams]
+        plan += [(f"fuse.{m}", len(names) * t, t, "relu") for m, names in spec]
+    else:
+        raw_dim = sum(dims[s] for s in streams)
+        plan.append(("concat.stage1", raw_dim, len(streams) * t, "relu"))
+        plan.append(("concat.stage2", len(streams) * t, fused_dim, "relu"))
+    signal_dim = 1 if config.dc_feed == "probability" else config.dc_hidden_dim
+    plan += [
+        ("dc.hidden", fused_dim, config.dc_hidden_dim, "relu"),
+        ("dc.out", config.dc_hidden_dim, 1, "identity"),
+        ("rel.hidden", fused_dim + signal_dim, config.rel_hidden_dim, "relu"),
+        ("rel.out", config.rel_hidden_dim, config.predicate_count, "identity"),
+    ]
+    return plan
+
+
+def parameter_shapes(config: ModelConfig, role: str = "union") -> Dict[str, Tuple[int, ...]]:
+    """Block name -> shape of one network's parameters."""
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    for name, in_dim, out_dim, _ in layer_plan(config, role):
+        shapes[f"{name}.weight"] = (out_dim, in_dim)
+        shapes[f"{name}.bias"] = (out_dim,)
+    return shapes
+
+
+def _load_into(arena: Arena, params: Dict[str, np.ndarray]) -> None:
+    """Copy checkpoint-style blocks into an arena's views, names and shapes checked."""
+    if set(arena) != set(params):
+        missing = sorted(set(arena) - set(params))
+        extra = sorted(set(params) - set(arena))
+        raise DimensionError(
+            f"parameter name mismatch (missing {missing}, unexpected {extra})"
+        )
+    for name, value in params.items():
+        if arena[name].shape != value.shape:
+            raise DimensionError(
+                f"parameter {name!r}: shape {value.shape} != expected {arena[name].shape}"
+            )
+        arena[name][...] = value
+
+
 def score_relations(
     rel_probs: np.ndarray,
     dc_probs: np.ndarray,
@@ -180,46 +231,42 @@ def score_relations(
 
 
 class RelationNetwork:
-    """One fused-feature network with confidence and relation heads."""
+    """One fused-feature network with confidence and relation heads.
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, role: str = "union"):
+    Its parameters and gradients are views into two arenas: its own, or the
+    ``(params, grads)`` sections an InferringModel hands it.
+    """
+
+    def __init__(
+        self,
+        config: ModelConfig,
+        rng: np.random.Generator,
+        role: str = "union",
+        arenas: Tuple[Arena, Arena] | None = None,
+    ):
         self.config = config
         self.role = role
         self.spec = stream_spec(config, role)
         dims = config.stream_dims()
-        t = config.transform_dim
         self.streams = [s for _, streams in self.spec for s in streams]
         self.stream_dims = {s: dims[s] for s in self.streams}
         self.modalities = [m for m, _ in self.spec]
-        self.fused_dim = len(self.spec) * t
+        self.fused_dim = len(self.spec) * config.transform_dim
+        if arenas is None:
+            shapes = parameter_shapes(config, role)
+            arenas = (Arena(shapes), Arena(shapes))
+        self.params, self.grads = arenas
         self.layers: Dict[str, DenseLayer] = {}
-        if config.fusion_mode == "transforming":
-            for _, streams in self.spec:
-                for s in streams:
-                    self.layers[f"transform.{s}"] = DenseLayer.create(dims[s], t, "relu", rng)
-            for modality, streams in self.spec:
-                self.layers[f"fuse.{modality}"] = DenseLayer.create(
-                    len(streams) * t, t, "relu", rng
-                )
-        else:
-            raw_dim = sum(dims[s] for s in self.streams)
-            self.layers["concat.stage1"] = DenseLayer.create(
-                raw_dim, len(self.streams) * t, "relu", rng
+        for name, _, _, activation in layer_plan(config, role):
+            weight = self.params[f"{name}.weight"]
+            glorot_uniform(rng, weight)
+            self.layers[name] = DenseLayer(
+                weight,
+                self.params[f"{name}.bias"],
+                activation,
+                self.grads[f"{name}.weight"],
+                self.grads[f"{name}.bias"],
             )
-            self.layers["concat.stage2"] = DenseLayer.create(
-                len(self.streams) * t, self.fused_dim, "relu", rng
-            )
-        self.layers["dc.hidden"] = DenseLayer.create(
-            self.fused_dim, config.dc_hidden_dim, "relu", rng
-        )
-        self.layers["dc.out"] = DenseLayer.create(config.dc_hidden_dim, 1, "identity", rng)
-        signal_dim = 1 if config.dc_feed == "probability" else config.dc_hidden_dim
-        self.layers["rel.hidden"] = DenseLayer.create(
-            self.fused_dim + signal_dim, config.rel_hidden_dim, "relu", rng
-        )
-        self.layers["rel.out"] = DenseLayer.create(
-            config.rel_hidden_dim, config.predicate_count, "identity", rng
-        )
         self._cache: dict = {}
 
     # -- forward -----------------------------------------------------------
@@ -319,43 +366,26 @@ class RelationNetwork:
                     d_fused[:, idx * t : (idx + 1) * t]
                 )
                 for sidx, s in enumerate(streams):
-                    self.layers[f"transform.{s}"].backward(d_mod[:, sidx * t : (sidx + 1) * t])
+                    self.layers[f"transform.{s}"].backward(
+                        d_mod[:, sidx * t : (sidx + 1) * t], input_grad=False
+                    )
         else:
             self.layers["concat.stage1"].backward(
-                self.layers["concat.stage2"].backward(d_fused)
+                self.layers["concat.stage2"].backward(d_fused), input_grad=False
             )
         return self.gradients()
 
     # -- parameter access ----------------------------------------------------
 
-    def parameters(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self.layers.items():
-            out[f"{name}.weight"] = layer.weight
-            out[f"{name}.bias"] = layer.bias
-        return out
+    def parameters(self) -> Arena:
+        return self.params
 
-    def gradients(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self.layers.items():
-            out[f"{name}.weight"] = layer.grad_weight
-            out[f"{name}.bias"] = layer.grad_bias
-        return out
+    def gradients(self) -> Arena:
+        """The gradient arena; each backward pass overwrites it."""
+        return self.grads
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        own = self.parameters()
-        if set(own) != set(params):
-            missing = sorted(set(own) - set(params))
-            extra = sorted(set(params) - set(own))
-            raise DimensionError(
-                f"parameter name mismatch (missing {missing}, unexpected {extra})"
-            )
-        for name, value in params.items():
-            if own[name].shape != value.shape:
-                raise DimensionError(
-                    f"parameter {name!r}: shape {value.shape} != expected {own[name].shape}"
-                )
-            own[name][...] = value
+        _load_into(self.params, params)
 
     def stage_widths(self) -> List[int]:
         """Total output width of each layer stage (fusion stages, then heads).
@@ -383,13 +413,15 @@ class RelationNetwork:
     # -- training ------------------------------------------------------------
 
     def loss_and_gradients(
-        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
-    ) -> Tuple[float, Dict[str, float], Dict[str, np.ndarray]]:
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask
+    ) -> Tuple[float, Dict[str, float], Arena]:
+        """Joint loss, its four terms, and the gradient arena (overwritten
+        by the next backward pass). The batch's status masks are built once
+        and shared by the loss and its gradients."""
+        status = BatchStatus.of(determinate_mask)
         dc_probs, rel_probs = self.forward(features)
-        loss, breakdown = joint_loss(dc_probs, rel_probs, labels, determinate_mask, self.config)
-        d_rel, d_dc = joint_loss_gradients(
-            dc_probs, rel_probs, labels, determinate_mask, self.config
-        )
+        loss, breakdown = joint_loss(dc_probs, rel_probs, labels, status, self.config)
+        d_rel, d_dc = joint_loss_gradients(dc_probs, rel_probs, labels, status, self.config)
         grads = self.backward(d_rel, d_dc)
         return loss, breakdown, grads
 
@@ -407,11 +439,30 @@ class RelationNetwork:
         return score_relations(rel_probs, dc_probs, subject_confs, object_confs)
 
 
+@dataclass(frozen=True)
+class BatchStatus:
+    """Determinate and undetermined row masks of a batch, with their counts."""
+
+    det: np.ndarray
+    und: np.ndarray
+    n_det: int
+    n_und: int
+
+    @classmethod
+    def of(cls, determinate_mask) -> "BatchStatus":
+        """The status of a (B,) determinate mask; a BatchStatus passes through."""
+        if isinstance(determinate_mask, cls):
+            return determinate_mask
+        det = np.asarray(determinate_mask, dtype=bool)
+        und = ~det
+        return cls(det, und, int(det.sum()), int(und.sum()))
+
+
 def joint_loss(
     dc_probs: np.ndarray,
     rel_probs: np.ndarray,
     labels: np.ndarray,
-    determinate_mask: np.ndarray,
+    determinate_mask,
     config: ModelConfig,
 ) -> Tuple[float, Dict[str, float]]:
     """Weighted joint objective and its four unweighted terms.
@@ -420,17 +471,19 @@ def joint_loss(
     against their multi-hot labels; undetermined pairs contribute
     CE(confidence, 0) and all-negative predicate CE. Each term is the mean
     over the pairs of its status, so the weights act on balanced magnitudes
-    regardless of the batch ratio.
+    regardless of the batch ratio. ``determinate_mask`` is a (B,) bool
+    array or its BatchStatus; each CE is evaluated on its status's rows only.
     """
-    det = np.asarray(determinate_mask, dtype=bool)
-    und = ~det
-    n_det = int(det.sum())
-    n_und = int(und.sum())
-    per_pair_rel_pos = sigmoid_ce(rel_probs, np.asarray(labels, dtype=np.float64)).sum(axis=1)
-    per_pair_rel_neg = sigmoid_ce(rel_probs, np.zeros_like(rel_probs)).sum(axis=1)
+    status = BatchStatus.of(determinate_mask)
+    det, und, n_det, n_und = status.det, status.und, status.n_det, status.n_und
+    labels = np.asarray(labels, dtype=np.float64)
     breakdown = {
-        "rel_determinate": float(per_pair_rel_pos[det].mean()) if n_det else 0.0,
-        "rel_undetermined": float(per_pair_rel_neg[und].mean()) if n_und else 0.0,
+        "rel_determinate": (
+            float(sigmoid_ce(rel_probs[det], labels[det]).sum(axis=1).mean()) if n_det else 0.0
+        ),
+        "rel_undetermined": (
+            float(sigmoid_ce(rel_probs[und], 0.0).sum(axis=1).mean()) if n_und else 0.0
+        ),
         "dc_determinate": float(sigmoid_ce(dc_probs[det], 1.0).mean()) if n_det else 0.0,
         "dc_undetermined": float(sigmoid_ce(dc_probs[und], 0.0).mean()) if n_und else 0.0,
     }
@@ -447,17 +500,19 @@ def joint_loss_gradients(
     dc_probs: np.ndarray,
     rel_probs: np.ndarray,
     labels: np.ndarray,
-    determinate_mask: np.ndarray,
+    determinate_mask,
     config: ModelConfig,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of the joint loss w.r.t. the heads' pre-sigmoid logits.
 
     Uses the fused sigmoid cross-entropy form (p - y), so the clamp inside
-    the loss value never distorts derivatives.
+    the loss value never distorts derivatives. ``determinate_mask`` is a
+    (B,) bool array or its BatchStatus.
     """
-    det = np.asarray(determinate_mask, dtype=bool)
-    n_det = max(int(det.sum()), 1)
-    n_und = max(int((~det).sum()), 1)
+    status = BatchStatus.of(determinate_mask)
+    det = status.det
+    n_det = max(status.n_det, 1)
+    n_und = max(status.n_und, 1)
     labels = np.asarray(labels, dtype=np.float64)
     d_rel = np.where(
         det[:, None],
@@ -485,34 +540,49 @@ class InferringModel:
         if not config.im_mode:
             raise ModeError("InferringModel requires im_mode=True in the configuration")
         self.config = config
-        self.networks = {role: RelationNetwork(config, rng, role) for role in NETWORK_ROLES}
+        # One arena pair for all three networks; each network draws its
+        # weights, in role order, into its own section.
+        shapes = {
+            f"{role}.{name}": shape
+            for role in NETWORK_ROLES
+            for name, shape in parameter_shapes(config, role).items()
+        }
+        self.params, self.grads = Arena(shapes), Arena(shapes)
+        self.networks = {
+            role: RelationNetwork(
+                config,
+                rng,
+                role,
+                (self.params.section(f"{role}."), self.grads.section(f"{role}.")),
+            )
+            for role in NETWORK_ROLES
+        }
 
     def forward(self, features: FeatureMatrix) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         return {role: net.forward(features) for role, net in self.networks.items()}
 
     def loss_and_gradients(
-        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
-    ) -> Tuple[float, Dict[str, float], Dict[str, np.ndarray]]:
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask
+    ) -> Tuple[float, Dict[str, float], Arena]:
+        status = BatchStatus.of(determinate_mask)
         total = 0.0
         breakdown: Dict[str, float] = {}
-        grads: Dict[str, np.ndarray] = {}
         for role, net in self.networks.items():
-            loss, terms, g = net.loss_and_gradients(features, labels, determinate_mask)
+            loss, terms, _ = net.loss_and_gradients(features, labels, status)
             total += loss
             breakdown[f"{role}.loss"] = loss
             for term, value in terms.items():
                 breakdown[f"{role}.{term}"] = value
-            for name, grad in g.items():
-                grads[f"{role}.{name}"] = grad
-        return total, breakdown, grads
+        return total, breakdown, self.grads
 
     def loss(
         self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
     ) -> float:
         """The summed joint loss alone, in the order of ``loss_and_gradients``."""
+        status = BatchStatus.of(determinate_mask)
         total = 0.0
         for net in self.networks.values():
-            total += net.loss(features, labels, determinate_mask)
+            total += net.loss(features, labels, status)
         return total
 
     def relation_scores(
@@ -526,22 +596,16 @@ class InferringModel:
             combined = combined * rel * dc[:, None]
         return combined
 
-    def parameters(self) -> Dict[str, np.ndarray]:
-        return {
-            f"{role}.{name}": p
-            for role, net in self.networks.items()
-            for name, p in net.parameters().items()
-        }
+    def parameters(self) -> Arena:
+        return self.params
+
+    def gradients(self) -> Arena:
+        """The gradient arena of all three networks; each backward pass
+        overwrites its network's section."""
+        return self.grads
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        for role, net in self.networks.items():
-            prefix = f"{role}."
-            subset = {
-                name[len(prefix) :]: value
-                for name, value in params.items()
-                if name.startswith(prefix)
-            }
-            net.load_parameters(subset)
+        _load_into(self.params, params)
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator):
@@ -551,6 +615,12 @@ def build_model(config: ModelConfig, rng: np.random.Generator):
     return RelationNetwork(config, rng)
 
 
+def _layers(model) -> List[DenseLayer]:
+    """Every layer, network by network in role order, each in creation order."""
+    networks = model.networks.values() if isinstance(model, InferringModel) else [model]
+    return [layer for net in networks for layer in net.layers.values()]
+
+
 def _relu_margin(model) -> float:
     """Smallest |pre-activation| over all relu layers after a forward pass.
 
@@ -558,12 +628,10 @@ def _relu_margin(model) -> float:
     margin occurs with real probability at zero-initialized biases (an
     all-dead upstream row leaves the pre-activation exactly at the bias).
     """
-    networks = model.networks.values() if isinstance(model, InferringModel) else [model]
     margin = np.inf
-    for net in networks:
-        for layer in net.layers.values():
-            if layer.activation == "relu" and layer._pre is not None and layer._pre.size:
-                margin = min(margin, float(np.abs(layer._pre).min()))
+    for layer in _layers(model):
+        if layer.activation == "relu" and layer._pre is not None and layer._pre.size:
+            margin = min(margin, float(np.abs(layer._pre).min()))
     return margin
 
 
@@ -579,9 +647,8 @@ def make_gradient_check_problem(
     Returns (model, features, labels, determinate_mask).
     """
     model = build_model(config, rng)
-    for name, param in model.parameters().items():
-        if name.endswith(".bias"):
-            param[...] = rng.uniform(-0.2, 0.2, size=param.shape)
+    for layer in _layers(model):
+        layer.bias[...] = rng.uniform(-0.2, 0.2, size=layer.bias.shape)
     for _ in range(50):
         internal = rng.uniform(0.1, 1.0, size=(batch, config.predicate_count))
         internal /= internal.sum(axis=1, keepdims=True)

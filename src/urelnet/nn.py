@@ -3,17 +3,29 @@
 Explicit forward/backward for linear layers with relu/identity
 activations, fused sigmoid cross-entropy, Adam with piecewise-constant
 exponential learning-rate decay, and finite-difference gradient checking.
+
+A model's parameters live in one flat float64 buffer and its gradients in
+a second buffer with the same layout (an ``Arena``). Each named block is a
+view into its buffer, laid out in sorted-name order, the order checkpoints
+store blocks in. Layers read their weights from those views, and
+``backward`` writes its gradients into them, so a training step allocates
+no parameter-sized arrays. Adam keeps flat first and second moments and
+updates the whole buffer in cache-sized chunks through two scratch
+buffers. Training memory is therefore four times the parameter bytes
+(parameters, gradients, m, v) plus two chunk buffers of ``ADAM_CHUNK``
+float64 values each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, StateError
+from .errors import DimensionError, DivergenceError, StateError, UsageError
 
 PROB_CLAMP = 1e-7
 
@@ -47,15 +59,86 @@ def sigmoid_ce(p, y):
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, weight: np.ndarray) -> None:
+    """Fill an (out_dim, in_dim) weight in place with Glorot-uniform values.
+
+    Draws the same values, in the same order, as
+    ``rng.uniform(-bound, bound, size=weight.shape)``, without a temporary.
+    """
+    out_dim, in_dim = weight.shape
     bound = math.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    low, high = -bound, bound
+    rng.random(out=weight)
+    weight *= high - low
+    weight += low
+
+
+class Arena(Mapping[str, np.ndarray]):
+    """Named blocks that are views into one flat float64 buffer.
+
+    Blocks lie in sorted-name order, the order ``save_checkpoint`` writes,
+    so ``flat`` is a checkpoint's payload. A model keeps one arena for its
+    parameters and one, with the same layout, for its gradients; an
+    optimizer can then work on ``flat`` while layers and checkpoints use
+    the named views.
+    """
+
+    def __init__(self, shapes: Mapping[str, Tuple[int, ...]], flat: np.ndarray | None = None):
+        names = sorted(shapes)
+        sizes = [math.prod(shapes[name]) for name in names]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.shape != (sum(sizes),) or flat.dtype != np.float64:
+            raise DimensionError(
+                f"arena buffer {flat.dtype}{flat.shape} does not hold {sum(sizes)} float64 values"
+            )
+        self.flat = flat
+        self._spans: Dict[str, Tuple[int, int]] = {}
+        self._views: Dict[str, np.ndarray] = {}
+        start = 0
+        for name, size in zip(names, sizes):
+            self._spans[name] = (start, start + size)
+            self._views[name] = flat[start : start + size].reshape(shapes[name])
+            start += size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def section(self, prefix: str) -> "Arena":
+        """The blocks named ``prefix + name``, as an arena over their span.
+
+        Names sharing a prefix are contiguous in sorted order, so the
+        section is a view of one slice of ``flat``.
+        """
+        names = [name for name in self._views if name.startswith(prefix)]
+        if not names:
+            raise KeyError(f"no blocks start with {prefix!r}")
+        start, stop = self._spans[names[0]][0], self._spans[names[-1]][1]
+        shapes = {name[len(prefix) :]: self._views[name].shape for name in names}
+        return Arena(shapes, self.flat[start:stop])
 
 
 class DenseLayer:
-    """Fully connected layer: activation(W x + b), with cached backward."""
+    """Fully connected layer: activation(W x + b), with cached backward.
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = "identity"):
+    ``grad_weight`` and ``grad_bias`` are written in place by ``backward``;
+    a layer built without them owns zeroed arrays of its own.
+    """
+
+    def __init__(
+        self,
+        weight: np.ndarray,
+        bias: np.ndarray,
+        activation: str = "identity",
+        grad_weight: np.ndarray | None = None,
+        grad_bias: np.ndarray | None = None,
+    ):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         weight = np.asarray(weight, dtype=np.float64)
@@ -67,8 +150,8 @@ class DenseLayer:
         self.weight = weight
         self.bias = bias
         self.activation = activation
-        self.grad_weight = np.zeros_like(weight)
-        self.grad_bias = np.zeros_like(bias)
+        self.grad_weight = np.zeros(weight.shape) if grad_weight is None else grad_weight
+        self.grad_bias = np.zeros(bias.shape) if grad_bias is None else grad_bias
         self._input: np.ndarray | None = None
         self._pre: np.ndarray | None = None
 
@@ -76,7 +159,9 @@ class DenseLayer:
     def create(
         cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator
     ) -> "DenseLayer":
-        return cls(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim), activation)
+        weight = np.empty((out_dim, in_dim))
+        glorot_uniform(rng, weight)
+        return cls(weight, np.zeros(out_dim), activation)
 
     @property
     def in_dim(self) -> int:
@@ -97,31 +182,37 @@ class DenseLayer:
         self._pre = z
         return relu(z) if self.activation == "relu" else z
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients and return the input gradient.
-
-        Overwrites grad_weight/grad_bias from this call's batch.
-        """
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Write this batch's parameter gradients into grad_weight/grad_bias
+        and return the input gradient, or None when ``input_grad`` is false
+        (a layer fed with data has no use for it)."""
         if self._input is None or self._pre is None:
             raise StateError("backward called before forward")
         g = grad_output
         if self.activation == "relu":
             g = g * (self._pre > 0)
-        self.grad_weight = g.T @ self._input
-        self.grad_bias = g.sum(axis=0)
-        return g @ self.weight
+        np.matmul(g.T, self._input, out=self.grad_weight)
+        g.sum(axis=0, out=self.grad_bias)
+        return g @ self.weight if input_grad else None
+
+
+# Elements per Adam chunk: a chunk of p, m, v and g plus the two scratch
+# buffers (6 x 128 KiB) stays in cache through the thirteen passes over it.
+# 16K-32K measured alike on a 9.1M-parameter model; larger chunks were slower.
+ADAM_CHUNK = 16384
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus the exponential learning-rate schedule.
+    """Adam moments over a flat parameter buffer, plus the exponential
+    learning-rate schedule.
 
     Effective rate at step t (0-based, counting completed steps) is
     base_lr * decay_rate ** (t // decay_interval).
     """
 
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     base_lr: float
     decay_rate: float = 1.0
@@ -129,20 +220,25 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, min(ADAM_CHUNK, self.m.size)))
 
     @classmethod
     def create(
         cls,
-        params: Dict[str, np.ndarray],
+        params: Arena,
         base_lr: float,
         decay_rate: float = 1.0,
         decay_interval: int = 1,
     ) -> "AdamState":
         if decay_interval <= 0:
-            raise ValueError("decay_interval must be positive")
+            raise UsageError("decay_interval must be positive")
+        size = params.flat.size
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m=np.zeros(size),
+            v=np.zeros(size),
             step=0,
             base_lr=base_lr,
             decay_rate=decay_rate,
@@ -153,26 +249,48 @@ class AdamState:
         return self.base_lr * self.decay_rate ** (self.step // self.decay_interval)
 
 
-def adam_step(
-    params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray], state: AdamState
-) -> None:
-    """One in-place Adam update over all parameter blocks."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient in block {name!r}")
+def adam_step(params: Arena, grads: Arena, state: AdamState) -> None:
+    """One in-place Adam update of ``params.flat`` from ``grads.flat``.
+
+    A non-finite gradient raises DivergenceError naming its block, before
+    anything changes. The update runs chunk by chunk through the state's
+    two scratch buffers, so it makes no full-size temporary; per element it
+    computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` in that operation order.
+    """
+    g = grads.flat
+    # A finite sum means every entry is finite; only a non-finite sum (or an
+    # overflowing one, which the exact check admits) scans block by block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = g.sum()
+    if not np.isfinite(total):
+        for name, block in grads.items():
+            if not np.isfinite(block).all():
+                raise DivergenceError(f"non-finite gradient in block {name!r}")
     lr = state.learning_rate()
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    p, m, v = params.flat, state.m, state.v
+    for start in range(0, p.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        pc, mc, vc, gc = p[chunk], m[chunk], v[chunk], g[chunk]
+        a, b = state.scratch[:, : gc.size]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=a)
+        mc += a
+        vc *= b2
+        np.multiply(gc, 1.0 - b2, out=a)
+        a *= gc
+        vc += a
+        np.divide(vc, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(mc, bc1, out=b)
+        b *= lr
+        b /= a
+        pc -= b
     state.step = t
 
 

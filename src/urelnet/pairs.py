@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, UsageError
 from .scene import (
     AnnotatedTriplet,
     DetectedObject,
@@ -193,9 +193,9 @@ class BatchSpec:
 
     def __post_init__(self):
         if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+            raise UsageError("batch_size must be positive")
         if self.undetermined_ratio < 0:
-            raise ValueError("undetermined_ratio must be >= 0")
+            raise UsageError("undetermined_ratio must be >= 0")
 
     @property
     def undetermined_quota(self) -> int:

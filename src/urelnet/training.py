@@ -9,11 +9,10 @@ reproducible from their seeds.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,7 +159,7 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
 
     records: List[dict] = []
     best_recall: Optional[float] = None
-    best_params: Optional[Dict[str, np.ndarray]] = None
+    best_params: Optional[np.ndarray] = None
 
     def validate() -> float:
         scorer = ModelScorer(model, extractor)
@@ -189,9 +188,9 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
             records.append({"step": step, "validation_recall": recall})
             if best_recall is None or recall > best_recall:
                 best_recall = recall
-                best_params = copy.deepcopy(params)
+                best_params = params.flat.copy()
     if best_params is not None:
-        model.load_parameters(best_params)
+        params.flat[...] = best_params
     return TrainingResult(
         model=model,
         run_config=run_config,

@@ -196,3 +196,34 @@ def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch,
     ] + bad)
     assert code == 1
     assert _single_error_line(capsys)["category"] == "usage-error"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--modals", "bogus"],
+        ["--modals", "visual,bogus"],
+        ["--transform-dim", "0"],
+        ["--batch-size", "0"],
+        ["--undetermined-ratio", "-1"],
+        ["--decay-interval", "0"],
+    ],
+    ids=["modals", "one-modal-bogus", "transform-dim-zero", "batch-size-zero",
+         "negative-ratio", "decay-interval-zero"],
+)
+def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
+    run = tmp_path / "run"
+    code = main(SMALL_TRAIN + ["--dataset", str(workspace / "ds"), "--out-dir", str(run)] + bad)
+    assert code == 1
+    assert _single_error_line(capsys)["category"] == "usage-error"
+    assert not (run / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("document", ["[]", "3", '"x"'], ids=["list", "number", "string"])
+def test_non_object_dataset_json_is_one_json_error_line(tmp_path, capsys, document):
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "ds" / "dataset.json").write_text(document, encoding="utf-8")
+    assert main(["build-stats", "--dataset", str(tmp_path / "ds")]) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "validation-error"
+    assert "JSON object" in error["message"]

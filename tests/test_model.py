@@ -8,6 +8,7 @@ from urelnet.errors import DimensionError, ModeError, StateError
 from urelnet.features import STREAMS, FeatureMatrix
 from urelnet.model import (
     ALL_MODALS,
+    BatchStatus,
     InferringModel,
     ModelConfig,
     RelationNetwork,
@@ -17,7 +18,7 @@ from urelnet.model import (
     score_relations,
     stream_spec,
 )
-from urelnet.nn import gradient_check
+from urelnet.nn import gradient_check, sigmoid_ce
 
 TOY = dict(
     predicate_count=4,
@@ -414,3 +415,131 @@ def test_loss_gradients_vanish_for_missing_status():
     mask = np.ones(4, dtype=bool)
     report = check_model_gradients(net, features, labels, mask)
     assert report.passed, report.lines()
+
+
+ARENA_CONFIGS = {
+    "union": toy_config(),
+    "im": toy_config(im_mode=True),
+    "concatenating": toy_config(fusion_mode="concatenating"),
+}
+
+
+def _networks(model):
+    return model.networks if isinstance(model, InferringModel) else {"union": model}
+
+
+@pytest.mark.parametrize("kind", sorted(ARENA_CONFIGS))
+def test_parameters_and_gradients_are_views_into_one_arena(kind):
+    model = build_model(ARENA_CONFIGS[kind], np.random.default_rng(0))
+    for arena in (model.parameters(), model.gradients()):
+        assert list(arena) == sorted(arena)
+        offset = 0
+        for name, block in arena.items():
+            # Each block is the next span of the flat buffer, in sorted-name order.
+            assert np.shares_memory(block, arena.flat), name
+            start = (block.__array_interface__["data"][0]
+                     - arena.flat.__array_interface__["data"][0]) // 8
+            assert start == offset, name
+            offset += block.size
+        assert offset == arena.flat.size
+    params, grads = model.parameters(), model.gradients()
+    assert not np.shares_memory(params.flat, grads.flat)
+    for role, net in _networks(model).items():
+        prefix = "" if net is model else f"{role}."
+        for name, layer in net.layers.items():
+            assert layer.weight is net.parameters()[f"{name}.weight"]
+            assert layer.grad_bias is net.gradients()[f"{name}.bias"]
+            assert np.shares_memory(layer.weight, params[f"{prefix}{name}.weight"])
+            assert np.shares_memory(layer.grad_weight, grads[f"{prefix}{name}.weight"])
+            assert np.shares_memory(layer.bias, params.flat)
+            assert np.shares_memory(layer.grad_bias, grads.flat)
+
+
+@pytest.mark.parametrize("kind", sorted(ARENA_CONFIGS))
+def test_backward_writes_into_the_gradient_arena(kind):
+    config = ARENA_CONFIGS[kind]
+    rng = np.random.default_rng(3)
+    model = build_model(config, rng)
+    features, labels, mask = random_batch(config, rng)
+    _, _, grads = model.loss_and_gradients(features, labels, mask)
+    assert grads is model.gradients()
+    before = grads.flat.copy()
+    for net in _networks(model).values():
+        for layer in net.layers.values():
+            assert layer.grad_weight.any()
+    features2, labels2, mask2 = random_batch(config, np.random.default_rng(4))
+    _, _, again = model.loss_and_gradients(features2, labels2, mask2)
+    assert again is grads
+    assert not np.array_equal(before, grads.flat)
+
+
+@pytest.mark.parametrize("kind", sorted(ARENA_CONFIGS))
+def test_initial_weights_are_the_per_layer_glorot_draws(kind):
+    # Reference: one rng.uniform draw per layer, in layer creation order
+    # (union, subject, object networks), biases zero.
+    config = ARENA_CONFIGS[kind]
+    model = build_model(config, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for net in _networks(model).values():
+        for layer in net.layers.values():
+            out_dim, in_dim = layer.weight.shape
+            bound = math.sqrt(6.0 / (in_dim + out_dim))
+            expected = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+            assert np.array_equal(layer.weight, expected)
+            assert not layer.bias.any()
+
+
+@pytest.mark.parametrize("kind", sorted(ARENA_CONFIGS))
+def test_arena_flat_is_the_checkpoint_payload(kind, tmp_path):
+    from urelnet.checkpoint import save_checkpoint
+
+    model = build_model(ARENA_CONFIGS[kind], np.random.default_rng(6))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model.config, model.parameters())
+    payload = model.parameters().flat.astype("<f8").tobytes()
+    assert path.read_bytes().endswith(payload)
+
+
+def _reference_joint_loss(dc_probs, rel_probs, labels, mask, config):
+    """The loss and head gradients computed on every row, then masked."""
+    det = np.asarray(mask, dtype=bool)
+    und = ~det
+    n_det, n_und = int(det.sum()), int(und.sum())
+    pos = sigmoid_ce(rel_probs, labels).sum(axis=1)
+    neg = sigmoid_ce(rel_probs, np.zeros_like(rel_probs)).sum(axis=1)
+    terms = {
+        "rel_determinate": float(pos[det].mean()) if n_det else 0.0,
+        "rel_undetermined": float(neg[und].mean()) if n_und else 0.0,
+        "dc_determinate": float(sigmoid_ce(dc_probs[det], 1.0).mean()) if n_det else 0.0,
+        "dc_undetermined": float(sigmoid_ce(dc_probs[und], 0.0).mean()) if n_und else 0.0,
+    }
+    d_rel = np.where(
+        det[:, None],
+        (rel_probs - labels) / max(n_det, 1),
+        config.rel_undetermined_weight * rel_probs / max(n_und, 1),
+    )
+    d_dc = np.where(
+        det,
+        config.dc_loss_weight * (dc_probs - 1.0) / max(n_det, 1),
+        config.dc_loss_weight * config.dc_undetermined_weight * dc_probs / max(n_und, 1),
+    )
+    return terms, d_rel, d_dc
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+def test_status_row_loss_equals_full_batch_reference(batch):
+    config = toy_config(rel_undetermined_weight=0.37, dc_loss_weight=1.5)
+    rng = np.random.default_rng(batch)
+    for trial in range(20):
+        dc = rng.uniform(0.0, 1.0, size=batch)
+        rel = rng.uniform(0.0, 1.0, size=(batch, config.predicate_count))
+        rel[rng.random(rel.shape) < 0.05] = rng.choice([0.0, 1.0])
+        labels = (rng.random(rel.shape) < 0.3).astype(float)
+        mask = rng.random(batch) < [0.0, 1.0, 0.3][trial % 3]
+        terms_ref, d_rel_ref, d_dc_ref = _reference_joint_loss(dc, rel, labels, mask, config)
+        for status in (mask, BatchStatus.of(mask)):
+            _, terms = joint_loss(dc, rel, labels, status, config)
+            d_rel, d_dc = joint_loss_gradients(dc, rel, labels, status, config)
+            assert terms == terms_ref
+            assert np.array_equal(d_rel, d_rel_ref)
+            assert np.array_equal(d_dc, d_dc_ref)

@@ -7,7 +7,9 @@ from urelnet.errors import DimensionError, DivergenceError, StateError
 from urelnet.features import FeatureMatrix
 from urelnet.model import ModelConfig, make_gradient_check_problem
 from urelnet.nn import (
+    ADAM_CHUNK,
     AdamState,
+    Arena,
     DenseLayer,
     adam_step,
     finite_difference_gradients,
@@ -117,7 +119,7 @@ def test_gradient_check_trivially_passes_on_constant_loss():
 def test_gradient_check_detects_corruption():
     model, features, labels, mask = _toy_problem(3)
     _, _, grads = model.loss_and_gradients(features, labels, mask)
-    grads["rel.hidden.weight"] = grads["rel.hidden.weight"] * 2.0
+    grads["rel.hidden.weight"][...] *= 2.0
     report = gradient_check(
         lambda: model.loss(features, labels, mask),
         model.parameters(), grads, tolerance=1e-4,
@@ -126,8 +128,16 @@ def test_gradient_check_detects_corruption():
     assert report.worst_block == "rel.hidden.weight"
 
 
+def _arena(**blocks):
+    """An arena holding copies of the given arrays."""
+    arena = Arena({name: np.shape(value) for name, value in blocks.items()})
+    for name, value in blocks.items():
+        arena[name][...] = value
+    return arena
+
+
 def test_adam_schedule_vrd_preset_values():
-    params = {"w": np.zeros(2)}
+    params = _arena(w=np.zeros(2))
     state = AdamState.create(params, base_lr=3e-4, decay_rate=0.5, decay_interval=4000)
     assert state.learning_rate() == pytest.approx(3e-4)
     state.step = 3999
@@ -139,7 +149,7 @@ def test_adam_schedule_vrd_preset_values():
 
 
 def test_adam_schedule_non_increasing():
-    state = AdamState.create({"w": np.zeros(1)}, base_lr=1e-3, decay_rate=0.7, decay_interval=10)
+    state = AdamState.create(_arena(w=np.zeros(1)), base_lr=1e-3, decay_rate=0.7, decay_interval=10)
     rates = []
     for step in range(100):
         state.step = step
@@ -148,25 +158,25 @@ def test_adam_schedule_non_increasing():
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    params = {"w": np.array([1.0, -2.0])}
+    params = _arena(w=np.array([1.0, -2.0]))
     state = AdamState.create(params, base_lr=0.1)
-    adam_step(params, {"w": np.zeros(2)}, state)
+    adam_step(params, _arena(w=np.zeros(2)), state)
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_rejects_non_finite_gradients():
-    params = {"w": np.zeros(2)}
+    params = _arena(w=np.zeros(2))
     state = AdamState.create(params, base_lr=0.1)
     with pytest.raises(DivergenceError):
-        adam_step(params, {"w": np.array([1.0, np.nan])}, state)
+        adam_step(params, _arena(w=np.array([1.0, np.nan])), state)
 
 
 def test_adam_matches_reference_update():
     # One step from zero moments: update = -lr * g/|g| elementwise (up to eps).
-    params = {"w": np.array([0.5])}
+    params = _arena(w=np.array([0.5]))
     state = AdamState.create(params, base_lr=0.01)
-    adam_step(params, {"w": np.array([2.0])}, state)
+    adam_step(params, _arena(w=np.array([2.0])), state)
     expected = 0.5 - 0.01 * 2.0 / (2.0 + 1e-8)
     assert params["w"][0] == pytest.approx(expected, rel=1e-9)
 
@@ -183,3 +193,105 @@ def test_loss_decreases_under_adam():
     assert losses[-1] < losses[0]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.05  # small transient upticks allowed
+
+
+def _reference_adam_step(params, grads, m, v, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-block update the chunked step must reproduce bit for bit."""
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def _three_blocks(total):
+    """Shapes of a 2-D, a 1-D and a 5-element block holding ``total`` values."""
+    rows = total // 12
+    return {"a.weight": (rows, 4), "b.bias": (total - 4 * rows - 5,), "c.weight": (5,)}
+
+
+@pytest.mark.parametrize("total", [ADAM_CHUNK - 7, ADAM_CHUNK, ADAM_CHUNK + 1],
+                         ids=["below-chunk", "one-chunk", "chunk-plus-one"])
+def test_chunked_adam_equals_block_loop(total):
+    shapes = _three_blocks(total)
+    assert sum(math.prod(s) for s in shapes.values()) == total
+    rng = np.random.default_rng(total)
+    params, grads = Arena(shapes), Arena(shapes)
+    params.flat[...] = rng.standard_normal(total)
+    ref_p = {name: block.copy() for name, block in params.items()}
+    ref_m = {name: np.zeros(s) for name, s in shapes.items()}
+    ref_v = {name: np.zeros(s) for name, s in shapes.items()}
+    state = AdamState.create(params, base_lr=0.01, decay_rate=0.5, decay_interval=6)
+    for step in range(20):
+        grads.flat[...] = rng.standard_normal(total) * 10.0 ** rng.integers(-6, 3)
+        lr = state.learning_rate()
+        assert lr == 0.01 * 0.5 ** (step // 6)
+        _reference_adam_step(ref_p, grads, ref_m, ref_v, lr, step + 1)
+        adam_step(params, grads, state)
+        for name in shapes:
+            assert np.array_equal(params[name], ref_p[name]), (step, name)
+        assert np.array_equal(state.m, np.concatenate([ref_m[n].ravel() for n in sorted(shapes)]))
+        assert np.array_equal(state.v, np.concatenate([ref_v[n].ravel() for n in sorted(shapes)]))
+    assert state.step == 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["a.weight", "b.bias", "c.weight"])
+def test_non_finite_gradient_names_its_block_and_changes_nothing(block, bad):
+    shapes = _three_blocks(ADAM_CHUNK + 1)
+    rng = np.random.default_rng(0)
+    params, grads = Arena(shapes), Arena(shapes)
+    params.flat[...] = rng.standard_normal(params.flat.size)
+    state = AdamState.create(params, base_lr=0.01)
+    for _ in range(3):
+        grads.flat[...] = rng.standard_normal(grads.flat.size)
+        adam_step(params, grads, state)
+    saved = (params.flat.copy(), state.m.copy(), state.v.copy(), state.step)
+    grads[block].flat[-1] = bad
+    with pytest.raises(DivergenceError, match=f"'{block}'"):
+        adam_step(params, grads, state)
+    assert np.array_equal(params.flat, saved[0])
+    assert np.array_equal(state.m, saved[1])
+    assert np.array_equal(state.v, saved[2])
+    assert state.step == saved[3]
+
+
+def test_adam_accepts_finite_gradients_whose_sum_overflows():
+    params, grads = _arena(w=np.zeros(3)), _arena(w=np.array([1e308, 1e308, -1.0]))
+    state = AdamState.create(params, base_lr=0.1)
+    with np.errstate(over="ignore"):  # g * g overflows in v, as in any Adam
+        adam_step(params, grads, state)
+    assert np.isfinite(params.flat).all()
+    assert state.step == 1
+
+
+def test_arena_views_follow_sorted_names():
+    arena = Arena({"z": (2,), "a": (2, 3), "m": ()})
+    assert list(arena) == ["a", "m", "z"]
+    arena.flat[...] = np.arange(9.0)
+    np.testing.assert_array_equal(arena["a"], [[0, 1, 2], [3, 4, 5]])
+    assert arena["m"] == 6.0
+    np.testing.assert_array_equal(arena["z"], [7, 8])
+    arena["z"][...] = -1.0
+    np.testing.assert_array_equal(arena.flat[7:], [-1, -1])
+
+
+def test_arena_section_is_a_view_of_its_span():
+    arena = Arena({"union.b": (2,), "object.a": (3,), "subject.a": (1,), "object.b": (1,)})
+    section = arena.section("object.")
+    assert list(section) == ["a", "b"]
+    assert section.flat.size == 4
+    assert np.shares_memory(section.flat, arena.flat)
+    section["b"][...] = 5.0
+    assert arena["object.b"] == 5.0
+    with pytest.raises(KeyError):
+        arena.section("relation.")
+
+
+def test_arena_rejects_a_buffer_of_the_wrong_size():
+    with pytest.raises(DimensionError):
+        Arena({"w": (2, 2)}, np.zeros(3))

@@ -125,6 +125,22 @@ def test_validation_tracking(dataset):
     assert len(val_records) == 2
 
 
+def test_best_validation_parameters_are_a_snapshot(dataset):
+    # The best validation comes first (later ones only tie), so the run must
+    # end on the parameters after step 4, not on the live buffer after step 39.
+    result = run_training(dataset, quick_run(dataset, steps=40, validation_interval=5))
+    recalls = [(r["step"], r["validation_recall"]) for r in result.log_records
+               if "validation_recall" in r]
+    best_step = next(step for step, recall in recalls if recall == result.best_validation_recall)
+    assert best_step == 4
+    no_validation = 10**6
+    replay = run_training(dataset, quick_run(dataset, steps=5, validation_interval=no_validation))
+    last = run_training(dataset, quick_run(dataset, steps=40, validation_interval=no_validation))
+    final = result.model.parameters()
+    assert np.array_equal(final.flat, replay.model.parameters().flat)
+    assert not np.array_equal(final.flat, last.model.parameters().flat)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergent_features_raise():
