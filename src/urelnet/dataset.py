@@ -60,6 +60,9 @@ def _parse_box(raw, where: str) -> BoundingBox:
 
 
 def _parse_scene(raw: dict, vocab: Vocabulary, index: int) -> SceneRecord:
+    _require(
+        isinstance(raw, dict), f"scene #{index}: expected a JSON object, got {type(raw).__name__}"
+    )
     where = f"scene #{index} ({raw.get('image_id', '?')!r})"
     for key in ("image_id", "width", "height", "split", "detections", "annotations"):
         _require(key in raw, f"{where}: missing field {key!r}")
@@ -144,10 +147,19 @@ def load_dataset(path) -> Dataset:
         f"unsupported schema_version {raw.get('schema_version')!r}",
     )
     vocab_raw = raw.get("vocabulary", {})
-    vocab = Vocabulary(
-        tuple(vocab_raw.get("objects", ())), tuple(vocab_raw.get("predicates", ()))
+    _require(isinstance(vocab_raw, dict), "vocabulary must be a JSON object")
+    objects, predicates = vocab_raw.get("objects", []), vocab_raw.get("predicates", [])
+    _require(
+        all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            for names in (objects, predicates)
+        ),
+        "vocabulary objects and predicates must be lists of names",
     )
-    scenes = [_parse_scene(s, vocab, i) for i, s in enumerate(raw.get("scenes", []))]
+    vocab = Vocabulary(tuple(objects), tuple(predicates))
+    scenes_raw = raw.get("scenes", [])
+    _require(isinstance(scenes_raw, list), "scenes must be a JSON list")
+    scenes = [_parse_scene(s, vocab, i) for i, s in enumerate(scenes_raw)]
     ids = [s.image_id for s in scenes]
     _require(len(set(ids)) == len(ids), "duplicate image_id values in dataset")
 

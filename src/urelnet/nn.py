@@ -197,8 +197,9 @@ class DenseLayer:
 
 
 # Elements per Adam chunk: a chunk of p, m, v and g plus the two scratch
-# buffers (6 x 128 KiB) stays in cache through the thirteen passes over it.
-# 16K-32K measured alike on a 9.1M-parameter model; larger chunks were slower.
+# buffers (6 x 128 KiB) stays in cache through the fourteen passes over it.
+# On a 9.1M-parameter model (2-vCPU Xeon VM) 16K and 32K took about 102 ms
+# a step, 8K and 64K about 111 ms.
 ADAM_CHUNK = 16384
 
 

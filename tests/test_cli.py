@@ -219,11 +219,27 @@ def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     assert not (run / "checkpoint.bin").exists()
 
 
-@pytest.mark.parametrize("document", ["[]", "3", '"x"'], ids=["list", "number", "string"])
-def test_non_object_dataset_json_is_one_json_error_line(tmp_path, capsys, document):
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[]", "expected a JSON object, got list"),
+        ("3", "expected a JSON object, got int"),
+        ('"x"', "expected a JSON object, got str"),
+        ('{"schema_version": 1, "vocabulary": []}', "vocabulary must be a JSON object"),
+        ('{"schema_version": 1, "vocabulary": {"objects": 3, "predicates": ["on"]}}',
+         "lists of names"),
+        ('{"schema_version": 1, "vocabulary": {"objects": ["a"], "predicates": ["on"]},'
+         ' "scenes": 3}', "scenes must be a JSON list"),
+        ('{"schema_version": 1, "vocabulary": {"objects": ["a"], "predicates": ["on"]},'
+         ' "scenes": ["x"]}', "scene #0: expected a JSON object, got str"),
+    ],
+    ids=["list", "number", "string", "vocabulary-list", "objects-number", "scenes-number",
+         "scene-string"],
+)
+def test_non_object_dataset_json_is_one_json_error_line(tmp_path, capsys, document, message):
     (tmp_path / "ds").mkdir()
     (tmp_path / "ds" / "dataset.json").write_text(document, encoding="utf-8")
     assert main(["build-stats", "--dataset", str(tmp_path / "ds")]) == 1
     error = _single_error_line(capsys)
     assert error["category"] == "validation-error"
-    assert "JSON object" in error["message"]
+    assert message in error["message"]
