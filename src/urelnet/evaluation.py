@@ -127,8 +127,8 @@ def predict_scene(
     scorer: Scorer,
     task: str = "relation",
     k: int = 1,
-    predicate_count: int | None = None,
-    pairs: Sequence[ObjectPair] | None = None,
+    *,
+    predicate_count: int,
     _limit: int | None = None,
 ) -> PredictionSet:
     """Rank the top-k predicates of every candidate pair in one image.
@@ -136,10 +136,7 @@ def predict_scene(
     ``_limit`` keeps only the first that many ranked triplets; evaluation
     passes the largest N it reads.
     """
-    if pairs is None:
-        if predicate_count is None:
-            raise ValueError("predicate_count is required when pairs are not given")
-        pairs = candidate_pairs(scene, task, predicate_count)
+    pairs = candidate_pairs(scene, task, predicate_count)
     if not pairs:
         return PredictionSet(scene.image_id, [])
     scores = np.asarray(scorer(pairs, scene), dtype=np.float64)

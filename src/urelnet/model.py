@@ -13,6 +13,7 @@ confidence subnetwork.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -84,11 +85,14 @@ class ModelConfig:
             "dc_hidden_dim",
             "rel_hidden_dim",
         ):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+                raise UsageError(f"{name} must be a positive integer")
         for name in ("dc_undetermined_weight", "rel_undetermined_weight", "dc_loss_weight"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be finite and >= 0")
+        if not isinstance(self.im_mode, (bool, np.bool_)):
+            raise UsageError(f"im_mode must be true or false, got {self.im_mode!r}")
         # Normalize modal order so configurations compare and serialize stably.
         object.__setattr__(
             self,
@@ -193,29 +197,18 @@ def layer_plan(config: ModelConfig, role: str = "union") -> List[Tuple[str, int,
     return plan
 
 
-def parameter_shapes(config: ModelConfig, role: str = "union") -> Dict[str, Tuple[int, ...]]:
-    """Block name -> shape of one network's parameters."""
+def model_shapes(config: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Block name -> shape of every parameter of the model ``config``
+    describes: the union network's blocks, or in IM mode each network's
+    blocks under its role's prefix."""
+    roles = NETWORK_ROLES if config.im_mode else ("union",)
     shapes: Dict[str, Tuple[int, ...]] = {}
-    for name, in_dim, out_dim, _ in layer_plan(config, role):
-        shapes[f"{name}.weight"] = (out_dim, in_dim)
-        shapes[f"{name}.bias"] = (out_dim,)
+    for role in roles:
+        prefix = f"{role}." if config.im_mode else ""
+        for name, in_dim, out_dim, _ in layer_plan(config, role):
+            shapes[f"{prefix}{name}.weight"] = (out_dim, in_dim)
+            shapes[f"{prefix}{name}.bias"] = (out_dim,)
     return shapes
-
-
-def _load_into(arena: Arena, params: Dict[str, np.ndarray]) -> None:
-    """Copy checkpoint-style blocks into an arena's views, names and shapes checked."""
-    if set(arena) != set(params):
-        missing = sorted(set(arena) - set(params))
-        extra = sorted(set(params) - set(arena))
-        raise DimensionError(
-            f"parameter name mismatch (missing {missing}, unexpected {extra})"
-        )
-    for name, value in params.items():
-        if arena[name].shape != value.shape:
-            raise DimensionError(
-                f"parameter {name!r}: shape {value.shape} != expected {arena[name].shape}"
-            )
-        arena[name][...] = value
 
 
 def score_relations(
@@ -233,40 +226,30 @@ def score_relations(
 class RelationNetwork:
     """One fused-feature network with confidence and relation heads.
 
-    Its parameters and gradients are views into two arenas: its own, or the
-    ``(params, grads)`` sections an InferringModel hands it.
+    Its layers are wired onto the views of the parameter and gradient arenas
+    it is given (an InferringModel hands each network its sections); the
+    constructor draws nothing. ``build_model`` and ``load_model`` make them.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        rng: np.random.Generator,
-        role: str = "union",
-        arenas: Tuple[Arena, Arena] | None = None,
-    ):
+    def __init__(self, config: ModelConfig, params: Arena, grads: Arena, role: str = "union"):
         self.config = config
         self.role = role
         self.spec = stream_spec(config, role)
         dims = config.stream_dims()
         self.streams = [s for _, streams in self.spec for s in streams]
         self.stream_dims = {s: dims[s] for s in self.streams}
-        self.modalities = [m for m, _ in self.spec]
         self.fused_dim = len(self.spec) * config.transform_dim
-        if arenas is None:
-            shapes = parameter_shapes(config, role)
-            arenas = (Arena(shapes), Arena(shapes))
-        self.params, self.grads = arenas
-        self.layers: Dict[str, DenseLayer] = {}
-        for name, _, _, activation in layer_plan(config, role):
-            weight = self.params[f"{name}.weight"]
-            glorot_uniform(rng, weight)
-            self.layers[name] = DenseLayer(
-                weight,
-                self.params[f"{name}.bias"],
+        self.params, self.grads = params, grads
+        self.layers = {
+            name: DenseLayer(
+                params[f"{name}.weight"],
+                params[f"{name}.bias"],
                 activation,
-                self.grads[f"{name}.weight"],
-                self.grads[f"{name}.bias"],
+                grads[f"{name}.weight"],
+                grads[f"{name}.bias"],
             )
+            for name, _, _, activation in layer_plan(config, role)
+        }
         self._cache: dict = {}
 
     # -- forward -----------------------------------------------------------
@@ -383,32 +366,6 @@ class RelationNetwork:
     def gradients(self) -> Arena:
         """The gradient arena; each backward pass overwrites it."""
         return self.grads
-
-    def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        _load_into(self.params, params)
-
-    def stage_widths(self) -> List[int]:
-        """Total output width of each layer stage (fusion stages, then heads).
-
-        Transforming and concatenating modes of the same configuration must
-        agree on these (same depth, same total widths).
-        """
-        if self.config.fusion_mode == "transforming":
-            stage1 = sum(
-                self.layers[f"transform.{s}"].out_dim for s in self.streams
-            )
-            stage2 = sum(self.layers[f"fuse.{m}"].out_dim for m in self.modalities)
-        else:
-            stage1 = self.layers["concat.stage1"].out_dim
-            stage2 = self.layers["concat.stage2"].out_dim
-        return [
-            stage1,
-            stage2,
-            self.layers["dc.hidden"].out_dim,
-            self.layers["dc.out"].out_dim,
-            self.layers["rel.hidden"].out_dim,
-            self.layers["rel.out"].out_dim,
-        ]
 
     # -- training ------------------------------------------------------------
 
@@ -536,24 +493,16 @@ class InferringModel:
     detector confidences enter the combined score exactly once).
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, params: Arena, grads: Arena):
         if not config.im_mode:
             raise ModeError("InferringModel requires im_mode=True in the configuration")
         self.config = config
-        # One arena pair for all three networks; each network draws its
-        # weights, in role order, into its own section.
-        shapes = {
-            f"{role}.{name}": shape
-            for role in NETWORK_ROLES
-            for name, shape in parameter_shapes(config, role).items()
-        }
-        self.params, self.grads = Arena(shapes), Arena(shapes)
+        # One arena pair for all three networks; each network is wired onto
+        # its role's section.
+        self.params, self.grads = params, grads
         self.networks = {
             role: RelationNetwork(
-                config,
-                rng,
-                role,
-                (self.params.section(f"{role}."), self.grads.section(f"{role}.")),
+                config, params.section(f"{role}."), grads.section(f"{role}."), role
             )
             for role in NETWORK_ROLES
         }
@@ -604,15 +553,25 @@ class InferringModel:
         overwrites its network's section."""
         return self.grads
 
-    def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        _load_into(self.params, params)
+
+def wire_model(config: ModelConfig, params: Arena):
+    """RelationNetwork, or the three-network InferringModel in IM mode,
+    wired onto ``params`` as they stand, with a zeroed gradient arena of the
+    same layout. ``params`` must have the layout of ``model_shapes(config)``."""
+    shapes = model_shapes(config)
+    if {name: block.shape for name, block in params.items()} != shapes:
+        raise DimensionError("the parameter arena's layout does not fit the configuration")
+    model_class = InferringModel if config.im_mode else RelationNetwork
+    return model_class(config, params, Arena(shapes))
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator):
-    """RelationNetwork, or the three-network InferringModel in IM mode."""
-    if config.im_mode:
-        return InferringModel(config, rng)
-    return RelationNetwork(config, rng)
+    """A fresh model: Glorot-uniform weights drawn layer by layer, network
+    by network in role order, and zero biases."""
+    model = wire_model(config, Arena(model_shapes(config)))
+    for layer in _layers(model):
+        glorot_uniform(rng, layer.weight)
+    return model
 
 
 def _layers(model) -> List[DenseLayer]:

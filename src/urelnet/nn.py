@@ -6,14 +6,14 @@ exponential learning-rate decay, and finite-difference gradient checking.
 
 A model's parameters live in one flat float64 buffer and its gradients in
 a second buffer with the same layout (an ``Arena``). Each named block is a
-view into its buffer, laid out in sorted-name order, the order checkpoints
-store blocks in. Layers read their weights from those views, and
-``backward`` writes its gradients into them, so a training step allocates
-no parameter-sized arrays. Adam keeps flat first and second moments and
-updates the whole buffer in cache-sized chunks through two scratch
-buffers. Training memory is therefore four times the parameter bytes
-(parameters, gradients, m, v) plus two chunk buffers of ``ADAM_CHUNK``
-float64 values each.
+view into its buffer, laid out in sorted-name order, so the parameter
+buffer is a checkpoint's payload byte for byte. Layers read their weights
+from those views, and ``backward`` writes its gradients into them, so a
+training step allocates no parameter-sized arrays. Adam keeps flat first
+and second moments and updates the whole buffer in cache-sized chunks
+through two scratch buffers. Training memory is therefore four times the
+parameter bytes (parameters, gradients, m, v) plus two chunk buffers of
+``ADAM_CHUNK`` float64 values each.
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ def glorot_uniform(rng: np.random.Generator, weight: np.ndarray) -> None:
 class Arena(Mapping[str, np.ndarray]):
     """Named blocks that are views into one flat float64 buffer.
 
-    Blocks lie in sorted-name order, the order ``save_checkpoint`` writes,
-    so ``flat`` is a checkpoint's payload. A model keeps one arena for its
-    parameters and one, with the same layout, for its gradients; an
-    optimizer can then work on ``flat`` while layers and checkpoints use
-    the named views.
+    Blocks lie in sorted-name order, so ``flat`` is a checkpoint's payload:
+    ``save_checkpoint`` writes it in one call, and ``load_checkpoint`` reads
+    a payload into one buffer in a single read and wraps it in an arena that
+    the model then adopts. A model keeps one arena for its parameters and
+    one, with the same layout, for its gradients; an optimizer works on
+    ``flat`` while layers use the named views.
     """
 
     def __init__(self, shapes: Mapping[str, Tuple[int, ...]], flat: np.ndarray | None = None):
@@ -122,6 +123,20 @@ class Arena(Mapping[str, np.ndarray]):
         start, stop = self._spans[names[0]][0], self._spans[names[-1]][1]
         shapes = {name[len(prefix) :]: self._views[name].shape for name in names}
         return Arena(shapes, self.flat[start:stop])
+
+
+def non_finite_block(arena: Arena) -> str | None:
+    """The first block of ``arena`` holding a NaN or an infinity, or None.
+
+    One BLAS pass decides the common case: the sum of squares of ``flat`` is
+    finite unless an entry is non-finite or large finite entries overflow,
+    and only then are the blocks scanned one by one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = arena.flat @ arena.flat
+    if np.isfinite(sum_sq):
+        return None
+    return next((name for name, block in arena.items() if not np.isfinite(block).all()), None)
 
 
 class DenseLayer:
@@ -259,21 +274,15 @@ def adam_step(params: Arena, grads: Arena, state: AdamState) -> None:
     computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` in that operation order.
     """
-    g = grads.flat
-    # One BLAS pass: the sum of squares is non-finite when any entry is, or
-    # when large finite entries overflow, which the per-block check admits.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_sq = g @ g
-    if not np.isfinite(sum_sq):
-        for name, block in grads.items():
-            if not np.isfinite(block).all():
-                raise DivergenceError(f"non-finite gradient in block {name!r}")
+    bad = non_finite_block(grads)
+    if bad is not None:
+        raise DivergenceError(f"non-finite gradient in block {bad!r}")
     lr = state.learning_rate()
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    p, m, v = params.flat, state.m, state.v
+    p, m, v, g = params.flat, state.m, state.v, grads.flat
     for start in range(0, p.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
         pc, mc, vc, gc = p[chunk], m[chunk], v[chunk], g[chunk]

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError
+from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError, UsageError
 from .evaluation import EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
 from .features import FeatureExtractor, FeatureMatrix, build_triplet_statistics
 from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams
@@ -53,6 +53,15 @@ class RunConfig:
     validation_interval: Optional[int] = None
     validation_n: int = 50
     per_scene_undetermined_cap: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("epochs", "steps", "validation_interval"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise UsageError(f"{name} must be positive, got {value}")
+        cap = self.per_scene_undetermined_cap
+        if cap is not None and cap < 0:
+            raise UsageError(f"per_scene_undetermined_cap must be >= 0, got {cap}")
 
 
 def make_run_config(model: ModelConfig, task: str = "relation", **overrides) -> RunConfig:

@@ -119,6 +119,21 @@ def test_truncated_checkpoint_is_one_json_error_line(workspace, capsys, tmp_path
     assert json.loads(lines[0])["error"]["category"] == "checkpoint-error"
 
 
+def test_oversized_checkpoint_dims_are_one_json_error_line(workspace, capsys, tmp_path):
+    import struct
+
+    raw = (workspace / "run" / "checkpoint.bin").read_bytes()
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    header["blocks"][0]["shape"] = [3, 2**61]
+    header_bytes = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "oversized.bin"
+    bad.write_bytes(raw[:12] + struct.pack("<I", len(header_bytes)) + header_bytes)
+    code = main(["evaluate", "--dataset", str(workspace / "ds"), "--checkpoint", str(bad)])
+    assert code == 1
+    assert _single_error_line(capsys)["category"] == "checkpoint-error"
+
+
 def test_invalid_dataset_error_category(tmp_path, capsys):
     (tmp_path / "broken").mkdir()
     (tmp_path / "broken" / "dataset.json").write_text("{nope", encoding="utf-8")
@@ -207,9 +222,17 @@ def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch,
         ["--batch-size", "0"],
         ["--undetermined-ratio", "-1"],
         ["--decay-interval", "0"],
+        ["--steps", "-1"],
+        ["--steps", "0"],
+        ["--epochs", "0"],
+        ["--undetermined-cap", "-1"],
+        ["--validation-interval", "-1"],
+        ["--dc-loss-weight", "nan"],
     ],
     ids=["modals", "one-modal-bogus", "transform-dim-zero", "batch-size-zero",
-         "negative-ratio", "decay-interval-zero"],
+         "negative-ratio", "decay-interval-zero", "steps-negative", "steps-zero",
+         "epochs-zero", "undetermined-cap-negative", "validation-interval-negative",
+         "loss-weight-nan"],
 )
 def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     run = tmp_path / "run"

@@ -15,10 +15,13 @@ from urelnet.model import (
     build_model,
     joint_loss,
     joint_loss_gradients,
+    layer_plan,
+    model_shapes,
     score_relations,
     stream_spec,
+    wire_model,
 )
-from urelnet.nn import gradient_check, sigmoid_ce
+from urelnet.nn import Arena, gradient_check, sigmoid_ce
 
 TOY = dict(
     predicate_count=4,
@@ -105,7 +108,7 @@ def test_fused_dim_three_modals_transforming():
         predicate_count=70, object_count=100, visual_dim=16, embedding_dim=8,
         transform_dim=500,
     )
-    net = RelationNetwork(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0))
     features = random_features(config, 2, np.random.default_rng(1))
     assert net.fuse_features(features).shape == (2, 1500)
     _, rel = net.forward(features)
@@ -114,14 +117,14 @@ def test_fused_dim_three_modals_transforming():
 
 def test_fused_dim_single_modal():
     config = toy_config(enabled_modals=("spatial",), transform_dim=500)
-    net = RelationNetwork(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0))
     features = random_features(config, 3, np.random.default_rng(1))
     assert net.fuse_features(features).shape == (3, 500)
 
 
 def test_dc_forward_range_and_zero_weights():
     config = toy_config()
-    net = RelationNetwork(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0))
     features = random_features(config, 4, np.random.default_rng(1))
     fused = net.fuse_features(features)
     dc = net.dc_forward(fused)
@@ -135,7 +138,7 @@ def test_dc_forward_range_and_zero_weights():
 
 def test_rel_forward_shape_and_zero_head():
     config = toy_config()
-    net = RelationNetwork(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0))
     features = random_features(config, 4, np.random.default_rng(1))
     dc, rel = net.forward(features)
     assert rel.shape == (4, config.predicate_count)
@@ -148,7 +151,7 @@ def test_rel_forward_shape_and_zero_head():
 
 def test_rel_forward_sensitive_to_dc_signal():
     config = toy_config()
-    net = RelationNetwork(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0))
     features = random_features(config, 2, np.random.default_rng(1))
     fused = net.fuse_features(features)
     low = net.rel_forward(fused, np.full((2, 1), 0.1))
@@ -231,7 +234,7 @@ def test_score_relation_argmax_invariant():
 def test_full_graph_gradient_check_transforming():
     config = toy_config()
     rng = np.random.default_rng(0)
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, mask = random_batch(config, rng)
     report = check_model_gradients(net, features, labels, mask)
     assert report.passed, report.lines()
@@ -240,7 +243,7 @@ def test_full_graph_gradient_check_transforming():
 def test_full_graph_gradient_check_concatenating():
     config = toy_config(fusion_mode="concatenating")
     rng = np.random.default_rng(1)
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, mask = random_batch(config, rng)
     report = check_model_gradients(net, features, labels, mask)
     assert report.passed, report.lines()
@@ -249,7 +252,7 @@ def test_full_graph_gradient_check_concatenating():
 def test_gradient_check_dc_hidden_feed():
     config = toy_config(dc_feed="hidden")
     rng = np.random.default_rng(2)
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, mask = random_batch(config, rng)
     report = check_model_gradients(net, features, labels, mask)
     assert report.passed, report.lines()
@@ -261,7 +264,7 @@ def test_gradient_check_modal_subsets(subset_index, fusion):
     modals = MODAL_SUBSETS[subset_index]
     config = toy_config(enabled_modals=tuple(modals), fusion_mode=fusion)
     rng = np.random.default_rng(1000 + 2 * subset_index + (fusion == "concatenating"))
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, mask = random_batch(config, rng, batch=4)
     report = check_model_gradients(net, features, labels, mask)
     assert report.passed, report.lines()
@@ -270,7 +273,7 @@ def test_gradient_check_modal_subsets(subset_index, fusion):
 def test_gradient_check_im_mode():
     config = toy_config(im_mode=True)
     rng = np.random.default_rng(3)
-    model = InferringModel(config, rng)
+    model = build_model(config, rng)
     features, labels, mask = random_batch(config, rng, batch=4)
     report = check_model_gradients(model, features, labels, mask)
     assert report.passed, report.lines()
@@ -279,7 +282,7 @@ def test_gradient_check_im_mode():
 def test_gradient_flows_into_fusion_from_dc():
     config = toy_config()
     rng = np.random.default_rng(4)
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, mask = random_batch(config, rng)
     # Only the confidence loss: relation gradients switched off.
     dc, rel = net.forward(features)
@@ -291,7 +294,7 @@ def test_gradient_flows_into_fusion_from_dc():
 
 def test_backward_checks_its_inputs():
     config = toy_config()
-    net = RelationNetwork(config, np.random.default_rng(11))
+    net = build_model(config, np.random.default_rng(11))
     with pytest.raises(StateError):
         net.backward(np.zeros((2, config.predicate_count)), np.zeros(2))
     features, _, _ = random_batch(config, np.random.default_rng(12), batch=2)
@@ -300,21 +303,26 @@ def test_backward_checks_its_inputs():
         net.backward(rel, dc[:, None])
 
 
+def _stage_widths(config):
+    """Total output width of each layer stage: the two fusion stages, then
+    the four head layers."""
+    plan = layer_plan(config)
+    stage1 = sum(out for name, _, out, _ in plan if name.startswith(("transform.", "concat.stage1")))
+    stage2 = sum(out for name, _, out, _ in plan if name.startswith(("fuse.", "concat.stage2")))
+    return [stage1, stage2] + [out for name, _, out, _ in plan if name.startswith(("dc.", "rel."))]
+
+
 def test_modes_have_identical_stage_widths():
     for modals in MODAL_SUBSETS:
-        a = RelationNetwork(
-            toy_config(enabled_modals=tuple(modals)), np.random.default_rng(0)
-        )
-        b = RelationNetwork(
-            toy_config(enabled_modals=tuple(modals), fusion_mode="concatenating"),
-            np.random.default_rng(0),
-        )
-        assert a.stage_widths() == b.stage_widths()
+        a = _stage_widths(toy_config(enabled_modals=tuple(modals)))
+        b = _stage_widths(toy_config(enabled_modals=tuple(modals), fusion_mode="concatenating"))
+        assert len(a) == 6
+        assert a == b
 
 
 def test_disabling_modal_removes_exactly_its_parameters():
-    full = RelationNetwork(toy_config(), np.random.default_rng(0))
-    no_spatial = RelationNetwork(
+    full = build_model(toy_config(), np.random.default_rng(0))
+    no_spatial = build_model(
         toy_config(enabled_modals=("visual", "linguistic_external", "linguistic_internal")),
         np.random.default_rng(0),
     )
@@ -327,9 +335,24 @@ def test_disabling_modal_removes_exactly_its_parameters():
     }
 
 
+@pytest.mark.parametrize("kind", ["union", "im"])
+def test_wiring_draws_nothing_and_checks_the_layout(kind):
+    config = toy_config(im_mode=kind == "im")
+    shapes = model_shapes(config)
+    model = wire_model(config, Arena(shapes))
+    assert not model.parameters().flat.any()
+    if kind == "union":
+        net = RelationNetwork(config, Arena(shapes), Arena(shapes))
+        assert not any(layer.weight.any() for layer in net.layers.values())
+    wrong = {**shapes, "extra.bias": (1,)}
+    with pytest.raises(DimensionError, match="layout"):
+        wire_model(config, Arena(wrong))
+
+
 def test_im_mode_requires_flag():
+    shapes = model_shapes(toy_config())
     with pytest.raises(ModeError):
-        InferringModel(toy_config(im_mode=False), np.random.default_rng(0))
+        InferringModel(toy_config(im_mode=False), Arena(shapes), Arena(shapes))
     assert isinstance(build_model(toy_config(im_mode=True), np.random.default_rng(0)),
                       InferringModel)
 
@@ -348,7 +371,7 @@ def test_im_combine_identity():
     # IM score = union score x (rel x dc) of each auxiliary network.
     rng = np.random.default_rng(10)
     config = toy_config(im_mode=True)
-    model = InferringModel(config, rng)
+    model = build_model(config, rng)
     features, _, _ = random_batch(config, rng, batch=5)
     subj, obj = rng.uniform(0.1, 1.0, size=(2, 5))
     combined = model.relation_scores(features, subj, obj)
@@ -364,7 +387,7 @@ def test_im_combine_identity():
 def test_im_combined_bounded_by_factors():
     rng = np.random.default_rng(6)
     config = toy_config(im_mode=True)
-    model = InferringModel(config, rng)
+    model = build_model(config, rng)
     features, _, _ = random_batch(config, rng, batch=5)
     confs = np.ones(5)
     combined = model.relation_scores(features, confs, confs)
@@ -376,7 +399,7 @@ def test_im_combined_bounded_by_factors():
 def test_im_loss_is_sum_of_network_losses():
     rng = np.random.default_rng(7)
     config = toy_config(im_mode=True)
-    model = InferringModel(config, rng)
+    model = build_model(config, rng)
     features, labels, mask = random_batch(config, rng, batch=4)
     total, terms, _ = model.loss_and_gradients(features, labels, mask)
     assert total == pytest.approx(
@@ -387,11 +410,11 @@ def test_im_loss_is_sum_of_network_losses():
 def test_im_union_loss_equals_non_im_loss():
     rng = np.random.default_rng(8)
     config = toy_config(im_mode=True)
-    model = InferringModel(config, rng)
+    model = build_model(config, rng)
     features, labels, mask = random_batch(config, rng, batch=4)
     _, terms, _ = model.loss_and_gradients(features, labels, mask)
-    plain = RelationNetwork(toy_config(), np.random.default_rng(99))
-    plain.load_parameters(model.networks["union"].parameters())
+    # A plain network adopts the union section of the IM arena as it stands.
+    plain = wire_model(toy_config(), model.networks["union"].parameters())
     plain_loss, _, _ = plain.loss_and_gradients(features, labels, mask)
     assert terms["union.loss"] == pytest.approx(plain_loss, abs=1e-12)
 
@@ -400,7 +423,7 @@ def test_im_union_loss_equals_non_im_loss():
 def test_forward_only_loss_equals_loss_and_gradients(im_mode):
     rng = np.random.default_rng(10)
     config = toy_config(im_mode=im_mode)
-    model = InferringModel(config, rng) if im_mode else RelationNetwork(config, rng)
+    model = build_model(config, rng)
     features, labels, mask = random_batch(config, rng, batch=5)
     expected, _, _ = model.loss_and_gradients(features, labels, mask)
     assert model.loss(features, labels, mask) == expected
@@ -410,7 +433,7 @@ def test_loss_gradients_vanish_for_missing_status():
     # All-determinate batch: undetermined terms contribute nothing.
     config = toy_config()
     rng = np.random.default_rng(9)
-    net = RelationNetwork(config, rng)
+    net = build_model(config, rng)
     features, labels, _ = random_batch(config, rng, batch=4)
     mask = np.ones(4, dtype=bool)
     report = check_model_gradients(net, features, labels, mask)

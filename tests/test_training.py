@@ -1,12 +1,15 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, UndefinedMetricError
-from urelnet.model import ModelConfig, build_model
+from urelnet.model import ModelConfig, build_model, model_shapes
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import (
     SCHEDULE_PRESETS,
@@ -256,6 +259,22 @@ def _checkpoint_with_header(path, header):
 GOOD_CONFIG = TOY_CONFIG.to_json_dict()
 
 
+def _layout_blocks(config_json):
+    shapes = model_shapes(ModelConfig.from_json_dict(config_json))
+    return [{"name": name, "shape": list(shapes[name])} for name in sorted(shapes)]
+
+
+def _with_first_shape(shape):
+    blocks = _layout_blocks(GOOD_CONFIG)
+    blocks[0] = {**blocks[0], "shape": shape}
+    return {"config": GOOD_CONFIG, "blocks": blocks}
+
+
+# A self-consistent layout of 2**40-wide visual weights; the file has no payload.
+HUGE_CONFIG = {**GOOD_CONFIG, "visual_dim": 2**40}
+HUGE_LAYOUT = {"config": HUGE_CONFIG, "blocks": _layout_blocks(HUGE_CONFIG)}
+
+
 @pytest.mark.parametrize("header", [
     {"blocks": []},
     {"config": GOOD_CONFIG},
@@ -266,11 +285,102 @@ GOOD_CONFIG = TOY_CONFIG.to_json_dict()
     {"config": GOOD_CONFIG, "blocks": [{"name": "w"}]},
     {"config": GOOD_CONFIG, "blocks": [{"name": "w", "shape": [-1, 2]}]},
     {"config": GOOD_CONFIG, "blocks": [{"name": ["w"], "shape": [1]}]},
+    _with_first_shape([3, 2**61]),
+    _with_first_shape([2**40, 2**40]),
+    _with_first_shape([2**28, 2**28]),
+    {"config": GOOD_CONFIG, "blocks": _layout_blocks(GOOD_CONFIG)[1:]},
+    {"config": GOOD_CONFIG, "blocks": _layout_blocks(GOOD_CONFIG)[::-1]},
+    {"config": {**GOOD_CONFIG, "visual_dim": 12.5}, "blocks": []},
+    HUGE_LAYOUT,
+    {"config": {**GOOD_CONFIG, "im_mode": "no"},
+     "blocks": _layout_blocks({**GOOD_CONFIG, "im_mode": True})},
+    {"config": {**GOOD_CONFIG, "dc_loss_weight": float("nan")}, "blocks": _layout_blocks(GOOD_CONFIG)},
+    {"config": {**GOOD_CONFIG, "rel_undetermined_weight": float("inf")},
+     "blocks": _layout_blocks(GOOD_CONFIG)},
 ])
 def test_checkpoint_bad_header_is_checkpoint_error(tmp_path, header):
     path = _checkpoint_with_header(tmp_path / "h.bin", header)
-    with pytest.raises(CheckpointError, match="corrupt header"):
+    # Oversized dims fail before any allocation: a block list that is not
+    # the configuration's layout is a corrupt header, and a layout larger
+    # than the file is a truncated payload.
+    expected = "truncated payload" if header is HUGE_LAYOUT else "corrupt header"
+    with pytest.raises(CheckpointError, match=expected):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoints(tmp_path_factory):
+    """Saved TOY union and IM checkpoints: kind -> (path, file bytes)."""
+    root = tmp_path_factory.mktemp("toy")
+    saved = {}
+    for kind, config in (("union", TOY_CONFIG), ("im", replace(TOY_CONFIG, im_mode=True))):
+        path = root / f"{kind}.bin"
+        save_checkpoint(path, config, build_model(config, np.random.default_rng(0)).parameters())
+        saved[kind] = (path, path.read_bytes())
+    return saved
+
+
+@pytest.mark.parametrize("kind", ["union", "im"])
+def test_load_model_makes_no_random_draw(toy_checkpoints, monkeypatch, kind):
+    from urelnet import model as model_module
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_model drew random values")
+
+    monkeypatch.setattr(model_module, "glorot_uniform", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    path, raw = toy_checkpoints[kind]
+    model = load_model(path)
+    assert raw.endswith(model.parameters().flat.astype("<f8").tobytes())
+    assert not model.gradients().flat.any()
+
+
+@pytest.mark.parametrize("kind", ["union", "im"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_parameter_is_checkpoint_error(toy_checkpoints, tmp_path, kind, value):
+    config, params = load_checkpoint(toy_checkpoints[kind][0])
+    name = sorted(params)[len(params) // 2]
+    params[name].flat[-1] = value
+    path = tmp_path / "bad.bin"
+    save_checkpoint(path, config, params)
+    with pytest.raises(CheckpointError, match=f"non-finite value in parameter block '{name}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["union", "im"])
+def test_checkpoint_large_finite_parameters_load(toy_checkpoints, tmp_path, kind):
+    # Their sum of squares overflows; the per-block scan still admits them.
+    config, params = load_checkpoint(toy_checkpoints[kind][0])
+    name = sorted(params)[0]
+    params[name][...] = 1e300
+    path = tmp_path / "large.bin"
+    save_checkpoint(path, config, params)
+    model = load_model(path)
+    assert np.array_equal(model.parameters()[name], params[name])
+
+
+@pytest.mark.parametrize("kind", ["union", "im"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_bit_flip_fuzz(toy_checkpoints, kind, data):
+    # One flipped bit anywhere: a CheckpointError, or a model whose
+    # parameters are all finite. Half the draws land in the prefix and
+    # header, which are a sixth of the file.
+    path, raw = toy_checkpoints[kind]
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    bit = data.draw(
+        st.integers(0, 8 * (16 + header_len) - 1) | st.integers(0, 8 * len(raw) - 1),
+        label="bit",
+    )
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    target = path.with_name(f"{kind}-flipped.bin")
+    target.write_bytes(bytes(flipped))
+    try:
+        model = load_model(target)
+    except CheckpointError:
+        return
+    assert np.isfinite(model.parameters().flat).all()
 
 
 def test_evaluation_mismatched_model_errors(dataset):
@@ -309,8 +419,6 @@ def test_zero_shot_block_degrades_gracefully(dataset):
 
 
 def test_run_evaluation_scores_once_per_source_and_matches_per_task_loop(dataset, monkeypatch):
-    from dataclasses import replace
-
     from urelnet import evaluation
     from urelnet.evaluation import EvalConfig, ModelScorer, evaluate_scenes
     from urelnet.training import build_extractor
