@@ -20,7 +20,7 @@ from .dataset import load_dataset, save_dataset
 from .errors import UrelnetError, UsageError
 from .evaluation import ModelScorer, predict_scene
 from .features import build_triplet_statistics
-from .model import ALL_MODALS, ModelConfig
+from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem
 from .nn import gradient_check
 from .pairs import generate_for_scene
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -188,6 +188,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     dataset = load_dataset(args.dataset)
     model = load_model(args.checkpoint)
     check_model_compatibility(model.config, dataset)
@@ -220,8 +222,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import make_gradient_check_problem
-
     failures = 0
     worst = 0.0
     for instance in range(args.instances):

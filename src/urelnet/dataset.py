@@ -51,82 +51,82 @@ def _require(condition: bool, message: str) -> None:
         raise DatasetValidationError(message)
 
 
-def _parse_box(raw, where: str) -> BoundingBox:
-    _require(
-        isinstance(raw, list) and len(raw) == 4,
-        f"{where}: box must be a 4-element list, got {raw!r}",
-    )
-    return BoundingBox(*(float(v) for v in raw))
+# Accepted Python types of each JSON kind; booleans are not integers here.
+_KINDS = {"integer": (int,), "number": (int, float), "string": (str,), "list": (list,)}
 
 
-def _parse_scene(raw: dict, vocab: Vocabulary, index: int) -> SceneRecord:
+def _field(raw: dict, key: str, kind: str, where: str):
+    """``raw[key]``, which must be present and a JSON ``kind``."""
+    _require(key in raw, f"{where}: missing field {key!r}")
+    value = raw[key]
     _require(
-        isinstance(raw, dict), f"scene #{index}: expected a JSON object, got {type(raw).__name__}"
+        type(value) in _KINDS[kind],
+        f"{where}: {key} must be a JSON {kind}, got {type(value).__name__}",
     )
-    where = f"scene #{index} ({raw.get('image_id', '?')!r})"
-    for key in ("image_id", "width", "height", "split", "detections", "annotations"):
-        _require(key in raw, f"{where}: missing field {key!r}")
+    return value
+
+
+def _index(raw: dict, key: str, count: int, where: str) -> int:
+    value = _field(raw, key, "integer", where)
+    _require(0 <= value < count, f"{where}: {key} {value} out of range [0, {count})")
+    return value
+
+
+def _parse_box(raw: dict, key: str, where: str) -> BoundingBox:
+    coords = _field(raw, key, "list", where)
+    _require(
+        len(coords) == 4 and all(type(v) in _KINDS["number"] for v in coords),
+        f"{where}: {key} must be a list of 4 numbers, got {coords!r}",
+    )
     try:
-        detections = []
-        for d, det in enumerate(raw["detections"]):
-            dw = f"{where}: detection #{d}"
-            for key in ("box", "category", "confidence", "feature_key"):
-                _require(key in det, f"{dw}: missing field {key!r}")
-            _require(
-                0 <= det["category"] < vocab.object_count,
-                f"{dw}: category {det['category']} out of range [0, {vocab.object_count})",
-            )
-            try:
-                detections.append(
-                    DetectedObject(
-                        box=_parse_box(det["box"], dw),
-                        category=int(det["category"]),
-                        confidence=float(det["confidence"]),
-                        feature_key=str(det["feature_key"]),
-                    )
-                )
-            except (GeometryError, DatasetValidationError) as exc:
-                raise DatasetValidationError(f"{dw}: {exc}") from None
-        annotations = []
-        for a, ann in enumerate(raw["annotations"]):
-            aw = f"{where}: annotation #{a}"
-            for key in ("subject_box", "subject_category", "predicate",
-                        "object_box", "object_category"):
-                _require(key in ann, f"{aw}: missing field {key!r}")
-            _require(
-                0 <= ann["subject_category"] < vocab.object_count,
-                f"{aw}: subject_category {ann['subject_category']} out of range",
-            )
-            _require(
-                0 <= ann["object_category"] < vocab.object_count,
-                f"{aw}: object_category {ann['object_category']} out of range",
-            )
-            _require(
-                0 <= ann["predicate"] < vocab.predicate_count,
-                f"{aw}: predicate {ann['predicate']} out of range",
-            )
-            try:
-                annotations.append(
-                    AnnotatedTriplet(
-                        subject_box=_parse_box(ann["subject_box"], aw),
-                        subject_category=int(ann["subject_category"]),
-                        predicate=int(ann["predicate"]),
-                        object_box=_parse_box(ann["object_box"], aw),
-                        object_category=int(ann["object_category"]),
-                    )
-                )
-            except (GeometryError, DatasetValidationError) as exc:
-                raise DatasetValidationError(f"{aw}: {exc}") from None
+        return BoundingBox(*coords)
+    except GeometryError as exc:
+        raise DatasetValidationError(f"{where}: {exc}") from None
+
+
+def _parse_detection(raw, vocab: Vocabulary, where: str) -> DetectedObject:
+    _require(isinstance(raw, dict), f"{where}: expected a JSON object, got {type(raw).__name__}")
+    box = _parse_box(raw, "box", where)
+    category = _index(raw, "category", vocab.object_count, where)
+    confidence = _field(raw, "confidence", "number", where)
+    feature_key = _field(raw, "feature_key", "string", where)
+    try:
+        return DetectedObject(box, category, confidence, feature_key)
+    except DatasetValidationError as exc:
+        raise DatasetValidationError(f"{where}: {exc}") from None
+
+
+def _parse_annotation(raw, vocab: Vocabulary, where: str) -> AnnotatedTriplet:
+    _require(isinstance(raw, dict), f"{where}: expected a JSON object, got {type(raw).__name__}")
+    return AnnotatedTriplet(
+        subject_box=_parse_box(raw, "subject_box", where),
+        subject_category=_index(raw, "subject_category", vocab.object_count, where),
+        predicate=_index(raw, "predicate", vocab.predicate_count, where),
+        object_box=_parse_box(raw, "object_box", where),
+        object_category=_index(raw, "object_category", vocab.object_count, where),
+    )
+
+
+def _parse_scene(raw, vocab: Vocabulary, index: int) -> SceneRecord:
+    _require(isinstance(raw, dict), f"scene #{index}: expected a JSON object, got {type(raw).__name__}")
+    where = f"scene #{index} ({raw.get('image_id', '?')!r})"
+    try:
         return SceneRecord(
-            image_id=str(raw["image_id"]),
-            width=float(raw["width"]),
-            height=float(raw["height"]),
-            detections=tuple(detections),
-            annotations=tuple(annotations),
-            split=str(raw["split"]),
+            image_id=_field(raw, "image_id", "string", where),
+            width=_field(raw, "width", "number", where),
+            height=_field(raw, "height", "number", where),
+            detections=tuple(
+                _parse_detection(det, vocab, f"{where}: detection #{d}")
+                for d, det in enumerate(_field(raw, "detections", "list", where))
+            ),
+            annotations=tuple(
+                _parse_annotation(ann, vocab, f"{where}: annotation #{a}")
+                for a, ann in enumerate(_field(raw, "annotations", "list", where))
+            ),
+            split=_field(raw, "split", "string", where),
         )
-    except (TypeError, ValueError) as exc:
-        raise DatasetValidationError(f"{where}: malformed value ({exc})") from None
+    except OverflowError:  # an integer beyond the float range
+        raise DatasetValidationError(f"{where}: number too large for a float") from None
 
 
 def load_dataset(path) -> Dataset:
@@ -141,10 +141,13 @@ def load_dataset(path) -> Dataset:
         raise IngestionError(f"dataset file not found: {doc_path}") from None
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{doc_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise DatasetParseError(f"{doc_path}: {exc}") from None
     _require(isinstance(raw, dict), f"{doc_path}: expected a JSON object, got {type(raw).__name__}")
+    version = raw.get("schema_version")
     _require(
-        raw.get("schema_version") == SCHEMA_VERSION,
-        f"unsupported schema_version {raw.get('schema_version')!r}",
+        type(version) is int and version == SCHEMA_VERSION,
+        f"unsupported schema_version {version!r}",
     )
     vocab_raw = raw.get("vocabulary", {})
     _require(isinstance(vocab_raw, dict), "vocabulary must be a JSON object")
@@ -163,12 +166,18 @@ def load_dataset(path) -> Dataset:
     ids = [s.image_id for s in scenes]
     _require(len(set(ids)) == len(ids), "duplicate image_id values in dataset")
 
-    features = FeatureStore.from_files(
-        root / raw.get("features_file", FEATURES_FILE),
-        root / raw.get("features_index_file", FEATURES_INDEX_FILE),
+    # File names default to the standard ones; no embeddings_file, no table.
+    files = {"features_file": FEATURES_FILE, "features_index_file": FEATURES_INDEX_FILE,
+             "embeddings_file": "", **raw}
+    features_name, index_name, emb_name = (
+        _field(files, key, "string", str(doc_path))
+        for key in ("features_file", "features_index_file", "embeddings_file")
     )
-    declared_dim = raw.get("feature_dim")
-    if declared_dim is not None and int(declared_dim) != features.dim:
+    declared_dim = None
+    if "feature_dim" in raw:
+        declared_dim = _field(raw, "feature_dim", "integer", str(doc_path))
+    features = FeatureStore.from_files(root / features_name, root / index_name)
+    if declared_dim is not None and declared_dim != features.dim:
         raise DatasetValidationError(
             f"feature_dim {declared_dim} does not match feature file dim {features.dim}"
         )
@@ -180,7 +189,6 @@ def load_dataset(path) -> Dataset:
                     f"missing feature {det.feature_key!r}"
                 )
     embeddings = None
-    emb_name = raw.get("embeddings_file")
     if emb_name:
         embeddings = EmbeddingTable.from_file(root / emb_name)
     return Dataset(vocabulary=vocab, scenes=scenes, features=features, embeddings=embeddings)

@@ -14,6 +14,7 @@ ranking, cut at the largest N that reads it.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, UndefinedMetricError, UsageError
 from .features import FeatureExtractor
+from .model import required_streams
 from .pairs import ObjectPair, generate_for_scene, gt_pairs_for_scene
 from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, iou, union_box
 
@@ -83,8 +85,6 @@ class ModelScorer:
     consumes, runs forward, and multiplies in the detector confidences."""
 
     def __init__(self, model, extractor: FeatureExtractor):
-        from .model import required_streams
-
         self.model = model
         self.extractor = extractor
         self.streams = required_streams(model.config)
@@ -104,8 +104,6 @@ class UniformRandomScorer:
         self.seed = seed
 
     def __call__(self, pairs: Sequence[ObjectPair], scene: SceneRecord) -> np.ndarray:
-        import zlib
-
         image_seed = zlib.crc32(scene.image_id.encode("utf-8"))
         rng = np.random.default_rng((self.seed, image_seed))
         return rng.uniform(size=(len(pairs), self.predicate_count))
@@ -136,6 +134,8 @@ def predict_scene(
     ``_limit`` keeps only the first that many ranked triplets; evaluation
     passes the largest N it reads.
     """
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
     pairs = candidate_pairs(scene, task, predicate_count)
     if not pairs:
         return PredictionSet(scene.image_id, [])

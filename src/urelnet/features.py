@@ -4,19 +4,24 @@ Visual vectors are ingested from a feature store, never computed here.
 Spatial features are the 8 closed-form union-relative box offsets. The
 internal linguistic feature is a smoothed predicate distribution estimated
 from training-set triplet frequencies; the external one averages word
-vectors of the (lowercased) category name tokens.
+vectors of the (lowercased) category name tokens. Both depend only on
+categories, so each is tabulated once, (N, N, M) internal and (N, E)
+external, and a batch of pairs reads them with one index gather.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from .pairs import ObjectPair
-from .scene import BoundingBox, SceneRecord, Vocabulary
+from .scene import BoundingBox, SceneRecord, Vocabulary, box_array
 
 SPATIAL_DIM = 8
 
@@ -62,10 +67,7 @@ def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
 
 def spatial_features(subject: BoundingBox, obj: BoundingBox) -> np.ndarray:
     """The 8-vector of ``spatial_rows`` for one (subject, object) pair."""
-    return spatial_rows(
-        np.array([subject.as_tuple()], dtype=np.float64),
-        np.array([obj.as_tuple()], dtype=np.float64),
-    )[0]
+    return spatial_rows(box_array([subject]), box_array([obj]))[0]
 
 
 @dataclass
@@ -80,10 +82,6 @@ class TripletStatistics:
             raise DimensionError(f"counts must be (N, M, N), got {self.counts.shape}")
         if (self.counts < 0).any():
             raise DatasetValidationError("negative triplet counts")
-        # Marginals used by the smoothed factorization.
-        self.predicate_totals = self.counts.sum(axis=(0, 2))
-        self.subject_predicate = self.counts.sum(axis=2)
-        self.predicate_object = self.counts.sum(axis=0)
         self.total = int(self.counts.sum())
 
     @property
@@ -93,6 +91,23 @@ class TripletStatistics:
     @property
     def predicate_count(self) -> int:
         return self.counts.shape[1]
+
+    @cached_property
+    def internal_table(self) -> np.ndarray:
+        """(N, N, M) read-only table of ``internal_linguistic`` for every
+        (subject, object) category pair, built on first use."""
+        n, m = self.object_count, self.predicate_count
+        cp = self.counts.sum(axis=(0, 2)).astype(np.float64)
+        prior = (cp + 1.0) / (self.total + m)
+        subj = (self.counts.sum(axis=2) + 1.0) / (cp + n)
+        obj = (self.counts.sum(axis=0).T + 1.0) / (cp + n)
+        raw = ((prior * subj)[:, None, :] * obj[None, :, :]).reshape(n * n, m)
+        # Each row by its own 1-D sum: a sum over the last axis of the whole
+        # array adds in another order and can differ in the last bit.
+        sums = np.array([row.sum() for row in raw])
+        table = (raw / sums[:, None]).reshape(n, n, m)
+        table.flags.writeable = False
+        return table
 
     def triplet_types(self) -> Set[Tuple[int, int, int]]:
         s, p, o = np.nonzero(self.counts)
@@ -137,21 +152,15 @@ def build_triplet_statistics(
                 "statistics are built from the train split only"
             )
         for ann in scene.annotations:
-            if not (0 <= ann.subject_category < vocab.object_count):
-                raise IngestionError(
-                    f"scene {scene.image_id!r}: subject category {ann.subject_category} "
-                    f"out of range [0, {vocab.object_count})"
-                )
-            if not (0 <= ann.object_category < vocab.object_count):
-                raise IngestionError(
-                    f"scene {scene.image_id!r}: object category {ann.object_category} "
-                    f"out of range [0, {vocab.object_count})"
-                )
-            if not (0 <= ann.predicate < vocab.predicate_count):
-                raise IngestionError(
-                    f"scene {scene.image_id!r}: predicate {ann.predicate} "
-                    f"out of range [0, {vocab.predicate_count})"
-                )
+            for what, value, count in (
+                ("subject category", ann.subject_category, vocab.object_count),
+                ("object category", ann.object_category, vocab.object_count),
+                ("predicate", ann.predicate, vocab.predicate_count),
+            ):
+                if not 0 <= value < count:
+                    raise IngestionError(
+                        f"scene {scene.image_id!r}: {what} {value} out of range [0, {count})"
+                    )
             counts[ann.subject_category, ann.predicate, ann.object_category] += 1
     return TripletStatistics(counts)
 
@@ -165,17 +174,12 @@ def internal_linguistic(
     on every factor, renormalized; smoothing keeps unseen category pairs
     strictly positive.
     """
-    n, m = stats.object_count, stats.predicate_count
+    n = stats.object_count
     if not (0 <= subject_category < n and 0 <= object_category < n):
         raise IngestionError(
             f"category pair ({subject_category}, {object_category}) out of range [0, {n})"
         )
-    cp = stats.predicate_totals.astype(np.float64)
-    prior = (cp + 1.0) / (stats.total + m)
-    subj = (stats.subject_predicate[subject_category] + 1.0) / (cp + n)
-    obj = (stats.predicate_object[:, object_category] + 1.0) / (cp + n)
-    raw = prior * subj * obj
-    return raw / raw.sum()
+    return stats.internal_table[subject_category, object_category]
 
 
 class EmbeddingTable:
@@ -198,8 +202,8 @@ class EmbeddingTable:
         dim = None
         try:
             fh = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            raise IngestionError(f"embedding file not found: {path}") from None
+        except (OSError, ValueError) as exc:
+            raise IngestionError(f"embedding file not found or unreadable: {exc}") from None
         with fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
@@ -285,19 +289,17 @@ class FeatureStore:
     def from_files(cls, data_path, index_path) -> "FeatureStore":
         """Load and validate a store: every index row must be in range and
         every feature value finite."""
-        import json
-
         try:
             with open(index_path, "r", encoding="utf-8") as fh:
                 index = json.load(fh)
-            dim = int(index["dim"])
-            if dim <= 0:
-                raise ValueError(f"dim must be positive, got {dim}")
+            dim = index["dim"]
+            if type(dim) is not int or dim <= 0:
+                raise ValueError(f"dim must be a positive integer, got {dim!r}")
             keys = index["keys"]
             count = len(keys)
             bad = [k for k, row in keys.items() if type(row) is not int or not 0 <= row < count]
-        except FileNotFoundError:
-            raise IngestionError(f"feature index file not found: {index_path}") from None
+        except OSError as exc:
+            raise IngestionError(f"feature index file not found or unreadable: {exc}") from None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"{index_path}: malformed feature index ({exc!r})") from None
         if bad:
@@ -307,8 +309,8 @@ class FeatureStore:
             )
         try:
             flat = np.fromfile(data_path, dtype="<f8")
-        except FileNotFoundError:
-            raise IngestionError(f"feature file not found: {data_path}") from None
+        except (OSError, ValueError) as exc:
+            raise IngestionError(f"feature file not found or unreadable: {exc}") from None
         expected = count * dim
         if flat.size != expected:
             raise IngestionError(
@@ -333,8 +335,6 @@ class FeatureStore:
         return cls(dim, vectors)
 
     def save(self, data_path, index_path) -> None:
-        import json
-
         keys = sorted(self.vectors)
         rows = np.stack([self.vectors[k] for k in keys]) if keys else np.zeros((0, self.dim))
         rows.astype("<f8").tofile(data_path)
@@ -378,11 +378,21 @@ class FeatureMatrix:
         )
 
 
+def _categories(pairs: Sequence[ObjectPair], role: str, count: int) -> np.ndarray:
+    """Every pair's ``role`` ("subject" or "object") category, checked against [0, count)."""
+    categories = np.array(list(map(attrgetter(f"{role}.category"), pairs)), dtype=np.intp)
+    bad = categories[(categories < 0) | (categories >= count)]
+    if bad.size:
+        raise IngestionError(f"{role} category {bad[0]} out of range [0, {count})")
+    return categories
+
+
 class FeatureExtractor:
     """Assembles batched feature matrices from the store, statistics, and embeddings.
 
-    Internal linguistic vectors depend only on the category pair and are
-    cached, as are per-category external embeddings.
+    The linguistic streams are row gathers from two tables indexed by
+    category: the statistics' (N, N, M) internal table, and an (N, E) table
+    of external embeddings built here once.
     """
 
     def __init__(
@@ -394,56 +404,36 @@ class FeatureExtractor:
     ):
         self.store = store
         self.stats = stats
-        self.embeddings = embeddings
-        self.vocab = vocab
-        self._internal_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._external_cache: Dict[int, np.ndarray] = {}
-
-    @property
-    def visual_dim(self) -> int:
-        return self.store.dim
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.embeddings.dim if self.embeddings is not None else 0
-
-    def _internal(self, subject_category: int, object_category: int) -> np.ndarray:
-        key = (subject_category, object_category)
-        if key not in self._internal_cache:
-            self._internal_cache[key] = internal_linguistic(self.stats, *key)
-        return self._internal_cache[key]
-
-    def _external(self, category: int) -> np.ndarray:
-        if category not in self._external_cache:
-            if self.embeddings is None:
-                raise IngestionError(
-                    "external linguistic features requested but no embedding table loaded"
-                )
-            name = self.vocab.object_names[category]
-            self._external_cache[category] = external_linguistic(self.embeddings, name)
-        return self._external_cache[category]
+        self._external_table = None if embeddings is None else np.stack(
+            [external_linguistic(embeddings, name) for name in vocab.object_names]
+        )
 
     def _stream(self, name: str, pairs, scene) -> np.ndarray:
         if name == "spatial":
             return spatial_rows(
-                np.array([p.subject.box.as_tuple() for p in pairs], dtype=np.float64),
-                np.array([p.object.box.as_tuple() for p in pairs], dtype=np.float64),
+                box_array(p.subject.box for p in pairs), box_array(p.object.box for p in pairs)
             )
+        if name == "internal":
+            n = self.stats.object_count
+            return self.stats.internal_table[
+                _categories(pairs, "subject", n), _categories(pairs, "object", n)
+            ]
+        if name in ("external_subject", "external_object"):
+            if self._external_table is None:
+                raise IngestionError(
+                    "external linguistic features requested but no embedding table loaded"
+                )
+            role = name[len("external_") :]
+            return self._external_table[_categories(pairs, role, len(self._external_table))]
         if name == "visual_subject":
             rows = [self._visual(p.subject.feature_key, p, scene) for p in pairs]
         elif name == "visual_object":
             rows = [self._visual(p.object.feature_key, p, scene) for p in pairs]
         elif name == "visual_union":
             rows = [self._visual(p.union_feature_key, p, scene) for p in pairs]
-        elif name == "external_subject":
-            rows = [self._external(p.subject.category) for p in pairs]
-        elif name == "external_object":
-            rows = [self._external(p.object.category) for p in pairs]
-        elif name == "internal":
-            rows = [self._internal(p.subject.category, p.object.category) for p in pairs]
         else:
             raise DimensionError(f"unknown feature stream {name!r}")
-        return np.stack(rows)
+        return np.stack(rows) if rows else np.zeros((0, self.store.dim))
 
     def _visual(self, key, pair, scene) -> np.ndarray:
         if key is None:
@@ -453,15 +443,6 @@ class FeatureExtractor:
             )
         return self.store.vector(key)
 
-    def _stream_dim(self, name: str) -> int:
-        if name.startswith("visual"):
-            return self.visual_dim
-        if name == "spatial":
-            return SPATIAL_DIM
-        if name.startswith("external"):
-            return self.embedding_dim
-        return self.stats.predicate_count
-
     def matrix(
         self,
         pairs: Sequence[ObjectPair],
@@ -470,10 +451,4 @@ class FeatureExtractor:
     ) -> FeatureMatrix:
         """Stacked rows for the requested streams (all of them by default)."""
         names = list(streams) if streams is not None else list(STREAMS)
-        if not pairs:
-            return FeatureMatrix(
-                {name: np.zeros((0, self._stream_dim(name))) for name in names}
-            )
-        return FeatureMatrix(
-            {name: self._stream(name, pairs, scene) for name in names}
-        )
+        return FeatureMatrix({name: self._stream(name, pairs, scene) for name in names})

@@ -1,17 +1,23 @@
 """Determinate / undetermined pair generation and batch sampling.
 
-Every ordered pair of detected objects is compared against the scene's
-annotations: a pair is determinate only if some annotation has the same
-subject and object category labels and both box IoUs exceed 0.5 (strict).
-Determinate pairs accumulate the predicates of every matching annotation
-(multi-hot labels); everything else is undetermined with all-zero labels.
+Every ordered pair of objects is compared against the scene's annotations
+by one builder, from two (objects x annotations) role matrices: "object i
+can be annotation k's subject" and "... its object". Pair (i, j) matches
+annotation k iff both hold. For detections the roles are the paper's
+criterion: the same category label and a box IoU above 0.5 (strict), all
+IoUs of a scene computed at once. For ground-truth objects a role is
+identity with the annotation's box and category. A pair is determinate iff
+it matches some annotation and accumulates the predicates of every one it
+matches (multi-hot labels); everything else is undetermined with all-zero
+labels.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -20,8 +26,9 @@ from .scene import (
     AnnotatedTriplet,
     DetectedObject,
     SceneRecord,
-    enumerate_pairs,
-    iou,
+    box_array,
+    iou_rows,
+    pair_indices,
 )
 
 # Generator threshold is strict (> 0.5); evaluation uses inclusive >= 0.5.
@@ -56,13 +63,52 @@ class ObjectPair:
         return self.status is PairStatus.DETERMINATE
 
 
-def _matches(subject: DetectedObject, obj: DetectedObject, ann: AnnotatedTriplet) -> bool:
-    return (
-        subject.category == ann.subject_category
-        and obj.category == ann.object_category
-        and iou(subject.box, ann.subject_box) > GENERATOR_IOU_THRESHOLD
-        and iou(obj.box, ann.object_box) > GENERATOR_IOU_THRESHOLD
-    )
+def _build_pairs(
+    objects: Sequence[DetectedObject],
+    can_be_subject: np.ndarray,
+    can_be_object: np.ndarray,
+    annotations: Sequence[AnnotatedTriplet],
+    predicate_count: int,
+    union_key: Callable[[int, int], str | None],
+    annotated_only: bool = False,
+) -> List[ObjectPair]:
+    """Label every ordered pair (i, j) of ``objects``, in ``pair_indices``
+    order: it matches annotation k iff ``can_be_subject[i, k]`` and
+    ``can_be_object[j, k]``. ``annotated_only`` keeps the determinate pairs."""
+    subjects, objs = pair_indices(len(objects))
+    hits = can_be_subject[subjects] & can_be_object[objs]  # (pairs, annotations)
+    rows, ks = np.nonzero(hits)
+    predicates = np.array([a.predicate for a in annotations], dtype=np.intp)
+    labels = np.zeros((len(subjects), predicate_count), dtype=np.float64)
+    labels[rows, predicates[ks]] = 1.0
+    matched = [()] * len(subjects)
+    for row, k in zip(rows.tolist(), ks.tolist()):
+        matched[row] += (k,)
+    out = []
+    for p, (i, j) in enumerate(zip(subjects.tolist(), objs.tolist())):
+        if annotated_only and not matched[p]:
+            continue
+        status = PairStatus.DETERMINATE if matched[p] else PairStatus.UNDETERMINED
+        out.append(
+            ObjectPair(i, j, objects[i], objects[j], status, labels[p], matched[p], union_key(i, j))
+        )
+    return out
+
+
+def _role_objects(annotations: Sequence[AnnotatedTriplet]) -> list:
+    """(box, category) of every annotation's subject, then of every object."""
+    return [(a.subject_box, a.subject_category) for a in annotations] + [
+        (a.object_box, a.object_category) for a in annotations
+    ]
+
+
+def _detection_roles(objects: Sequence[DetectedObject], annotations: Sequence[AnnotatedTriplet]):
+    """The generator criterion as role matrices: same category and IoU > 0.5."""
+    roles = _role_objects(annotations)
+    categories = np.array([o.category for o in objects])[:, None]
+    same_category = categories == np.array([category for _, category in roles])
+    overlaps = iou_rows(box_array(o.box for o in objects), box_array(box for box, _ in roles))
+    return np.hsplit(same_category & (overlaps > GENERATOR_IOU_THRESHOLD), 2)
 
 
 def classify_pair(
@@ -80,23 +126,10 @@ def classify_pair(
     category labels and both IoUs; the label vector takes the union of the
     predicates of all matching annotations.
     """
-    labels = np.zeros(predicate_count, dtype=np.float64)
-    matched = []
-    for k, ann in enumerate(annotations):
-        if _matches(subject, obj, ann):
-            labels[ann.predicate] = 1.0
-            matched.append(k)
-    status = PairStatus.DETERMINATE if matched else PairStatus.UNDETERMINED
-    return ObjectPair(
-        subject_index=subject_index,
-        object_index=object_index,
-        subject=subject,
-        object=obj,
-        status=status,
-        predicate_labels=labels,
-        matched_annotations=tuple(matched),
-        union_feature_key=union_feature_key,
-    )
+    objects = (subject, obj)
+    roles = _detection_roles(objects, annotations)
+    pair = _build_pairs(objects, *roles, annotations, predicate_count, lambda *_: union_feature_key)
+    return replace(pair[0], subject_index=subject_index, object_index=object_index)
 
 
 def detection_union_key(image_id: str, i: int, j: int) -> str:
@@ -113,32 +146,13 @@ def gt_feature_key(image_id: str, i: int) -> str:
 
 def generate_for_scene(scene: SceneRecord, predicate_count: int) -> List[ObjectPair]:
     """One ObjectPair per ordered detection pair, in enumeration order."""
-    out = []
-    for i, j in enumerate_pairs(scene.detections):
-        out.append(
-            classify_pair(
-                scene.detections[i],
-                scene.detections[j],
-                scene.annotations,
-                predicate_count,
-                subject_index=i,
-                object_index=j,
-                union_feature_key=detection_union_key(scene.image_id, i, j),
-            )
-        )
-    return out
-
-
-def _gt_detections(scene: SceneRecord) -> List[DetectedObject]:
-    return [
-        DetectedObject(
-            box=box,
-            category=cat,
-            confidence=1.0,
-            feature_key=gt_feature_key(scene.image_id, idx),
-        )
-        for idx, (box, cat) in enumerate(scene.gt_objects())
-    ]
+    return _build_pairs(
+        scene.detections,
+        *_detection_roles(scene.detections, scene.annotations),
+        scene.annotations,
+        predicate_count,
+        partial(detection_union_key, scene.image_id),
+    )
 
 
 def gt_pairs_for_scene(
@@ -146,41 +160,27 @@ def gt_pairs_for_scene(
 ) -> List[ObjectPair]:
     """Pairs built from ground-truth objects with confidence 1.0.
 
-    With ``annotated_only`` (the ground-truth training mode used for the
-    predicate task) only pairs backed by at least one annotation are kept,
-    all of them determinate; otherwise every ordered pair is returned.
+    An object stands in for an annotation's subject (object) iff it is that
+    annotation's subject (object) box and category. With ``annotated_only``
+    (the ground-truth training mode used for the predicate task) only pairs
+    backed by at least one annotation are kept, all of them determinate;
+    otherwise every ordered pair is returned.
     """
-    objects = _gt_detections(scene)
-    pairs = []
-    for i, j in enumerate_pairs(objects):
-        subject, obj = objects[i], objects[j]
-        labels = np.zeros(predicate_count, dtype=np.float64)
-        matched = []
-        for k, ann in enumerate(scene.annotations):
-            if (
-                ann.subject_box == subject.box
-                and ann.subject_category == subject.category
-                and ann.object_box == obj.box
-                and ann.object_category == obj.category
-            ):
-                labels[ann.predicate] = 1.0
-                matched.append(k)
-        if annotated_only and not matched:
-            continue
-        status = PairStatus.DETERMINATE if matched else PairStatus.UNDETERMINED
-        pairs.append(
-            ObjectPair(
-                subject_index=i,
-                object_index=j,
-                subject=subject,
-                object=obj,
-                status=status,
-                predicate_labels=labels,
-                matched_annotations=tuple(matched),
-                union_feature_key=gt_union_key(scene.image_id, i, j),
-            )
-        )
-    return pairs
+    gt = scene.gt_objects()
+    position = {(box.as_tuple(), cat): i for i, (box, cat) in enumerate(gt)}
+    roles = [position[box.as_tuple(), cat] for box, cat in _role_objects(scene.annotations)]
+    objects = [
+        DetectedObject(box, cat, 1.0, feature_key=gt_feature_key(scene.image_id, i))
+        for i, (box, cat) in enumerate(gt)
+    ]
+    return _build_pairs(
+        objects,
+        *np.hsplit(np.arange(len(gt))[:, None] == np.array(roles, dtype=np.intp), 2),
+        scene.annotations,
+        predicate_count,
+        partial(gt_union_key, scene.image_id),
+        annotated_only=annotated_only,
+    )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DatasetValidationError, GeometryError
 
@@ -69,6 +71,23 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """(n, 4) float64 rows of (x_min, y_min, x_max, y_max)."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) IoU of every row of ``a`` (n, 4) with every row of ``b`` (m, 4),
+    in the operation order of ``iou``, so every entry equals it bit for bit."""
+    a, b = a[:, None, :], b[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
+
+
 def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
     """Smallest axis-aligned box containing both inputs."""
     return BoundingBox(
@@ -79,14 +98,16 @@ def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
     )
 
 
-def enumerate_pairs(detections: Sequence) -> List[Tuple[int, int]]:
-    """All ordered index pairs (i, j), i != j, lexicographic order.
+def pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Subject and object indices of all n * (n - 1) ordered pairs (i, j),
+    i != j, in lexicographic order; (i, j) and (j, i) swap the roles."""
+    return np.nonzero(~np.eye(n, dtype=bool))
 
-    Pair order matters: (i, j) and (j, i) carry different subject/object
-    roles, so both are produced (n * (n - 1) pairs).
-    """
-    n = len(detections)
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+def enumerate_pairs(detections: Sequence) -> List[Tuple[int, int]]:
+    """``pair_indices`` of the sequence as a list of (i, j) tuples."""
+    subjects, objects = pair_indices(len(detections))
+    return list(zip(subjects.tolist(), objects.tolist()))
 
 
 @dataclass(frozen=True)
@@ -149,9 +170,9 @@ class SceneRecord:
             raise DatasetValidationError(
                 f"scene {self.image_id!r}: split {self.split!r} not in {SPLITS}"
             )
-        if not (self.width > 0 and self.height > 0):
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise DatasetValidationError(
-                f"scene {self.image_id!r}: non-positive image size"
+                f"scene {self.image_id!r}: image size must be positive and finite"
             )
         for kind, boxes in (
             ("detection", [d.box for d in self.detections]),
@@ -181,9 +202,7 @@ class SceneRecord:
                 (ann.subject_box, ann.subject_category),
                 (ann.object_box, ann.object_category),
             ):
-                key = (box.as_tuple(), cat)
-                if key not in seen:
-                    seen[key] = (box, cat)
+                seen.setdefault((box.as_tuple(), cat), (box, cat))
         return list(seen.values())
 
 

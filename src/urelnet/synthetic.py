@@ -27,6 +27,7 @@ from .scene import (
     DetectedObject,
     SceneRecord,
     Vocabulary,
+    enumerate_pairs,
     union_box,
 )
 
@@ -315,20 +316,15 @@ def _scene_features(
         ([d.box for d in scene.detections], detection_union_key),
         ([b for b, _ in gt_objects], gt_union_key),
     ):
-        for i in range(len(boxes)):
-            for j in range(len(boxes)):
-                if i == j:
-                    continue
-                u = union_box(boxes[i], boxes[j])
-                store.add(
-                    key_fn(scene.image_id, i, j),
-                    _hash_vector(
-                        seed,
-                        f"{scene.image_id}|union|{_box_tag(u)}",
-                        config.visual_dim,
-                        config.visual_noise,
-                    ),
-                )
+        for i, j in enumerate_pairs(boxes):
+            u = union_box(boxes[i], boxes[j])
+            store.add(
+                key_fn(scene.image_id, i, j),
+                _hash_vector(
+                    seed, f"{scene.image_id}|union|{_box_tag(u)}",
+                    config.visual_dim, config.visual_noise,
+                ),
+            )
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:

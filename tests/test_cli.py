@@ -266,3 +266,61 @@ def test_non_object_dataset_json_is_one_json_error_line(tmp_path, capsys, docume
     error = _single_error_line(capsys)
     assert error["category"] == "validation-error"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("features_file",), 5, "features_file must be a JSON string"),
+        (("embeddings_file",), 5, "embeddings_file must be a JSON string"),
+        (("feature_dim",), "abc", "feature_dim must be a JSON integer"),
+        (("feature_dim",), 24.7, "feature_dim must be a JSON integer"),
+        (("feature_dim",), True, "feature_dim must be a JSON integer"),
+        (("feature_dim",), 0, "feature_dim 0 does not match"),
+        (("scenes", 0, "detections", 0, "category"), 1.5, "category must be a JSON integer"),
+        (("scenes", 0, "detections", 0, "category"), True, "category must be a JSON integer"),
+        (("scenes", 0, "annotations", 0, "predicate"), 1.5, "predicate must be a JSON integer"),
+        (("scenes", 0, "detections", 0, "confidence"), "0.9", "confidence must be a JSON number"),
+        (("scenes", 0, "detections", 0, "feature_key"), 3, "feature_key must be a JSON string"),
+        (("scenes", 0, "detections", 0, "box", 1), "2", "box must be a list of 4 numbers"),
+        (("scenes", 0, "image_id"), ["a"], "image_id must be a JSON string"),
+        (("scenes", 0, "split"), 0, "split must be a JSON string"),
+        (("scenes", 0, "width"), False, "width must be a JSON number"),
+        (("scenes", 0, "width"), 10**400, "number too large for a float"),
+        (("scenes", 0, "width"), 1e400, "positive and finite"),
+    ],
+    ids=["features-file-int", "embeddings-file-int", "feature-dim-string",
+         "feature-dim-fraction", "feature-dim-bool", "feature-dim-zero", "category-fraction", "category-bool",
+         "predicate-fraction", "confidence-string", "feature-key-int", "coordinate-string",
+         "image-id-list", "split-int", "width-bool", "width-huge-int", "width-infinite"],
+)
+def test_wrong_typed_dataset_field_is_one_json_error_line(
+    workspace, capsys, tmp_path, path, value, message
+):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    doc = json.loads((ds / "dataset.json").read_text(encoding="utf-8"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    (ds / "dataset.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["build-stats", "--dataset", str(ds)]) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "validation-error"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--k", "-1"], ["--k", "0"], ["--top", "-1"], ["--top", "0"]],
+    ids=["k-negative", "k-zero", "top-negative", "top-zero"],
+)
+def test_bad_predict_arguments_are_usage_errors(workspace, capsys, bad):
+    code = main([
+        "predict", "--dataset", str(workspace / "ds"),
+        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+        "--image-id", "synth-test-0000",
+    ] + bad)
+    assert code == 1
+    assert _single_error_line(capsys)["category"] == "usage-error"

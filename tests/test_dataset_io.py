@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urelnet.dataset import Dataset, load_dataset, save_dataset
 from urelnet.errors import (
@@ -126,6 +130,27 @@ def test_parse_error_reports_position(tmp_path):
         load_dataset(target)
 
 
+def test_non_utf8_dataset_json_is_parse_error(tmp_path):
+    target = tmp_path / "ds"
+    save_dataset(minimal_dataset(), target)
+    (target / "dataset.json").write_bytes(b"\xff" + (target / "dataset.json").read_bytes())
+    with pytest.raises(DatasetParseError, match="utf-8"):
+        load_dataset(target)
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [("features_file", "."), ("features_index_file", "."), ("embeddings_file", "."),
+     ("features_file", "a\x00b"), ("embeddings_file", "a\x00b")],
+)
+def test_unreadable_named_file_is_ingestion_error(tmp_path, key, name):
+    def mutate(doc):
+        doc[key] = name
+
+    with pytest.raises(IngestionError, match="not found or unreadable"):
+        load_dataset(_write_and_mutate(tmp_path, mutate))
+
+
 def test_missing_dataset_file(tmp_path):
     with pytest.raises(IngestionError, match="not found"):
         load_dataset(tmp_path / "nope")
@@ -138,3 +163,67 @@ def test_truncated_feature_file(tmp_path):
     (target / "features.bin").write_bytes(data[:-8])
     with pytest.raises(IngestionError, match="expected"):
         load_dataset(target)
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, float) and not value.is_integer():
+        return "fraction"
+    return type(value).__name__
+
+
+def _value_paths(doc, prefix=()):
+    """Every key or index path under the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: not f.is_integer()),
+    st.text(max_size=8),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_minimal(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "ds"
+    save_dataset(minimal_dataset(), root)
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dataset_json_wrong_type_fuzz(saved_minimal, data):
+    # One value anywhere replaced by a value of another JSON kind: build-stats
+    # succeeds or exits 1 with exactly one JSON error line, never a traceback.
+    from urelnet.cli import main
+
+    doc_path = saved_minimal / "dataset.json"
+    original = doc_path.read_bytes()
+    doc = json.loads(original)
+    path = data.draw(st.sampled_from(sorted(_value_paths(doc), key=repr)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(
+        _JSON_VALUES.filter(lambda v: _json_kind(v) != _json_kind(target[path[-1]]))
+    )
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["build-stats", "--dataset", str(saved_minimal)])
+    finally:
+        doc_path.write_bytes(original)
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"category", "message"}

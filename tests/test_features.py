@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -414,6 +415,8 @@ def test_feature_store_missing_index(tmp_path):
     '{"dim": 3}',
     '{"dim": 0, "keys": {}}',
     '{"dim": "three", "keys": {"k0": 0, "k1": 1}}',
+    '{"dim": true, "keys": {"k0": 0, "k1": 1}}',
+    '{"dim": 3.0, "keys": {"k0": 0, "k1": 1}}',
     '{"dim": 3, "keys": ["k0", "k1"]}',
 ])
 def test_feature_store_malformed_index(tmp_path, text):
@@ -429,3 +432,87 @@ def test_embedding_file_rejects_non_finite(tmp_path, value):
     path.write_text(f"a 1.0 2.0\nb 1.0 {value}\n", encoding="utf-8")
     with pytest.raises(IngestionError, match="line 2: non-finite"):
         EmbeddingTable.from_file(path)
+
+
+def _per_pair_internal(stats, s, o):
+    """The smoothed factorization for one category pair, as evaluated one
+    pair at a time."""
+    n, m = stats.object_count, stats.predicate_count
+    cp = stats.counts.sum(axis=(0, 2)).astype(np.float64)
+    prior = (cp + 1.0) / (stats.total + m)
+    subj = (stats.counts.sum(axis=2)[s] + 1.0) / (cp + n)
+    obj = (stats.counts.sum(axis=0)[:, o] + 1.0) / (cp + n)
+    raw = prior * subj * obj
+    return raw / raw.sum()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (20, 8), (7, 9), (6, 70), (4, 130)])
+def test_internal_table_bit_identical_to_per_pair_formula(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    counts = rng.integers(0, 6, size=(n, m, n)) * (rng.random((n, m, n)) < 0.3)
+    stats = TripletStatistics(counts)
+    table = stats.internal_table
+    assert table.shape == (n, n, m)
+    assert not table.flags.writeable
+    assert stats.internal_table is table
+    for s in range(n):
+        for o in range(n):
+            assert table[s, o].tobytes() == _per_pair_internal(stats, s, o).tobytes()
+            assert internal_linguistic(stats, s, o).tobytes() == table[s, o].tobytes()
+
+
+@pytest.mark.parametrize("s, o", [(-1, 0), (0, 2), (2, 2)])
+def test_internal_linguistic_rejects_out_of_range_categories(s, o):
+    stats = TripletStatistics(np.zeros((2, 3, 2), dtype=np.int64))
+    with pytest.raises(IngestionError, match="out of range"):
+        internal_linguistic(stats, s, o)
+
+
+def test_matrix_linguistic_streams_are_the_per_category_vectors():
+    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    flipped = classify_pair(
+        pair.object, pair.subject, scene.annotations, vocab.predicate_count, 1, 0,
+        union_feature_key=pair.union_feature_key,
+    )
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([pair, flipped, pair], scene)
+    for row, p in enumerate([pair, flipped, pair]):
+        s, o = p.subject.category, p.object.category
+        assert matrix["internal"][row].tobytes() == internal_linguistic(stats, s, o).tobytes()
+        for role, category in (("subject", s), ("object", o)):
+            np.testing.assert_array_equal(
+                matrix[f"external_{role}"][row],
+                external_linguistic(emb, vocab.object_names[category]),
+            )
+
+
+def test_matrix_of_no_pairs_has_zero_rows():
+    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([], scene)
+    assert matrix.count == 0
+    assert {name: v.shape for name, v in matrix.streams.items()} == {
+        "visual_subject": (0, 4), "visual_object": (0, 4), "visual_union": (0, 4),
+        "spatial": (0, 8), "external_subject": (0, 2), "external_object": (0, 2),
+        "internal": (0, 3),
+    }
+
+
+@pytest.mark.parametrize(
+    "stream, role",
+    [("internal", "subject"), ("internal", "object"),
+     ("external_subject", "subject"), ("external_object", "object")],
+)
+def test_matrix_out_of_range_category_errors(stream, role):
+    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    bad = dataclasses.replace(pair, **{role: dataclasses.replace(getattr(pair, role), category=5)})
+    extractor = FeatureExtractor(store, stats, emb, vocab)
+    with pytest.raises(IngestionError, match=f"{role} category 5 out of range"):
+        extractor.matrix([pair, bad], scene, streams=[stream])
+
+
+@pytest.mark.parametrize("pairs", [1, 0])
+def test_matrix_external_without_embeddings_errors(pairs):
+    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    extractor = FeatureExtractor(store, stats, None, vocab)
+    assert extractor.matrix([pair] * pairs, scene, streams=["internal"]).count == pairs
+    with pytest.raises(IngestionError, match="no embedding table"):
+        extractor.matrix([pair] * pairs, scene, streams=["external_object"])

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from urelnet.errors import GeometryError
-from urelnet.scene import BoundingBox, enumerate_pairs, iou, union_box
+from urelnet.scene import BoundingBox, box_array, enumerate_pairs, iou, iou_rows, union_box
 
 # Coordinates on a 1/32 grid keep box differences exactly representable,
 # so equality-sensitive properties are not confounded by float rounding.
@@ -99,3 +99,32 @@ def test_enumerate_pairs_matches_brute_force(n):
     assert pairs == brute
     assert len(set(pairs)) == len(pairs)
     assert all(i != j for i, j in pairs)
+
+
+def test_iou_rows_bit_identical_to_iou():
+    fixed = [
+        BoundingBox(0, 0, 10, 10),
+        BoundingBox(20, 20, 30, 30),  # disjoint from the first
+        BoundingBox(10, 0, 20, 10),  # touches the first along an edge
+        BoundingBox(10, 10, 12, 12),  # touches the first at a corner
+        BoundingBox(2, 3, 5, 7),  # nested in the first
+        BoundingBox(0, 0, 10, 5),  # IoU exactly 0.5 with the first
+        BoundingBox(0, 0, 10, 10),  # identical to the first
+    ]
+    rng = np.random.default_rng(4)
+    corners = rng.uniform(-50, 50, size=(60, 2))
+    sizes = rng.uniform(0.01, 60, size=(60, 2))
+    random = [BoundingBox(*c, *(c + s)) for c, s in zip(corners, sizes)]
+    a, b = fixed + random[:30], fixed + random[30:]
+    got = iou_rows(box_array(a), box_array(b))
+    expected = np.array([[iou(x, y) for y in b] for x in a])
+    assert got.shape == (len(a), len(b))
+    assert got.tobytes() == expected.tobytes()
+    assert iou_rows(box_array([]), box_array(b)).shape == (0, len(b))
+    assert iou_rows(box_array(a), box_array([])).shape == (len(a), 0)
+
+
+@given(st.lists(boxes(), min_size=1, max_size=4), st.lists(boxes(), min_size=1, max_size=4))
+def test_iou_rows_bit_identical_on_grid_boxes(a, b):
+    expected = np.array([[iou(x, y) for y in b] for x in a])
+    assert iou_rows(box_array(a), box_array(b)).tobytes() == expected.tobytes()

@@ -242,3 +242,115 @@ def test_sampler_empty_pool_error():
         PairSampler(["d0"], [], spec)
     with pytest.raises(InsufficientDataError):
         PairSampler([], ["u0"], spec)
+
+
+def _pair_tuples(pairs):
+    return [
+        (p.subject_index, p.object_index, p.subject, p.object, p.status.value,
+         p.predicate_labels.dtype.str, p.predicate_labels.tolist(), p.matched_annotations,
+         p.union_feature_key)
+        for p in pairs
+    ]
+
+
+def _oracle_pairs(objects, annotations, matches, union_key, annotated_only=False):
+    """Brute force over every ordered pair and annotation, one at a time."""
+    out = []
+    for i, s in enumerate(objects):
+        for j, o in enumerate(objects):
+            if i == j:
+                continue
+            labels = [0.0] * M
+            matched = []
+            for k, a in enumerate(annotations):
+                if matches(s, o, a):
+                    labels[a.predicate] = 1.0
+                    matched.append(k)
+            if annotated_only and not matched:
+                continue
+            status = "determinate" if matched else "undetermined"
+            out.append((i, j, s, o, status, "<f8", labels, tuple(matched), union_key(i, j)))
+    return out
+
+
+def _oracle_detection_match(s, o, a):
+    from urelnet.scene import iou
+
+    return (
+        s.category == a.subject_category
+        and o.category == a.object_category
+        and iou(s.box, a.subject_box) > 0.5
+        and iou(o.box, a.object_box) > 0.5
+    )
+
+
+def _oracle_gt_match(s, o, a):
+    return (
+        (s.box, s.category) == (a.subject_box, a.subject_category)
+        and (o.box, o.category) == (a.object_box, a.object_category)
+    )
+
+
+def _grid_scene(rng, index):
+    """Integer-grid boxes so that exact IoU 0.5 ties, shared boxes and
+    duplicate annotations all occur."""
+    def rand_box():
+        x1, y1 = (int(v) for v in rng.integers(0, 30, size=2))
+        w, h = (2 * int(v) for v in rng.integers(1, 8, size=2))
+        return BoundingBox(x1, y1, x1 + w, y1 + h)
+
+    pool = [rand_box() for _ in range(4)]
+    annotations = [
+        AnnotatedTriplet(pool[int(rng.integers(4))], int(rng.integers(3)), int(rng.integers(M)),
+                         pool[int(rng.integers(4))], int(rng.integers(3)))
+        for _ in range(int(rng.integers(0, 5)) if index % 5 else 0)
+    ]
+    if annotations and rng.random() < 0.3:
+        annotations.append(annotations[int(rng.integers(len(annotations)))])
+    roles = [(a.subject_box, a.subject_category) for a in annotations]
+    roles += [(a.object_box, a.object_category) for a in annotations]
+    detections = []
+    for _ in range(int(rng.integers(0, 7)) if index % 7 else 1):
+        if roles and rng.random() < 0.7:  # stand-in for an annotated object
+            box, category = roles[int(rng.integers(len(roles)))]
+        else:
+            box, category = pool[int(rng.integers(4))], int(rng.integers(3))
+        kind = rng.random()
+        if kind < 0.3:  # half the height: IoU exactly 0.5 with the pool box
+            box = BoundingBox(box.x_min, box.y_min, box.x_max, box.y_min + box.height / 2)
+        elif kind < 0.5:
+            box = BoundingBox(box.x_min + 1, box.y_min, box.x_max + 1, box.y_max)
+        elif kind < 0.6:
+            box = rand_box()
+        detections.append(DetectedObject(box, category, 0.9))
+    return SceneRecord(f"img{index}", 100.0, 100.0, tuple(detections), tuple(annotations), "train")
+
+
+def test_batched_pair_builders_match_brute_force_oracle():
+    from urelnet.scene import iou
+
+    rng = np.random.default_rng(23)
+    seen = {"no annotations": 0, "one detection": 0, "duplicate annotation": 0, "iou 0.5": 0}
+    for index in range(400):
+        scene = _grid_scene(rng, index)
+        dets, anns = scene.detections, scene.annotations
+        seen["no annotations"] += not anns
+        seen["one detection"] += len(dets) == 1
+        seen["duplicate annotation"] += len(set(anns)) < len(anns)
+        seen["iou 0.5"] += any(
+            iou(d.box, b) == 0.5 for d in dets for a in anns for b in (a.subject_box, a.object_box)
+        )
+        assert _pair_tuples(generate_for_scene(scene, M)) == _oracle_pairs(
+            dets, anns, _oracle_detection_match,
+            lambda i, j: f"{scene.image_id}|union|det|{i}|{j}",
+        )
+        gt = [
+            DetectedObject(box, cat, 1.0, feature_key=f"{scene.image_id}|gt|{i}")
+            for i, (box, cat) in enumerate(scene.gt_objects())
+        ]
+        for annotated_only in (False, True):
+            assert _pair_tuples(gt_pairs_for_scene(scene, M, annotated_only)) == _oracle_pairs(
+                gt, anns, _oracle_gt_match,
+                lambda i, j: f"{scene.image_id}|union|gt|{i}|{j}", annotated_only,
+            )
+    assert all(count > 0 for count in seen.values()), seen
