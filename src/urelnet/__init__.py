@@ -6,7 +6,6 @@ from .scene import (
     DetectedObject,
     SceneRecord,
     Vocabulary,
-    enumerate_pairs,
     iou,
     union_box,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "build_model",
     "build_triplet_statistics",
     "classify_pair",
-    "enumerate_pairs",
     "external_linguistic",
     "generate_for_scene",
     "generate_synthetic",

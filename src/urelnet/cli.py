@@ -77,7 +77,7 @@ def cmd_generate_pairs(args) -> int:
     totals = {"determinate": 0, "undetermined": 0}
     for scene in scenes:
         pairs = generate_for_scene(scene, m)
-        determinate = sum(p.determinate for p in pairs)
+        determinate = int(pairs.determinate.sum())
         totals["determinate"] += determinate
         totals["undetermined"] += len(pairs) - determinate
         out_scenes.append(

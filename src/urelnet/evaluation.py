@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, UndefinedMetricError, UsageError
 from .features import FeatureExtractor
 from .model import required_streams
-from .pairs import ObjectPair, generate_for_scene, gt_pairs_for_scene
+from .pairs import ScenePairs, generate_for_scene, gt_pairs_for_scene
 from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, iou, union_box
 
 TASKS = ("predicate", "phrase", "relation")
@@ -77,7 +77,7 @@ class PredictionSet:
 
 
 # Scorer protocol: callable(pairs, scene) -> (len(pairs), M) relation scores.
-Scorer = Callable[[Sequence[ObjectPair], SceneRecord], np.ndarray]
+Scorer = Callable[[ScenePairs, SceneRecord], np.ndarray]
 
 
 class ModelScorer:
@@ -89,11 +89,11 @@ class ModelScorer:
         self.extractor = extractor
         self.streams = required_streams(model.config)
 
-    def __call__(self, pairs: Sequence[ObjectPair], scene: SceneRecord) -> np.ndarray:
+    def __call__(self, pairs: ScenePairs, scene: SceneRecord) -> np.ndarray:
         features = self.extractor.matrix(pairs, scene, streams=self.streams)
-        subject_confs = np.array([p.subject.confidence for p in pairs])
-        object_confs = np.array([p.object.confidence for p in pairs])
-        return self.model.relation_scores(features, subject_confs, object_confs)
+        confidences = np.array([o.confidence for o in pairs.objects])
+        subjects, objects = confidences[pairs.subject_indices], confidences[pairs.object_indices]
+        return self.model.relation_scores(features, subjects, objects)
 
 
 class UniformRandomScorer:
@@ -103,13 +103,13 @@ class UniformRandomScorer:
         self.predicate_count = predicate_count
         self.seed = seed
 
-    def __call__(self, pairs: Sequence[ObjectPair], scene: SceneRecord) -> np.ndarray:
+    def __call__(self, pairs: ScenePairs, scene: SceneRecord) -> np.ndarray:
         image_seed = zlib.crc32(scene.image_id.encode("utf-8"))
         rng = np.random.default_rng((self.seed, image_seed))
         return rng.uniform(size=(len(pairs), self.predicate_count))
 
 
-def candidate_pairs(scene: SceneRecord, task: str, predicate_count: int) -> List[ObjectPair]:
+def candidate_pairs(scene: SceneRecord, task: str, predicate_count: int) -> ScenePairs:
     """Pairs to score: ground-truth object pairs (confidence 1) for the
     predicate task, detector pairs otherwise."""
     source = CANDIDATE_SOURCE.get(task)
@@ -157,14 +157,15 @@ def predict_scene(
     for index, predicate, score in zip(
         pair_indices[order].tolist(), predicates[order].tolist(), top_scores[order].tolist()
     ):
-        pair = pairs[index]
+        subject = pairs.objects[pairs.subject_indices[index]]
+        obj = pairs.objects[pairs.object_indices[index]]
         triplets.append(
             PredictedTriplet(
-                subject_box=pair.subject.box,
-                subject_category=pair.subject.category,
+                subject_box=subject.box,
+                subject_category=subject.category,
                 predicate=predicate,
-                object_box=pair.object.box,
-                object_category=pair.object.category,
+                object_box=obj.box,
+                object_category=obj.category,
                 score=score,
                 pair_index=index,
             )

@@ -6,7 +6,9 @@ internal linguistic feature is a smoothed predicate distribution estimated
 from training-set triplet frequencies; the external one averages word
 vectors of the (lowercased) category name tokens. Both depend only on
 categories, so each is tabulated once, (N, N, M) internal and (N, E)
-external, and a batch of pairs reads them with one index gather.
+external. A scene's ``ScenePairs`` index its objects, so every object's box,
+category and visual vector is read once and gathered by the pairs' subject
+and object indices; only the union vector is looked up per pair.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
-from .pairs import ObjectPair
+from .nn import all_finite
+from .pairs import ScenePairs
 from .scene import BoundingBox, SceneRecord, Vocabulary, box_array
 
 SPATIAL_DIM = 8
@@ -204,29 +206,32 @@ class EmbeddingTable:
             fh = open(path, "r", encoding="utf-8")
         except (OSError, ValueError) as exc:
             raise IngestionError(f"embedding file not found or unreadable: {exc}") from None
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                token, values = parts[0], parts[1:]
-                try:
-                    vec = np.array([float(v) for v in values], dtype=np.float64)
-                except ValueError as exc:
-                    raise IngestionError(
-                        f"{path}: line {lineno}: non-numeric embedding value ({exc})"
-                    ) from None
-                if not np.isfinite(vec).all():
-                    raise IngestionError(f"{path}: line {lineno}: non-finite embedding value")
-                if dim is None:
-                    dim = len(vec)
-                    if dim == 0:
-                        raise IngestionError(f"{path}: line {lineno}: empty vector")
-                elif len(vec) != dim:
-                    raise IngestionError(
-                        f"{path}: line {lineno}: expected {dim} values, got {len(vec)}"
-                    )
-                vectors[token] = vec
+        try:
+            with fh:
+                for lineno, line in enumerate(fh, start=1):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    token, values = parts[0], parts[1:]
+                    try:
+                        vec = np.array([float(v) for v in values], dtype=np.float64)
+                    except ValueError as exc:
+                        raise IngestionError(
+                            f"{path}: line {lineno}: non-numeric embedding value ({exc})"
+                        ) from None
+                    if not np.isfinite(vec).all():
+                        raise IngestionError(f"{path}: line {lineno}: non-finite embedding value")
+                    if dim is None:
+                        dim = len(vec)
+                        if dim == 0:
+                            raise IngestionError(f"{path}: line {lineno}: empty vector")
+                    elif len(vec) != dim:
+                        raise IngestionError(
+                            f"{path}: line {lineno}: expected {dim} values, got {len(vec)}"
+                        )
+                    vectors[token] = vec
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if dim is None:
             raise IngestionError(f"{path}: no embedding entries found")
         return cls(vectors, dim)
@@ -321,16 +326,9 @@ class FeatureStore:
         # can change the store through a vector it was handed.
         flat.flags.writeable = False
         rows = flat.reshape(count, dim)
-        # One BLAS pass: the sum of squares is non-finite when any value is,
-        # or when large finite values overflow, which the exact check admits.
-        with np.errstate(over="ignore"):
-            sum_sq = flat @ flat
-        if not np.isfinite(sum_sq):
-            bad_rows = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            if bad_rows.size:
-                raise IngestionError(
-                    f"{data_path}: non-finite values in feature row {bad_rows[0]}"
-                )
+        if not all_finite(flat):
+            bad_row = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            raise IngestionError(f"{data_path}: non-finite values in feature row {bad_row}")
         vectors = {key: rows[row] for key, row in keys.items()}
         return cls(dim, vectors)
 
@@ -378,9 +376,10 @@ class FeatureMatrix:
         )
 
 
-def _categories(pairs: Sequence[ObjectPair], role: str, count: int) -> np.ndarray:
+def _categories(pairs: ScenePairs, role: str, count: int) -> np.ndarray:
     """Every pair's ``role`` ("subject" or "object") category, checked against [0, count)."""
-    categories = np.array(list(map(attrgetter(f"{role}.category"), pairs)), dtype=np.intp)
+    categories = np.array([o.category for o in pairs.objects], dtype=np.intp)
+    categories = categories[getattr(pairs, f"{role}_indices")]
     bad = categories[(categories < 0) | (categories >= count)]
     if bad.size:
         raise IngestionError(f"{role} category {bad[0]} out of range [0, {count})")
@@ -408,11 +407,10 @@ class FeatureExtractor:
             [external_linguistic(embeddings, name) for name in vocab.object_names]
         )
 
-    def _stream(self, name: str, pairs, scene) -> np.ndarray:
+    def _stream(self, name: str, pairs: ScenePairs, scene) -> np.ndarray:
         if name == "spatial":
-            return spatial_rows(
-                box_array(p.subject.box for p in pairs), box_array(p.object.box for p in pairs)
-            )
+            boxes = box_array(o.box for o in pairs.objects)
+            return spatial_rows(boxes[pairs.subject_indices], boxes[pairs.object_indices])
         if name == "internal":
             n = self.stats.object_count
             return self.stats.internal_table[
@@ -425,29 +423,23 @@ class FeatureExtractor:
                 )
             role = name[len("external_") :]
             return self._external_table[_categories(pairs, role, len(self._external_table))]
-        if name == "visual_subject":
-            rows = [self._visual(p.subject.feature_key, p, scene) for p in pairs]
-        elif name == "visual_object":
-            rows = [self._visual(p.object.feature_key, p, scene) for p in pairs]
-        elif name == "visual_union":
-            rows = [self._visual(p.union_feature_key, p, scene) for p in pairs]
-        else:
-            raise DimensionError(f"unknown feature stream {name!r}")
+        if name == "visual_union":
+            return self._vectors(pairs.union_keys, scene, "pair")
+        if name in ("visual_subject", "visual_object"):
+            table = self._vectors([o.feature_key for o in pairs.objects], scene, "object")
+            return table[getattr(pairs, f"{name[len('visual_') :]}_indices")]
+        raise DimensionError(f"unknown feature stream {name!r}")
+
+    def _vectors(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
+        """The store's vectors of ``keys`` as (len(keys), dim) rows."""
+        if None in keys:
+            missing = f"{what} {keys.index(None)}"
+            raise IngestionError(f"scene {scene.image_id!r}: {missing} has no feature key")
+        rows = [self.store.vector(k) for k in keys]
         return np.stack(rows) if rows else np.zeros((0, self.store.dim))
 
-    def _visual(self, key, pair, scene) -> np.ndarray:
-        if key is None:
-            raise IngestionError(
-                f"scene {scene.image_id!r}: pair ({pair.subject_index}, "
-                f"{pair.object_index}) is missing a feature key"
-            )
-        return self.store.vector(key)
-
     def matrix(
-        self,
-        pairs: Sequence[ObjectPair],
-        scene: SceneRecord,
-        streams: Sequence[str] | None = None,
+        self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str] | None = None
     ) -> FeatureMatrix:
         """Stacked rows for the requested streams (all of them by default)."""
         names = list(streams) if streams is not None else list(STREAMS)

@@ -125,16 +125,17 @@ class Arena(Mapping[str, np.ndarray]):
         return Arena(shapes, self.flat[start:stop])
 
 
-def non_finite_block(arena: Arena) -> str | None:
-    """The first block of ``arena`` holding a NaN or an infinity, or None.
-
-    One BLAS pass decides the common case: the sum of squares of ``flat`` is
-    finite unless an entry is non-finite or large finite entries overflow,
-    and only then are the blocks scanned one by one.
-    """
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite. One sum, not a BLAS call, decides unless it
+    overflows or meets a NaN or infinity; only then is each entry checked."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sum_sq = arena.flat @ arena.flat
-    if np.isfinite(sum_sq):
+        total = values.sum()
+    return bool(np.isfinite(total) or np.isfinite(values).all())
+
+
+def non_finite_block(arena: Arena) -> str | None:
+    """The first block of ``arena`` holding a NaN or an infinity, or None."""
+    if all_finite(arena.flat):
         return None
     return next((name for name, block in arena.items() if not np.isfinite(block).all()), None)
 

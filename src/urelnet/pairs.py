@@ -9,15 +9,16 @@ IoUs of a scene computed at once. For ground-truth objects a role is
 identity with the annotation's box and category. A pair is determinate iff
 it matches some annotation and accumulates the predicates of every one it
 matches (multi-hot labels); everything else is undetermined with all-zero
-labels.
+labels. A scene's pairs are one ``ScenePairs`` of arrays over its objects.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import abc
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class PairStatus(enum.Enum):
 
 @dataclass
 class ObjectPair:
-    """Ordered (subject, object) pair with determinacy status and labels.
+    """One row of a ``ScenePairs``: ordered pair, status and labels.
 
     ``predicate_labels`` is a multi-hot float vector of length M; it has at
     least one set bit iff the pair is determinate. ``union_feature_key``
@@ -63,6 +64,40 @@ class ObjectPair:
         return self.status is PairStatus.DETERMINATE
 
 
+@dataclass(frozen=True, eq=False)
+class ScenePairs(abc.Sequence):
+    """A scene's candidate pairs: row p pairs ``objects[subject_indices[p]]``
+    with ``objects[object_indices[p]]`` and matches annotation k iff
+    ``hits[p, k]``. ``pairs[p]`` is row p as an ``ObjectPair``."""
+
+    objects: Tuple[DetectedObject, ...]
+    subject_indices: np.ndarray  # (P,) intp
+    object_indices: np.ndarray  # (P,) intp
+    hits: np.ndarray  # (P, K) bool
+    labels: np.ndarray  # (P, M) float64
+    union_keys: Tuple[str | None, ...]
+
+    @property
+    def determinate(self) -> np.ndarray:
+        return self.hits.any(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.subject_indices)
+
+    def __getitem__(self, row: int) -> ObjectPair:
+        i, j = int(self.subject_indices[row]), int(self.object_indices[row])
+        matched = tuple(np.flatnonzero(self.hits[row]).tolist())
+        status = PairStatus.DETERMINATE if matched else PairStatus.UNDETERMINED
+        objects, key = (self.objects[i], self.objects[j]), self.union_keys[row]
+        return ObjectPair(i, j, *objects, status, self.labels[row], matched, key)
+
+    def take(self, rows) -> "ScenePairs":
+        """The pairs at ``rows``, in that order (repeats allowed)."""
+        arrays = (self.subject_indices, self.object_indices, self.hits, self.labels)
+        keys = tuple(self.union_keys[r] for r in rows)
+        return ScenePairs(self.objects, *(a[rows] for a in arrays), keys)
+
+
 def _build_pairs(
     objects: Sequence[DetectedObject],
     can_be_subject: np.ndarray,
@@ -71,7 +106,7 @@ def _build_pairs(
     predicate_count: int,
     union_key: Callable[[int, int], str | None],
     annotated_only: bool = False,
-) -> List[ObjectPair]:
+) -> ScenePairs:
     """Label every ordered pair (i, j) of ``objects``, in ``pair_indices``
     order: it matches annotation k iff ``can_be_subject[i, k]`` and
     ``can_be_object[j, k]``. ``annotated_only`` keeps the determinate pairs."""
@@ -81,18 +116,9 @@ def _build_pairs(
     predicates = np.array([a.predicate for a in annotations], dtype=np.intp)
     labels = np.zeros((len(subjects), predicate_count), dtype=np.float64)
     labels[rows, predicates[ks]] = 1.0
-    matched = [()] * len(subjects)
-    for row, k in zip(rows.tolist(), ks.tolist()):
-        matched[row] += (k,)
-    out = []
-    for p, (i, j) in enumerate(zip(subjects.tolist(), objs.tolist())):
-        if annotated_only and not matched[p]:
-            continue
-        status = PairStatus.DETERMINATE if matched[p] else PairStatus.UNDETERMINED
-        out.append(
-            ObjectPair(i, j, objects[i], objects[j], status, labels[p], matched[p], union_key(i, j))
-        )
-    return out
+    keys = tuple(map(union_key, subjects.tolist(), objs.tolist()))
+    pairs = ScenePairs(tuple(objects), subjects, objs, hits, labels, keys)
+    return pairs.take(np.flatnonzero(pairs.determinate)) if annotated_only else pairs
 
 
 def _role_objects(annotations: Sequence[AnnotatedTriplet]) -> list:
@@ -144,8 +170,8 @@ def gt_feature_key(image_id: str, i: int) -> str:
     return f"{image_id}|gt|{i}"
 
 
-def generate_for_scene(scene: SceneRecord, predicate_count: int) -> List[ObjectPair]:
-    """One ObjectPair per ordered detection pair, in enumeration order."""
+def generate_for_scene(scene: SceneRecord, predicate_count: int) -> ScenePairs:
+    """Every ordered detection pair, in enumeration order."""
     return _build_pairs(
         scene.detections,
         *_detection_roles(scene.detections, scene.annotations),
@@ -157,7 +183,7 @@ def generate_for_scene(scene: SceneRecord, predicate_count: int) -> List[ObjectP
 
 def gt_pairs_for_scene(
     scene: SceneRecord, predicate_count: int, annotated_only: bool = False
-) -> List[ObjectPair]:
+) -> ScenePairs:
     """Pairs built from ground-truth objects with confidence 1.0.
 
     An object stands in for an annotation's subject (object) iff it is that

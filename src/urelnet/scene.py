@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -102,12 +102,6 @@ def pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Subject and object indices of all n * (n - 1) ordered pairs (i, j),
     i != j, in lexicographic order; (i, j) and (j, i) swap the roles."""
     return np.nonzero(~np.eye(n, dtype=bool))
-
-
-def enumerate_pairs(detections: Sequence) -> List[Tuple[int, int]]:
-    """``pair_indices`` of the sequence as a list of (i, j) tuples."""
-    subjects, objects = pair_indices(len(detections))
-    return list(zip(subjects.tolist(), objects.tolist()))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ and injected only into test scenes for zero-shot evaluation.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .dataset import Dataset
+from .errors import UsageError
 from .features import EmbeddingTable, FeatureStore
 from .pairs import detection_union_key, gt_feature_key, gt_union_key
 from .scene import (
@@ -27,12 +29,24 @@ from .scene import (
     DetectedObject,
     SceneRecord,
     Vocabulary,
-    enumerate_pairs,
+    pair_indices,
     union_box,
 )
 
 CATEGORY_GROUPS = 4
 LAYOUT_COUNT = 8
+
+# SyntheticConfig fields by the values they admit: (names, test, rule).
+_CONFIG_RULES = (
+    (("train_scenes", "validation_scenes", "test_scenes", "zero_shot_types", "seed"),
+     lambda v: v >= 0, ">= 0"),
+    (("predicate_count", "visual_dim", "embedding_dim"), lambda v: v >= 1, ">= 1"),
+    (("image_width", "image_height"), lambda v: 0 < v < math.inf, "positive and finite"),
+    (("box_jitter", "spurious_rate", "visual_noise", "embedding_noise"),
+     lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("label_flip_rate", "miss_rate", "affinity_strength", "multi_label_rate", "zero_shot_rate"),
+     lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
 
 
 @dataclass(frozen=True)
@@ -62,11 +76,17 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.object_count < CATEGORY_GROUPS:
-            raise ValueError(f"object_count must be >= {CATEGORY_GROUPS}")
-        if self.predicate_count < 1:
-            raise ValueError("predicate_count must be >= 1")
+            raise UsageError(f"object_count must be >= {CATEGORY_GROUPS}, got {self.object_count}")
         if self.min_relations < 1 or self.max_relations < self.min_relations:
-            raise ValueError("invalid relations-per-scene range")
+            raise UsageError(
+                "relations per scene must satisfy 1 <= min <= max, got "
+                f"[{self.min_relations}, {self.max_relations}]"
+            )
+        for names, admits, rule in _CONFIG_RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not admits(value):
+                    raise UsageError(f"{name} must be {rule}, got {value!r}")
 
 
 def _hash_vector(seed: int, tag: str, dim: int, scale: float) -> np.ndarray:
@@ -316,7 +336,8 @@ def _scene_features(
         ([d.box for d in scene.detections], detection_union_key),
         ([b for b, _ in gt_objects], gt_union_key),
     ):
-        for i, j in enumerate_pairs(boxes):
+        subjects, objects = pair_indices(len(boxes))
+        for i, j in zip(subjects.tolist(), objects.tolist()):
             u = union_box(boxes[i], boxes[j])
             store.add(
                 key_fn(scene.image_id, i, j),

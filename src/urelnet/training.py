@@ -95,7 +95,7 @@ def build_training_pool(
     m = dataset.vocabulary.predicate_count
     streams = required_streams(run_config.model)
     cap_rng = np.random.default_rng(run_config.seed)
-    matrices, labels, mask = [], [], []
+    matrices, labels, masks = [], [], []
     for scene in dataset.split("train"):
         if run_config.task == "predicate":
             pairs = gt_pairs_for_scene(scene, m, annotated_only=True)
@@ -103,24 +103,24 @@ def build_training_pool(
             pairs = generate_for_scene(scene, m)
             cap = run_config.per_scene_undetermined_cap
             if cap is not None:
-                determinate = [p for p in pairs if p.determinate]
-                undetermined = [p for p in pairs if not p.determinate]
+                determinate = pairs.determinate
+                undetermined = np.flatnonzero(~determinate)
                 if len(undetermined) > cap:
                     keep = cap_rng.choice(len(undetermined), size=cap, replace=False)
-                    undetermined = [undetermined[i] for i in sorted(keep)]
-                pairs = determinate + undetermined
+                    undetermined = undetermined[np.sort(keep)]
+                pairs = pairs.take(np.concatenate([np.flatnonzero(determinate), undetermined]))
         if not pairs:
             continue
         matrices.append(extractor.matrix(pairs, scene, streams=streams))
-        labels.extend(p.predicate_labels for p in pairs)
-        mask.extend(p.determinate for p in pairs)
+        labels.append(pairs.labels)
+        masks.append(pairs.determinate)
     if not matrices:
         raise InsufficientDataError("no training pairs could be generated")
     features = FeatureMatrix.concatenate(matrices)
-    determinate = np.array(mask, dtype=bool)
+    determinate = np.concatenate(masks)
     return TrainingPool(
         features=features,
-        labels=np.stack(labels),
+        labels=np.concatenate(labels),
         determinate=determinate,
         determinate_indices=np.flatnonzero(determinate),
         undetermined_indices=np.flatnonzero(~determinate),

@@ -188,6 +188,53 @@ def test_missing_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_p
     assert "embeddings.txt" in error["message"]
 
 
+def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    with open(ds / "embeddings.txt", "ab") as fh:
+        fh.write("caf\u00e9 0.5\n".encode("latin-1"))
+    assert main(["build-stats", "--dataset", str(ds)]) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "ingestion-error"
+    assert "embeddings.txt" in error["message"] and "UTF-8" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        (["--objects", "2"], "object_count"),
+        (["--predicates", "0"], "predicate_count"),
+        (["--min-relations", "0"], "relations per scene"),
+        (["--min-relations", "4", "--max-relations", "3"], "relations per scene"),
+        (["--train", "-1"], "train_scenes"),
+        (["--val", "-1"], "validation_scenes"),
+        (["--test", "-2"], "test_scenes"),
+        (["--visual-dim", "0"], "visual_dim"),
+        (["--embedding-dim", "-1"], "embedding_dim"),
+        (["--spurious-rate", "-1"], "spurious_rate"),
+        (["--spurious-rate", "inf"], "spurious_rate"),
+        (["--box-jitter", "nan"], "box_jitter"),
+        (["--label-flip-rate", "1.5"], "label_flip_rate"),
+        (["--miss-rate", "-0.1"], "miss_rate"),
+        (["--zero-shot-types", "-1"], "zero_shot_types"),
+        (["--seed", "-1"], "seed"),
+    ],
+    ids=["objects-2", "predicates-zero", "min-relations-zero", "relations-reversed",
+         "train-negative", "val-negative", "test-negative", "visual-dim-zero",
+         "embedding-dim-negative", "spurious-rate-negative", "spurious-rate-inf",
+         "box-jitter-nan", "label-flip-rate-above-one", "miss-rate-negative",
+         "zero-shot-types-negative", "seed-negative"],
+)
+def test_bad_synth_arguments_are_usage_errors(capsys, tmp_path, bad, field):
+    out = tmp_path / "ds"
+    assert main(SMALL_SYNTH + ["--out", str(out)] + bad) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "usage-error"
+    assert field in error["message"]
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "bad",
     [

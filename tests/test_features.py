@@ -18,7 +18,7 @@ from urelnet.features import (
     spatial_features,
     spatial_rows,
 )
-from urelnet.pairs import classify_pair, detection_union_key
+from urelnet.pairs import ScenePairs, detection_union_key, generate_for_scene
 from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord, Vocabulary
 
 coord = st.integers(min_value=-8000, max_value=8000).map(lambda v: v / 16.0)
@@ -298,20 +298,19 @@ def _pair_scene_fixture():
     scene = SceneRecord("img", 100.0, 100.0, detections, (ann,), "train")
     store = FeatureStore(4, {})
     rng = np.random.default_rng(3)
-    for key in ["img|det|0", "img|det|1", detection_union_key("img", 0, 1)]:
+    for key in ["img|det|0", "img|det|1", detection_union_key("img", 0, 1),
+                detection_union_key("img", 1, 0)]:
         store.add(key, rng.standard_normal(4))
     emb = EmbeddingTable({"person": np.array([1.0, 0.0]), "horse": np.array([0.0, 1.0])}, 2)
     stats = build_triplet_statistics([scene], vocab)
-    pair = classify_pair(
-        detections[0], detections[1], scene.annotations, vocab.predicate_count,
-        0, 1, union_feature_key=detection_union_key("img", 0, 1),
-    )
-    return vocab, scene, store, emb, stats, pair
+    # Row 0 is the pair (0, 1), row 1 the flipped pair (1, 0).
+    pairs = generate_for_scene(scene, vocab.predicate_count)
+    return vocab, scene, store, emb, stats, pairs
 
 
 def test_matrix_one_pair_shapes_and_invariants():
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
-    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([pair], scene)
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix(pairs.take([0]), scene)
     assert matrix.count == 1
     assert matrix["visual_subject"].shape == (1, 4)
     assert matrix["visual_union"].shape == (1, 4)
@@ -323,17 +322,17 @@ def test_matrix_one_pair_shapes_and_invariants():
 
 
 def test_matrix_missing_visual_vector_errors():
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
     del store.vectors["img|det|1"]
     extractor = FeatureExtractor(store, stats, emb, vocab)
     with pytest.raises(IngestionError, match=r"'img\|det\|1'"):
-        extractor.matrix([pair], scene)
+        extractor.matrix(pairs.take([0]), scene)
 
 
 def test_matrix_stacks_rows():
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
     extractor = FeatureExtractor(store, stats, emb, vocab)
-    matrix = extractor.matrix([pair, pair], scene)
+    matrix = extractor.matrix(pairs.take([0, 0]), scene)
     assert matrix.count == 2
     assert matrix["visual_union"].shape == (2, 4)
     assert matrix["internal"].shape == (2, 3)
@@ -389,6 +388,16 @@ def test_feature_store_accepts_large_finite_values(tmp_path):
     np.full(6, 1e200).tofile(data)
     loaded = FeatureStore.from_files(data, index)
     np.testing.assert_array_equal(loaded.vector("k1"), np.full(3, 1e200))
+
+
+def test_feature_store_accepts_finite_values_whose_sum_overflows(tmp_path):
+    data, index = _saved_store(tmp_path)
+    values = np.array([1e308, 1e308, -1.0, 1e308, 2.0, 3.0])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(values.sum())
+    values.tofile(data)
+    loaded = FeatureStore.from_files(data, index)
+    np.testing.assert_array_equal(loaded.vector("k0"), values[:3])
 
 
 @pytest.mark.parametrize("row", [-1, 2, 7, 1.0, "1"])
@@ -469,13 +478,10 @@ def test_internal_linguistic_rejects_out_of_range_categories(s, o):
 
 
 def test_matrix_linguistic_streams_are_the_per_category_vectors():
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
-    flipped = classify_pair(
-        pair.object, pair.subject, scene.annotations, vocab.predicate_count, 1, 0,
-        union_feature_key=pair.union_feature_key,
-    )
-    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([pair, flipped, pair], scene)
-    for row, p in enumerate([pair, flipped, pair]):
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
+    chosen = pairs.take([0, 1, 0])  # the pair, the flipped pair, the pair again
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix(chosen, scene)
+    for row, p in enumerate(chosen):
         s, o = p.subject.category, p.object.category
         assert matrix["internal"][row].tobytes() == internal_linguistic(stats, s, o).tobytes()
         for role, category in (("subject", s), ("object", o)):
@@ -486,8 +492,8 @@ def test_matrix_linguistic_streams_are_the_per_category_vectors():
 
 
 def test_matrix_of_no_pairs_has_zero_rows():
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
-    matrix = FeatureExtractor(store, stats, emb, vocab).matrix([], scene)
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
+    matrix = FeatureExtractor(store, stats, emb, vocab).matrix(pairs.take([]), scene)
     assert matrix.count == 0
     assert {name: v.shape for name, v in matrix.streams.items()} == {
         "visual_subject": (0, 4), "visual_object": (0, 4), "visual_union": (0, 4),
@@ -502,17 +508,73 @@ def test_matrix_of_no_pairs_has_zero_rows():
      ("external_subject", "subject"), ("external_object", "object")],
 )
 def test_matrix_out_of_range_category_errors(stream, role):
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
-    bad = dataclasses.replace(pair, **{role: dataclasses.replace(getattr(pair, role), category=5)})
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
+    # Object 2 is a copy of the pair's subject (object) with category 5; row 1
+    # pairs it in that role, so the good pair (0, 1) comes first.
+    bad = dataclasses.replace(getattr(pairs[0], role), category=5)
+    subjects, objects = ([0, 2], [1, 1]) if role == "subject" else ([0, 0], [1, 2])
+    key = pairs.union_keys[0]
+    pairs = ScenePairs(
+        pairs.objects + (bad,), np.array(subjects), np.array(objects),
+        np.zeros((2, 1), dtype=bool), np.zeros((2, vocab.predicate_count)), (key, key),
+    )
     extractor = FeatureExtractor(store, stats, emb, vocab)
     with pytest.raises(IngestionError, match=f"{role} category 5 out of range"):
-        extractor.matrix([pair, bad], scene, streams=[stream])
+        extractor.matrix(pairs, scene, streams=[stream])
 
 
 @pytest.mark.parametrize("pairs", [1, 0])
 def test_matrix_external_without_embeddings_errors(pairs):
-    vocab, scene, store, emb, stats, pair = _pair_scene_fixture()
+    vocab, scene, store, emb, stats, scene_pairs = _pair_scene_fixture()
+    chosen = scene_pairs.take([0] * pairs)
     extractor = FeatureExtractor(store, stats, None, vocab)
-    assert extractor.matrix([pair] * pairs, scene, streams=["internal"]).count == pairs
+    assert extractor.matrix(chosen, scene, streams=["internal"]).count == pairs
     with pytest.raises(IngestionError, match="no embedding table"):
-        extractor.matrix([pair] * pairs, scene, streams=["external_object"])
+        extractor.matrix(chosen, scene, streams=["external_object"])
+
+
+def _synthetic_scene_pairs():
+    from urelnet.synthetic import SyntheticConfig, generate_synthetic
+    from urelnet.training import build_extractor
+
+    dataset = generate_synthetic(SyntheticConfig(train_scenes=6, test_scenes=0, seed=5))
+    scene = max(dataset.split("train"), key=lambda s: len(s.detections))
+    pairs = generate_for_scene(scene, dataset.vocabulary.predicate_count)
+    return build_extractor(dataset), scene, pairs
+
+
+def test_matrix_of_taken_rows_equals_stacked_single_rows():
+    extractor, scene, pairs = _synthetic_scene_pairs()
+    rows = [3, 0, 3, len(pairs) - 1, 1, 1, 0]
+    matrix = extractor.matrix(pairs.take(rows), scene)
+    singles = [extractor.matrix(pairs.take([row]), scene) for row in rows]
+    assert matrix.count == len(rows)
+    for name in matrix.streams:
+        stacked = np.concatenate([single[name] for single in singles])
+        assert matrix[name].tobytes() == stacked.tobytes(), name
+
+
+@pytest.mark.parametrize("stream", ["visual_subject", "visual_object", "visual_union"])
+def test_matrix_looks_up_object_vectors_once_per_object(stream, monkeypatch):
+    extractor, scene, pairs = _synthetic_scene_pairs()
+    d = len(scene.detections)
+    if stream == "visual_union":
+        keys = list(pairs.union_keys)  # one lookup per pair
+        expected_calls = keys
+    else:  # one lookup per object, gathered to every pair
+        role = stream[len("visual_") :]
+        keys = [getattr(pairs[p], role).feature_key for p in range(len(pairs))]
+        expected_calls = [det.feature_key for det in scene.detections]
+    calls = []
+    vector = FeatureStore.vector
+
+    def counting(self, key):
+        calls.append(key)
+        return vector(self, key)
+
+    monkeypatch.setattr(FeatureStore, "vector", counting)
+    matrix = extractor.matrix(pairs, scene, streams=[stream])
+    assert len(pairs) == d * (d - 1) > d
+    assert calls == expected_calls
+    expected = np.stack([extractor.store.vectors[key] for key in keys])
+    assert matrix[stream].tobytes() == expected.tobytes()

@@ -179,7 +179,7 @@ def test_generate_for_scene_without_annotations():
 
 def test_generate_for_scene_single_detection():
     scene = _scene([det(0, 0, 10, 10, 1)], [])
-    assert generate_for_scene(scene, M) == []
+    assert len(generate_for_scene(scene, M)) == 0
 
 
 def test_gt_pairs_annotated_only():
@@ -326,6 +326,18 @@ def _grid_scene(rng, index):
     return SceneRecord(f"img{index}", 100.0, 100.0, tuple(detections), tuple(annotations), "train")
 
 
+def _assert_arrays_match(pairs, oracle, annotation_count):
+    """The record's arrays say what the oracle's pairs do, row for row."""
+    assert pairs.subject_indices.tolist() == [t[0] for t in oracle]
+    assert pairs.object_indices.tolist() == [t[1] for t in oracle]
+    assert pairs.labels.dtype == np.float64
+    assert pairs.labels.reshape(len(oracle), M).tolist() == [t[6] for t in oracle]
+    assert pairs.determinate.tolist() == [t[4] == "determinate" for t in oracle]
+    assert pairs.hits.shape == (len(oracle), annotation_count)
+    assert [tuple(np.flatnonzero(row).tolist()) for row in pairs.hits] == [t[7] for t in oracle]
+    assert list(pairs.union_keys) == [t[8] for t in oracle]
+
+
 def test_batched_pair_builders_match_brute_force_oracle():
     from urelnet.scene import iou
 
@@ -340,17 +352,23 @@ def test_batched_pair_builders_match_brute_force_oracle():
         seen["iou 0.5"] += any(
             iou(d.box, b) == 0.5 for d in dets for a in anns for b in (a.subject_box, a.object_box)
         )
-        assert _pair_tuples(generate_for_scene(scene, M)) == _oracle_pairs(
+        pairs = generate_for_scene(scene, M)
+        oracle = _oracle_pairs(
             dets, anns, _oracle_detection_match,
             lambda i, j: f"{scene.image_id}|union|det|{i}|{j}",
         )
+        assert _pair_tuples(pairs) == oracle
+        _assert_arrays_match(pairs, oracle, len(anns))
         gt = [
             DetectedObject(box, cat, 1.0, feature_key=f"{scene.image_id}|gt|{i}")
             for i, (box, cat) in enumerate(scene.gt_objects())
         ]
         for annotated_only in (False, True):
-            assert _pair_tuples(gt_pairs_for_scene(scene, M, annotated_only)) == _oracle_pairs(
+            pairs = gt_pairs_for_scene(scene, M, annotated_only)
+            oracle = _oracle_pairs(
                 gt, anns, _oracle_gt_match,
                 lambda i, j: f"{scene.image_id}|union|gt|{i}|{j}", annotated_only,
             )
+            assert _pair_tuples(pairs) == oracle
+            _assert_arrays_match(pairs, oracle, len(anns))
     assert all(count > 0 for count in seen.values()), seen

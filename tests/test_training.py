@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, UndefinedMetricError
-from urelnet.model import ModelConfig, build_model, model_shapes
+from urelnet.features import FeatureMatrix
+from urelnet.model import ModelConfig, build_model, model_shapes, required_streams
+from urelnet.pairs import generate_for_scene
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import (
     SCHEDULE_PRESETS,
@@ -95,6 +97,41 @@ def test_undetermined_cap_limits_pool(dataset):
     assert len(capped.undetermined_indices) <= 5 * n_train
     assert len(capped.undetermined_indices) < len(uncapped.undetermined_indices)
     assert len(capped.determinate_indices) == len(uncapped.determinate_indices)
+
+
+def _list_capped_pool(dataset, extractor, run_config):
+    """The undetermined cap over lists of pairs, one feature row at a time:
+    a scene's determinate pairs, then the kept undetermined ones in scene
+    order, drawing from the same generator as the pool."""
+    cap = run_config.per_scene_undetermined_cap
+    cap_rng = np.random.default_rng(run_config.seed)
+    streams = required_streams(run_config.model)
+    rows, labels, mask = [], [], []
+    for scene in dataset.split("train"):
+        pairs = generate_for_scene(scene, dataset.vocabulary.predicate_count)
+        determinate = [p for p in range(len(pairs)) if pairs[p].determinate]
+        undetermined = [p for p in range(len(pairs)) if not pairs[p].determinate]
+        if len(undetermined) > cap:
+            keep = cap_rng.choice(len(undetermined), size=cap, replace=False)
+            undetermined = [undetermined[i] for i in sorted(keep)]
+        for p in determinate + undetermined:
+            rows.append(extractor.matrix(pairs.take([p]), scene, streams=streams))
+            labels.append(pairs[p].predicate_labels)
+            mask.append(pairs[p].determinate)
+    return FeatureMatrix.concatenate(rows), np.stack(labels), np.array(mask)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 5])
+def test_capped_pool_matches_list_reference(dataset, cap):
+    run_config = quick_run(dataset, per_scene_undetermined_cap=cap, seed=3)
+    extractor = build_extractor(dataset)
+    pool = build_training_pool(dataset, extractor, run_config)
+    features, labels, mask = _list_capped_pool(dataset, extractor, run_config)
+    assert sorted(pool.features.streams) == sorted(features.streams)
+    for name, rows in features.streams.items():
+        assert pool.features[name].tobytes() == rows.tobytes(), name
+    assert pool.labels.tobytes() == labels.tobytes()
+    assert pool.determinate.tolist() == mask.tolist()
 
 
 def test_training_loss_decreases(dataset):
