@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_model, save_checkpoint
 from .dataset import load_dataset, save_dataset
-from .errors import UrelnetError, UsageError
+from .errors import OutputError, UrelnetError, UsageError
 from .evaluation import ModelScorer, predict_scene
 from .features import build_triplet_statistics
 from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem
@@ -36,12 +38,22 @@ from .training import (
 )
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as an ``OutputError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(data, path: str | None) -> None:
     text = json.dumps(data, sort_keys=True, indent=1)
     if path is None or path == "-":
         print(text)
     else:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with _writing(path):
+            Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_synth(args) -> int:
@@ -63,7 +75,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset = generate_synthetic(config)
-    save_dataset(dataset, args.out)
+    with _writing(args.out):
+        save_dataset(dataset, args.out)
     counts = {split: len(dataset.split(split)) for split in ("train", "validation", "test")}
     print(json.dumps({"out": str(args.out), "scenes": counts, "features": len(dataset.features)}))
     return 0
@@ -146,12 +159,14 @@ def cmd_train(args) -> int:
     if args.undetermined_ratio is not None:
         overrides["undetermined_ratio"] = args.undetermined_ratio
     run_config = make_run_config(model_config, task=args.task, **overrides)
-    result = run_training(dataset, run_config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_training(dataset, run_config)
     checkpoint_path = out_dir / "checkpoint.bin"
-    save_checkpoint(checkpoint_path, result.model.config, result.model.parameters())
-    write_log(result.log_records, out_dir / "log.jsonl")
+    with _writing(out_dir):
+        save_checkpoint(checkpoint_path, result.model.config, result.model.parameters())
+        write_log(result.log_records, out_dir / "log.jsonl")
     final_loss = next(
         (r["loss"] for r in reversed(result.log_records) if "loss" in r), None
     )
@@ -215,13 +230,18 @@ def cmd_predict(args) -> int:
             "object": vocab.object_names[t.object_category],
             "score": t.score,
         }
-        for t in result.triplets[: args.top]
+        for t in result.top(args.top).triplets
     ]
     _write_json({"image_id": scene.image_id, "predictions": triplets}, args.out)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not 0 < value < math.inf:
+            raise UsageError(f"{flag} must be positive and finite, got {value!r}")
     failures = 0
     worst = 0.0
     for instance in range(args.instances):

@@ -66,3 +66,9 @@ class UndefinedMetricError(UrelnetError):
 
 class CheckpointError(UrelnetError):
     category = "checkpoint-error"
+
+
+class OutputError(UrelnetError):
+    """An output file or directory could not be written."""
+
+    category = "output-error"

@@ -5,6 +5,8 @@ hit requires: the predicate task pairs ground-truth objects and checks
 categories and predicate only; the phrase task checks IoU of the union
 boxes; the relation task checks both individual box IoUs. Evaluation
 thresholds are inclusive (>= 0.5), unlike the strict generator threshold.
+A ranking is a ``PredictionSet`` of columns gathered from the candidate
+pairs' arrays, and matching tests it against all ground truth at once.
 
 Phrase and relation rank the same detection pairs, and the zero-shot filter
 only drops ground truth, so an evaluation scores each scene once per
@@ -15,7 +17,7 @@ ranking, cut at the largest N that reads it.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import DimensionError, DivergenceError, UndefinedMetricError, Usage
 from .features import FeatureExtractor
 from .model import required_streams
 from .pairs import ScenePairs, generate_for_scene, gt_pairs_for_scene
-from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, iou, union_box
+from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, box_array, iou_rows, union_rows
 
 TASKS = ("predicate", "phrase", "relation")
 
@@ -32,13 +34,14 @@ TASKS = ("predicate", "phrase", "relation")
 # the same pairs.
 CANDIDATE_SOURCE = {"predicate": "ground_truth", "phrase": "detections", "relation": "detections"}
 
+EVAL_IOU_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     task: str = "relation"
     n_values: Tuple[int, ...] = (50, 100)
     k: int = 1
-    iou_threshold: float = 0.5
     zero_shot_only: bool = False
     macro_average: bool = False
 
@@ -67,13 +70,32 @@ class PredictedTriplet:
     pair_index: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
     """Ranked triplets for one image, highest score first; ties broken by
-    pair enumeration index then predicate index."""
+    pair enumeration index then predicate index. One column per
+    ``PredictedTriplet`` field, in its order; ``triplets`` are the rows."""
 
     image_id: str
-    triplets: List[PredictedTriplet]
+    subject_boxes: np.ndarray  # (R, 4) float64
+    subject_categories: np.ndarray  # (R,) intp
+    predicates: np.ndarray  # (R,) intp
+    object_boxes: np.ndarray  # (R, 4) float64
+    object_categories: np.ndarray  # (R,) intp
+    scores: np.ndarray  # (R,) float64
+    pair_indices: np.ndarray  # (R,) intp
+
+    def top(self, n: int) -> "PredictionSet":
+        """The first ``n`` ranked triplets."""
+        return PredictionSet(self.image_id, *(getattr(self, f.name)[:n] for f in fields(self)[1:]))
+
+    @property
+    def triplets(self) -> List[PredictedTriplet]:
+        columns = (getattr(self, f.name).tolist() for f in fields(self)[1:])
+        return [
+            PredictedTriplet(BoundingBox(*s), sc, p, BoundingBox(*o), oc, score, index)
+            for s, sc, p, o, oc, score, index in zip(*columns)
+        ]
 
 
 # Scorer protocol: callable(pairs, scene) -> (len(pairs), M) relation scores.
@@ -91,8 +113,8 @@ class ModelScorer:
 
     def __call__(self, pairs: ScenePairs, scene: SceneRecord) -> np.ndarray:
         features = self.extractor.matrix(pairs, scene, streams=self.streams)
-        confidences = np.array([o.confidence for o in pairs.objects])
-        subjects, objects = confidences[pairs.subject_indices], confidences[pairs.object_indices]
+        subjects = pairs.confidences[pairs.subject_indices]
+        objects = pairs.confidences[pairs.object_indices]
         return self.model.relation_scores(features, subjects, objects)
 
 
@@ -137,15 +159,14 @@ def predict_scene(
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     pairs = candidate_pairs(scene, task, predicate_count)
-    if not pairs:
-        return PredictionSet(scene.image_id, [])
-    scores = np.asarray(scorer(pairs, scene), dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != len(pairs):
-        raise DimensionError(
-            f"scorer returned shape {scores.shape} for {len(pairs)} pairs"
-        )
-    if not np.isfinite(scores).all():
-        raise DivergenceError(f"non-finite relation scores for image {scene.image_id!r}")
+    if pairs:
+        scores = np.asarray(scorer(pairs, scene), dtype=np.float64)
+        if scores.ndim != 2 or scores.shape[0] != len(pairs):
+            raise DimensionError(f"scorer returned shape {scores.shape} for {len(pairs)} pairs")
+        if not np.isfinite(scores).all():
+            raise DivergenceError(f"non-finite relation scores for image {scene.image_id!r}")
+    else:
+        scores = np.zeros((0, predicate_count))
     # Per pair, the k best predicates (ties to the lower index); then every
     # kept entry by score, ties by pair index, then predicate.
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
@@ -153,45 +174,11 @@ def predict_scene(
     predicates = top.ravel()
     pair_indices = np.repeat(np.arange(len(pairs)), top.shape[1])
     order = np.lexsort((predicates, pair_indices, -top_scores))[:_limit]
-    triplets = []
-    for index, predicate, score in zip(
-        pair_indices[order].tolist(), predicates[order].tolist(), top_scores[order].tolist()
-    ):
-        subject = pairs.objects[pairs.subject_indices[index]]
-        obj = pairs.objects[pairs.object_indices[index]]
-        triplets.append(
-            PredictedTriplet(
-                subject_box=subject.box,
-                subject_category=subject.category,
-                predicate=predicate,
-                object_box=obj.box,
-                object_category=obj.category,
-                score=score,
-                pair_index=index,
-            )
-        )
-    return PredictionSet(scene.image_id, triplets)
-
-
-def _hit_condition(
-    pred: PredictedTriplet, gt: AnnotatedTriplet, task: str, threshold: float
-) -> bool:
-    if (
-        pred.predicate != gt.predicate
-        or pred.subject_category != gt.subject_category
-        or pred.object_category != gt.object_category
-    ):
-        return False
-    if task == "predicate":
-        # Boxes come from the ground truth itself; categories and predicate decide.
-        return True
-    if task == "phrase":
-        pred_union = union_box(pred.subject_box, pred.object_box)
-        gt_union = union_box(gt.subject_box, gt.object_box)
-        return iou(pred_union, gt_union) >= threshold
-    return (
-        iou(pred.subject_box, gt.subject_box) >= threshold
-        and iou(pred.object_box, gt.object_box) >= threshold
+    rows = pair_indices[order]
+    s, o = pairs.subject_indices[rows], pairs.object_indices[rows]
+    return PredictionSet(
+        scene.image_id, pairs.boxes[s], pairs.categories[s], predicates[order],
+        pairs.boxes[o], pairs.categories[o], top_scores[order], rows,
     )
 
 
@@ -199,22 +186,30 @@ def match_predictions(
     predictions: PredictionSet,
     ground_truth: Sequence[AnnotatedTriplet],
     task: str = "relation",
-    iou_threshold: float = 0.5,
 ) -> List[bool]:
     """Greedy matching in rank order; each ground-truth triplet is consumed
-    by at most one prediction (first eligible in annotation order)."""
-    consumed = [False] * len(ground_truth)
-    hits = []
-    for pred in predictions.triplets:
-        hit = False
-        for g, gt in enumerate(ground_truth):
-            if consumed[g]:
-                continue
-            if _hit_condition(pred, gt, task, iou_threshold):
-                consumed[g] = True
-                hit = True
-                break
-        hits.append(hit)
+    by at most one prediction (first eligible in annotation order). All
+    (prediction, ground truth) hit tests are one eligibility matrix.
+    """
+    p = predictions
+    types = np.stack([p.subject_categories, p.predicates, p.object_categories], axis=1)
+    gt_types = np.array([gt.type_key() for gt in ground_truth], dtype=np.intp).reshape(-1, 3)
+    eligible = (types[:, None, :] == gt_types[None, :, :]).all(axis=2)
+    gt_subjects = box_array(gt.subject_box for gt in ground_truth)
+    gt_objects = box_array(gt.object_box for gt in ground_truth)
+    if task == "phrase":
+        unions = union_rows(p.subject_boxes, p.object_boxes)
+        eligible &= iou_rows(unions, union_rows(gt_subjects, gt_objects)) >= EVAL_IOU_THRESHOLD
+    elif task != "predicate":  # relation
+        eligible &= iou_rows(p.subject_boxes, gt_subjects) >= EVAL_IOU_THRESHOLD
+        eligible &= iou_rows(p.object_boxes, gt_objects) >= EVAL_IOU_THRESHOLD
+    consumed = np.zeros(len(ground_truth), dtype=bool)
+    hits = [False] * len(p.scores)
+    for row in np.flatnonzero(eligible.any(axis=1)).tolist():
+        free = np.flatnonzero(eligible[row] & ~consumed)
+        if free.size:
+            consumed[free[0]] = True
+            hits[row] = True
     return hits
 
 
@@ -306,16 +301,11 @@ def evaluate_configs(
                     predicate_count=predicate_count,
                     _limit=limits[key],
                 )
-            predictions = ranked[key]
-            read = max(config.n_values)
-            if len(predictions.triplets) > read:
-                predictions = PredictionSet(scene.image_id, predictions.triplets[:read])
+            predictions = ranked[key].top(max(config.n_values))
             gt = list(scene.annotations)
             if config.zero_shot_only:
                 gt = zero_shot_filter(gt, training_types)
-            tally.image_hits.append(
-                match_predictions(predictions, gt, config.task, config.iou_threshold)
-            )
+            tally.image_hits.append(match_predictions(predictions, gt, config.task))
             tally.gt_counts.append(len(gt))
     return tallies
 

@@ -6,7 +6,8 @@ internal linguistic feature is a smoothed predicate distribution estimated
 from training-set triplet frequencies; the external one averages word
 vectors of the (lowercased) category name tokens. Both depend only on
 categories, so each is tabulated once, (N, N, M) internal and (N, E)
-external. A scene's ``ScenePairs`` index its objects, so every object's box,
+external. A scene's ``ScenePairs`` carry its object table (boxes and
+categories, one row per object) and index it, so every object's box,
 category and visual vector is read once and gathered by the pairs' subject
 and object indices; only the union vector is looked up per pair.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from .nn import all_finite
 from .pairs import ScenePairs
-from .scene import BoundingBox, SceneRecord, Vocabulary, box_array
+from .scene import BoundingBox, SceneRecord, Vocabulary, box_array, union_rows
 
 SPATIAL_DIM = 8
 
@@ -47,8 +48,8 @@ def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     subject first then object. Invariant under joint translation and uniform
     scaling; swapping the roles swaps the two halves.
     """
-    lo = np.minimum(subjects[:, :2], objects[:, :2])
-    hi = np.maximum(subjects[:, 2:], objects[:, 2:])
+    union = union_rows(subjects, objects)
+    lo, hi = union[:, :2], union[:, 2:]
     extent = hi - lo
     degenerate = ~(extent > 0).all(axis=1)
     if degenerate.any():
@@ -376,14 +377,14 @@ class FeatureMatrix:
         )
 
 
-def _categories(pairs: ScenePairs, role: str, count: int) -> np.ndarray:
-    """Every pair's ``role`` ("subject" or "object") category, checked against [0, count)."""
-    categories = np.array([o.category for o in pairs.objects], dtype=np.intp)
-    categories = categories[getattr(pairs, f"{role}_indices")]
-    bad = categories[(categories < 0) | (categories >= count)]
-    if bad.size:
-        raise IngestionError(f"{role} category {bad[0]} out of range [0, {count})")
-    return categories
+def _check_categories(pairs: ScenePairs, count: int) -> None:
+    """Reject a pair whose subject or object category is outside [0, count)."""
+    bad = (pairs.categories < 0) | (pairs.categories >= count)
+    for role in ("subject", "object"):
+        used = getattr(pairs, f"{role}_indices")
+        wrong = pairs.categories[used[bad[used]]]
+        if wrong.size:
+            raise IngestionError(f"{role} category {wrong[0]} out of range [0, {count})")
 
 
 class FeatureExtractor:
@@ -408,26 +409,23 @@ class FeatureExtractor:
         )
 
     def _stream(self, name: str, pairs: ScenePairs, scene) -> np.ndarray:
+        subjects, objects = pairs.subject_indices, pairs.object_indices
         if name == "spatial":
-            boxes = box_array(o.box for o in pairs.objects)
-            return spatial_rows(boxes[pairs.subject_indices], boxes[pairs.object_indices])
+            return spatial_rows(pairs.boxes[subjects], pairs.boxes[objects])
         if name == "internal":
-            n = self.stats.object_count
-            return self.stats.internal_table[
-                _categories(pairs, "subject", n), _categories(pairs, "object", n)
-            ]
+            return self.stats.internal_table[pairs.categories[subjects], pairs.categories[objects]]
         if name in ("external_subject", "external_object"):
             if self._external_table is None:
                 raise IngestionError(
                     "external linguistic features requested but no embedding table loaded"
                 )
-            role = name[len("external_") :]
-            return self._external_table[_categories(pairs, role, len(self._external_table))]
+            indices = subjects if name == "external_subject" else objects
+            return self._external_table[pairs.categories[indices]]
         if name == "visual_union":
             return self._vectors(pairs.union_keys, scene, "pair")
         if name in ("visual_subject", "visual_object"):
             table = self._vectors([o.feature_key for o in pairs.objects], scene, "object")
-            return table[getattr(pairs, f"{name[len('visual_') :]}_indices")]
+            return table[subjects if name == "visual_subject" else objects]
         raise DimensionError(f"unknown feature stream {name!r}")
 
     def _vectors(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
@@ -443,4 +441,5 @@ class FeatureExtractor:
     ) -> FeatureMatrix:
         """Stacked rows for the requested streams (all of them by default)."""
         names = list(streams) if streams is not None else list(STREAMS)
+        _check_categories(pairs, self.stats.object_count)
         return FeatureMatrix({name: self._stream(name, pairs, scene) for name in names})

@@ -1,15 +1,15 @@
 """Determinate / undetermined pair generation and batch sampling.
 
 Every ordered pair of objects is compared against the scene's annotations
-by one builder, from two (objects x annotations) role matrices: "object i
-can be annotation k's subject" and "... its object". Pair (i, j) matches
-annotation k iff both hold. For detections the roles are the paper's
-criterion: the same category label and a box IoU above 0.5 (strict), all
-IoUs of a scene computed at once. For ground-truth objects a role is
-identity with the annotation's box and category. A pair is determinate iff
-it matches some annotation and accumulates the predicates of every one it
-matches (multi-hot labels); everything else is undetermined with all-zero
-labels. A scene's pairs are one ``ScenePairs`` of arrays over its objects.
+by one builder: it tabulates the objects' boxes, categories and confidences
+as arrays, then fills two (objects x annotations) role matrices, "object i
+can be annotation k's subject" and "... its object"; pair (i, j) matches
+annotation k iff both hold. A role needs the annotation's category and a
+box test: for detections the paper's IoU above 0.5 (strict), all IoUs of a
+scene at once; for ground-truth objects, the annotation's own box. A pair
+is determinate iff it matches some annotation and accumulates the
+predicates of every one it matches (multi-hot labels); everything else is
+undetermined with all-zero labels. A scene's pairs are one ``ScenePairs``.
 """
 
 from __future__ import annotations
@@ -68,9 +68,13 @@ class ObjectPair:
 class ScenePairs(abc.Sequence):
     """A scene's candidate pairs: row p pairs ``objects[subject_indices[p]]``
     with ``objects[object_indices[p]]`` and matches annotation k iff
-    ``hits[p, k]``. ``pairs[p]`` is row p as an ``ObjectPair``."""
+    ``hits[p, k]``. ``boxes``, ``categories`` and ``confidences`` tabulate
+    the objects. ``pairs[p]`` is row p as an ``ObjectPair``."""
 
     objects: Tuple[DetectedObject, ...]
+    boxes: np.ndarray  # (D, 4) float64
+    categories: np.ndarray  # (D,) intp
+    confidences: np.ndarray  # (D,) float64
     subject_indices: np.ndarray  # (P,) intp
     object_indices: np.ndarray  # (P,) intp
     hits: np.ndarray  # (P, K) bool
@@ -93,23 +97,33 @@ class ScenePairs(abc.Sequence):
 
     def take(self, rows) -> "ScenePairs":
         """The pairs at ``rows``, in that order (repeats allowed)."""
+        table = (self.objects, self.boxes, self.categories, self.confidences)
         arrays = (self.subject_indices, self.object_indices, self.hits, self.labels)
         keys = tuple(self.union_keys[r] for r in rows)
-        return ScenePairs(self.objects, *(a[rows] for a in arrays), keys)
+        return ScenePairs(*table, *(a[rows] for a in arrays), keys)
 
 
 def _build_pairs(
     objects: Sequence[DetectedObject],
-    can_be_subject: np.ndarray,
-    can_be_object: np.ndarray,
     annotations: Sequence[AnnotatedTriplet],
     predicate_count: int,
     union_key: Callable[[int, int], str | None],
+    box_test: Callable[[np.ndarray, np.ndarray], np.ndarray],
     annotated_only: bool = False,
 ) -> ScenePairs:
     """Label every ordered pair (i, j) of ``objects``, in ``pair_indices``
-    order: it matches annotation k iff ``can_be_subject[i, k]`` and
-    ``can_be_object[j, k]``. ``annotated_only`` keeps the determinate pairs."""
+    order. Object i can take an annotation's subject (object) role iff it
+    has that role's category and ``box_test`` holds for the two boxes;
+    (i, j) matches annotation k iff i can be its subject and j its object.
+    ``annotated_only`` keeps the determinate pairs."""
+    boxes = box_array(o.box for o in objects)
+    categories = np.array([o.category for o in objects], dtype=np.intp)
+    confidences = np.array([o.confidence for o in objects], dtype=np.float64)
+    ends = [(a.subject_box, a.subject_category) for a in annotations]
+    ends += [(a.object_box, a.object_category) for a in annotations]
+    same_category = categories[:, None] == np.array([c for _, c in ends], dtype=np.intp)
+    roles = same_category & box_test(boxes, box_array(box for box, _ in ends))
+    can_be_subject, can_be_object = np.hsplit(roles, 2)
     subjects, objs = pair_indices(len(objects))
     hits = can_be_subject[subjects] & can_be_object[objs]  # (pairs, annotations)
     rows, ks = np.nonzero(hits)
@@ -117,24 +131,20 @@ def _build_pairs(
     labels = np.zeros((len(subjects), predicate_count), dtype=np.float64)
     labels[rows, predicates[ks]] = 1.0
     keys = tuple(map(union_key, subjects.tolist(), objs.tolist()))
-    pairs = ScenePairs(tuple(objects), subjects, objs, hits, labels, keys)
+    pairs = ScenePairs(
+        tuple(objects), boxes, categories, confidences, subjects, objs, hits, labels, keys
+    )
     return pairs.take(np.flatnonzero(pairs.determinate)) if annotated_only else pairs
 
 
-def _role_objects(annotations: Sequence[AnnotatedTriplet]) -> list:
-    """(box, category) of every annotation's subject, then of every object."""
-    return [(a.subject_box, a.subject_category) for a in annotations] + [
-        (a.object_box, a.object_category) for a in annotations
-    ]
+def _detection_overlaps(boxes: np.ndarray, role_boxes: np.ndarray) -> np.ndarray:
+    """The generator's box test: IoU above 0.5 (strict)."""
+    return iou_rows(boxes, role_boxes) > GENERATOR_IOU_THRESHOLD
 
 
-def _detection_roles(objects: Sequence[DetectedObject], annotations: Sequence[AnnotatedTriplet]):
-    """The generator criterion as role matrices: same category and IoU > 0.5."""
-    roles = _role_objects(annotations)
-    categories = np.array([o.category for o in objects])[:, None]
-    same_category = categories == np.array([category for _, category in roles])
-    overlaps = iou_rows(box_array(o.box for o in objects), box_array(box for box, _ in roles))
-    return np.hsplit(same_category & (overlaps > GENERATOR_IOU_THRESHOLD), 2)
+def _same_boxes(boxes: np.ndarray, role_boxes: np.ndarray) -> np.ndarray:
+    """The ground-truth box test: all four coordinates equal."""
+    return (boxes[:, None, :] == role_boxes[None, :, :]).all(axis=2)
 
 
 def classify_pair(
@@ -152,9 +162,10 @@ def classify_pair(
     category labels and both IoUs; the label vector takes the union of the
     predicates of all matching annotations.
     """
-    objects = (subject, obj)
-    roles = _detection_roles(objects, annotations)
-    pair = _build_pairs(objects, *roles, annotations, predicate_count, lambda *_: union_feature_key)
+    pair = _build_pairs(
+        (subject, obj), annotations, predicate_count, lambda *_: union_feature_key,
+        _detection_overlaps,
+    )
     return replace(pair[0], subject_index=subject_index, object_index=object_index)
 
 
@@ -173,11 +184,8 @@ def gt_feature_key(image_id: str, i: int) -> str:
 def generate_for_scene(scene: SceneRecord, predicate_count: int) -> ScenePairs:
     """Every ordered detection pair, in enumeration order."""
     return _build_pairs(
-        scene.detections,
-        *_detection_roles(scene.detections, scene.annotations),
-        scene.annotations,
-        predicate_count,
-        partial(detection_union_key, scene.image_id),
+        scene.detections, scene.annotations, predicate_count,
+        partial(detection_union_key, scene.image_id), _detection_overlaps,
     )
 
 
@@ -192,20 +200,13 @@ def gt_pairs_for_scene(
     backed by at least one annotation are kept, all of them determinate;
     otherwise every ordered pair is returned.
     """
-    gt = scene.gt_objects()
-    position = {(box.as_tuple(), cat): i for i, (box, cat) in enumerate(gt)}
-    roles = [position[box.as_tuple(), cat] for box, cat in _role_objects(scene.annotations)]
     objects = [
         DetectedObject(box, cat, 1.0, feature_key=gt_feature_key(scene.image_id, i))
-        for i, (box, cat) in enumerate(gt)
+        for i, (box, cat) in enumerate(scene.gt_objects())
     ]
     return _build_pairs(
-        objects,
-        *np.hsplit(np.arange(len(gt))[:, None] == np.array(roles, dtype=np.intp), 2),
-        scene.annotations,
-        predicate_count,
-        partial(gt_union_key, scene.image_id),
-        annotated_only=annotated_only,
+        objects, scene.annotations, predicate_count, partial(gt_union_key, scene.image_id),
+        _same_boxes, annotated_only=annotated_only,
     )
 
 

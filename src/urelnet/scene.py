@@ -88,6 +88,11 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
+def union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, 4) ``union_box`` of row i of ``a`` and row i of ``b``, equal bit for bit."""
+    return np.hstack([np.minimum(a[:, :2], b[:, :2]), np.maximum(a[:, 2:], b[:, 2:])])
+
+
 def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
     """Smallest axis-aligned box containing both inputs."""
     return BoundingBox(

@@ -36,14 +36,19 @@ from .scene import (
 CATEGORY_GROUPS = 4
 LAYOUT_COUNT = 8
 
+# The largest mean numpy's Poisson sampler accepts, computed as numpy does.
+_POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
 # SyntheticConfig fields by the values they admit: (names, test, rule).
 _CONFIG_RULES = (
     (("train_scenes", "validation_scenes", "test_scenes", "zero_shot_types", "seed"),
      lambda v: v >= 0, ">= 0"),
     (("predicate_count", "visual_dim", "embedding_dim"), lambda v: v >= 1, ">= 1"),
     (("image_width", "image_height"), lambda v: 0 < v < math.inf, "positive and finite"),
-    (("box_jitter", "spurious_rate", "visual_noise", "embedding_noise"),
+    (("box_jitter", "visual_noise", "embedding_noise"),
      lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    # Each scene draws its spurious-box count from a Poisson of this mean.
+    (("spurious_rate",), lambda v: 0 <= v <= _POISSON_MAX, f"in [0, {_POISSON_MAX:.6g}]"),
     (("label_flip_rate", "miss_rate", "affinity_strength", "multi_label_rate", "zero_shot_rate"),
      lambda v: 0 <= v <= 1, "in [0, 1]"),
 )

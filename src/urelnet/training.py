@@ -37,6 +37,9 @@ SCHEDULE_PRESETS = {
     "vg": Schedule(base_lr=3e-4, decay_rate=0.7, decay_interval=35000),
 }
 
+# Validation recall is recall@50 on the validation split.
+VALIDATION_N = 50
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,17 +54,21 @@ class RunConfig:
     steps: Optional[int] = None
     seed: int = 0
     validation_interval: Optional[int] = None
-    validation_n: int = 50
     per_scene_undetermined_cap: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("epochs", "steps", "validation_interval"):
-            value = getattr(self, name)
+        # Batch and schedule values are checked here too, before any work.
+        positive = dict(
+            epochs=self.epochs, steps=self.steps, validation_interval=self.validation_interval,
+            batch_size=self.batch_size, decay_interval=self.schedule.decay_interval,
+        )
+        for name, value in positive.items():
             if value is not None and value <= 0:
                 raise UsageError(f"{name} must be positive, got {value}")
-        cap = self.per_scene_undetermined_cap
-        if cap is not None and cap < 0:
-            raise UsageError(f"per_scene_undetermined_cap must be >= 0, got {cap}")
+        for name in ("undetermined_ratio", "per_scene_undetermined_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise UsageError(f"{name} must be >= 0, got {value}")
 
 
 def make_run_config(model: ModelConfig, task: str = "relation", **overrides) -> RunConfig:
@@ -175,10 +182,10 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
         recalls = evaluate_scenes(
             val_scenes,
             scorer,
-            EvalConfig(task=run_config.task, n_values=(run_config.validation_n,)),
+            EvalConfig(task=run_config.task, n_values=(VALIDATION_N,)),
             dataset.vocabulary.predicate_count,
         )
-        return recalls[str(run_config.validation_n)]
+        return recalls[str(VALIDATION_N)]
 
     for step in range(total_steps):
         idx = np.array(sampler.sample_batch(), dtype=int)

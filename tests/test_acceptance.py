@@ -296,6 +296,20 @@ def _p(sbox, sc, p, obox, oc, score, idx=0):
     return PredictedTriplet(sbox, sc, p, obox, oc, score, idx)
 
 
+def _ranking(triplets):
+    """The ``PredictionSet`` whose rows are ``triplets``, in order."""
+    return PredictionSet(
+        "img",
+        np.array([t.subject_box.as_tuple() for t in triplets]).reshape(-1, 4),
+        np.array([t.subject_category for t in triplets], dtype=np.intp),
+        np.array([t.predicate for t in triplets], dtype=np.intp),
+        np.array([t.object_box.as_tuple() for t in triplets]).reshape(-1, 4),
+        np.array([t.object_category for t in triplets], dtype=np.intp),
+        np.array([t.score for t in triplets]),
+        np.array([t.pair_index for t in triplets], dtype=np.intp),
+    )
+
+
 def test_acceptance_5_metric_correctness():
     s1, o1 = _b(0, 0, 10, 10), _b(20, 0, 30, 10)
     s2, o2 = _b(50, 0, 60, 10), _b(70, 0, 80, 10)
@@ -342,13 +356,13 @@ def test_acceptance_5_metric_correctness():
     ]
     assert len(fixtures) >= 10
     for i, (task, preds, gts, n, expected) in enumerate(fixtures):
-        hits = match_predictions(PredictionSet("img", preds), gts, task)
+        hits = match_predictions(_ranking(preds), gts, task)
         got = recall_at_n([hits], [len(gts)], n)
         assert got == pytest.approx(expected, abs=1e-12), f"fixture {i} ({task})"
 
     # Few ground-truth objects -> fewer than 50 outputs -> R50 equals R100.
     hits = match_predictions(
-        PredictionSet("img", [_p(s1, 1, 0, o1, 2, 0.9), _p(o1, 2, 1, s1, 1, 0.8, 1)]),
+        _ranking([_p(s1, 1, 0, o1, 2, 0.9), _p(o1, 2, 1, s1, 1, 0.8, 1)]),
         [_gt(s1, 1, 0, o1, 2), _gt(o1, 2, 1, s1, 1)],
         "relation",
     )

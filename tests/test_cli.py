@@ -213,6 +213,7 @@ def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_
         (["--embedding-dim", "-1"], "embedding_dim"),
         (["--spurious-rate", "-1"], "spurious_rate"),
         (["--spurious-rate", "inf"], "spurious_rate"),
+        (["--spurious-rate", "1e20"], "spurious_rate"),
         (["--box-jitter", "nan"], "box_jitter"),
         (["--label-flip-rate", "1.5"], "label_flip_rate"),
         (["--miss-rate", "-0.1"], "miss_rate"),
@@ -222,6 +223,7 @@ def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_
     ids=["objects-2", "predicates-zero", "min-relations-zero", "relations-reversed",
          "train-negative", "val-negative", "test-negative", "visual-dim-zero",
          "embedding-dim-negative", "spurious-rate-negative", "spurious-rate-inf",
+         "spurious-rate-above-poisson-limit",
          "box-jitter-nan", "label-flip-rate-above-one", "miss-rate-negative",
          "zero-shot-types-negative", "seed-negative"],
 )
@@ -286,7 +288,7 @@ def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     code = main(SMALL_TRAIN + ["--dataset", str(workspace / "ds"), "--out-dir", str(run)] + bad)
     assert code == 1
     assert _single_error_line(capsys)["category"] == "usage-error"
-    assert not (run / "checkpoint.bin").exists()
+    assert not run.exists()
 
 
 @pytest.mark.parametrize(
@@ -371,3 +373,42 @@ def test_bad_predict_arguments_are_usage_errors(workspace, capsys, bad):
     ] + bad)
     assert code == 1
     assert _single_error_line(capsys)["category"] == "usage-error"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--instances", "0"], ["--instances", "-2"], ["--step", "0"], ["--step=-1e-6"],
+     ["--step", "nan"], ["--step", "inf"], ["--tolerance", "0"], ["--tolerance", "nan"],
+     ["--tolerance", "inf"]],
+    ids=["instances-zero", "instances-negative", "step-zero", "step-negative", "step-nan",
+         "step-inf", "tolerance-zero", "tolerance-nan", "tolerance-inf"],
+)
+def test_bad_gradcheck_arguments_are_usage_errors(capsys, bad):
+    assert main(["gradcheck", "--instances", "1"] + bad) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any instance ran
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["category"] == "usage-error"
+
+
+def test_unwritable_output_paths_are_output_errors(workspace, capsys, tmp_path, monkeypatch):
+    from urelnet import cli
+
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    assert main(SMALL_SYNTH + ["--out", str(taken)]) == 1
+    assert _single_error_line(capsys)["category"] == "output-error"
+    missing = tmp_path / "nonexistent" / "x.json"
+    assert main(["build-stats", "--dataset", str(workspace / "ds"), "--out", str(missing)]) == 1
+    assert _single_error_line(capsys)["category"] == "output-error"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "run_training", no_training)
+    code = main(SMALL_TRAIN + ["--dataset", str(workspace / "ds"), "--out-dir", str(taken)])
+    assert code == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "output-error"
+    assert str(taken) in error["message"]

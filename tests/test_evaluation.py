@@ -6,12 +6,12 @@ import pytest
 
 from urelnet.errors import UndefinedMetricError
 from urelnet.evaluation import (
+    EVAL_IOU_THRESHOLD,
     TASKS,
     EvalConfig,
     PredictedTriplet,
     PredictionSet,
     UniformRandomScorer,
-    _hit_condition,
     candidate_pairs,
     evaluate_configs,
     evaluate_scenes,
@@ -21,7 +21,15 @@ from urelnet.evaluation import (
     zero_shot_filter,
 )
 from urelnet.pairs import generate_for_scene
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord
+from urelnet.scene import (
+    AnnotatedTriplet,
+    BoundingBox,
+    DetectedObject,
+    SceneRecord,
+    box_array,
+    iou,
+    union_box,
+)
 
 M = 3
 
@@ -42,6 +50,59 @@ def pred(sbox, scat, predicate, obox, ocat, score, pair_index=0):
     return PredictedTriplet(sbox, scat, predicate, obox, ocat, score, pair_index)
 
 
+def prediction_set(image_id, triplets):
+    """The ``PredictionSet`` whose rows are ``triplets``, in order."""
+
+    def column(name, dtype):
+        return np.array([getattr(t, name) for t in triplets], dtype=dtype)
+
+    return PredictionSet(
+        image_id,
+        box_array(t.subject_box for t in triplets),
+        column("subject_category", np.intp),
+        column("predicate", np.intp),
+        box_array(t.object_box for t in triplets),
+        column("object_category", np.intp),
+        column("score", np.float64),
+        column("pair_index", np.intp),
+    )
+
+
+def _hit_condition(pred, gt, task):
+    """The scalar hit test: one prediction against one ground-truth triplet."""
+    if (
+        pred.predicate != gt.predicate
+        or pred.subject_category != gt.subject_category
+        or pred.object_category != gt.object_category
+    ):
+        return False
+    if task == "predicate":
+        # Boxes come from the ground truth itself; categories and predicate decide.
+        return True
+    if task == "phrase":
+        pred_union = union_box(pred.subject_box, pred.object_box)
+        gt_union = union_box(gt.subject_box, gt.object_box)
+        return iou(pred_union, gt_union) >= 0.5
+    return (
+        iou(pred.subject_box, gt.subject_box) >= 0.5
+        and iou(pred.object_box, gt.object_box) >= 0.5
+    )
+
+
+def reference_match(triplets, ground_truth, task):
+    """Greedy matching with the scalar hit test, one (prediction, ground
+    truth) pair at a time."""
+    consumed = [False] * len(ground_truth)
+    hits = []
+    for p in triplets:
+        g = next((g for g, truth in enumerate(ground_truth)
+                  if not consumed[g] and _hit_condition(p, truth, task)), None)
+        if g is not None:
+            consumed[g] = True
+        hits.append(g is not None)
+    return hits
+
+
 class FixedScorer:
     """Returns a pre-built (pairs x M) score matrix."""
 
@@ -57,7 +118,7 @@ def test_eval_config_defaults():
     assert config.task == "relation"
     assert config.n_values == (50, 100)
     assert config.k == 1
-    assert config.iou_threshold == 0.5
+    assert EVAL_IOU_THRESHOLD == 0.5
     assert not config.zero_shot_only
 
 
@@ -130,7 +191,7 @@ def test_predict_scene_k2_ties_across_pairs_and_predicates():
 
 def test_exact_prediction_hits_all_tasks():
     gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
-    predictions = PredictionSet(
+    predictions = prediction_set(
         "img", [pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.9)]
     )
     for task in ("predicate", "phrase", "relation"):
@@ -139,7 +200,7 @@ def test_exact_prediction_hits_all_tasks():
 
 def test_one_gt_consumed_once():
     gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
-    predictions = PredictionSet(
+    predictions = prediction_set(
         "img",
         [
             pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.9, 0),
@@ -154,18 +215,18 @@ def test_relation_iou_boundary_inclusive():
     # [0,0,10,5] vs [0,0,10,10]: IoU exactly 0.5
     half_subject = box(0, 0, 10, 5)
     half_object = box(20, 0, 30, 5)
-    predictions = PredictionSet("img", [pred(half_subject, 1, 2, half_object, 0, 0.9)])
-    assert match_predictions(predictions, [gt], "relation", iou_threshold=0.5) == [True]
+    predictions = prediction_set("img", [pred(half_subject, 1, 2, half_object, 0, 0.9)])
+    assert match_predictions(predictions, [gt], "relation") == [True]
     # Just below 0.5 misses.
     below = box(0, 0, 10, 4.99)
-    predictions = PredictionSet("img", [pred(below, 1, 2, half_object, 0, 0.9)])
-    assert match_predictions(predictions, [gt], "relation", iou_threshold=0.5) == [False]
+    predictions = prediction_set("img", [pred(below, 1, 2, half_object, 0, 0.9)])
+    assert match_predictions(predictions, [gt], "relation") == [False]
 
 
 def test_phrase_uses_union_iou():
     gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     # Individually shifted boxes whose union still overlaps the GT union >= 0.5.
-    predictions = PredictionSet(
+    predictions = prediction_set(
         "img", [pred(box(0, 0, 4, 10), 1, 2, box(26, 0, 30, 10), 0, 0.9)]
     )
     assert match_predictions(predictions, [gt], "phrase") == [True]
@@ -174,7 +235,7 @@ def test_phrase_uses_union_iou():
 
 def test_predicate_task_ignores_boxes():
     gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
-    predictions = PredictionSet(
+    predictions = prediction_set(
         "img", [pred(box(100, 100, 110, 110), 1, 2, box(200, 200, 210, 210), 0, 0.9)]
     )
     assert match_predictions(predictions, [gt], "predicate") == [True]
@@ -182,7 +243,7 @@ def test_predicate_task_ignores_boxes():
 
 def test_category_mismatch_never_hits():
     gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
-    predictions = PredictionSet("img", [pred(gt.subject_box, 0, 2, gt.object_box, 0, 0.9)])
+    predictions = prediction_set("img", [pred(gt.subject_box, 0, 2, gt.object_box, 0, 0.9)])
     for task in ("predicate", "phrase", "relation"):
         assert match_predictions(predictions, [gt], task) == [False]
 
@@ -195,8 +256,43 @@ def test_greedy_consumes_first_eligible_gt():
     gt_b = AnnotatedTriplet(shared, 1, 2, box(20.1, 0, 30.1, 10), 0)
     p_broad = pred(shared, 1, 2, box(20, 0, 30, 10), 0, 0.9, 0)   # matches both
     p_narrow = pred(shared, 1, 2, box(20, 0, 30, 10), 0, 0.8, 1)  # also matches both
-    hits = match_predictions(PredictionSet("img", [p_broad, p_narrow]), [gt_a, gt_b], "relation")
+    hits = match_predictions(prediction_set("img", [p_broad, p_narrow]), [gt_a, gt_b], "relation")
     assert hits == [True, True]  # a consumed first, then b
+
+
+def test_matcher_equals_scalar_oracle_at_iou_exactly_half():
+    # Halving a 10x10 box's height or width gives IoU exactly 0.5; halving
+    # both boxes' heights halves their union too.
+    s, o = box(0, 0, 10, 10), box(20, 0, 30, 10)
+    subjects = [s, box(0, 0, 10, 5), box(0, 5, 10, 10), box(0, 0, 5, 10), box(0, 0, 10, 4.99)]
+    objects = [o, box(20, 0, 30, 5), box(20, 5, 30, 10), box(25, 0, 30, 10), box(20, 0, 30, 4.99)]
+    triplets = [
+        pred(sbox, 1, predicate, obox, 0, 0.0, i)
+        for i, (sbox, obox, predicate) in enumerate(itertools.product(subjects, objects, (2, 0)))
+    ]
+    triplets = [triplets[i] for i in np.random.default_rng(8).permutation(len(triplets))]
+    gts = [
+        AnnotatedTriplet(s, 1, 2, o, 0),
+        AnnotatedTriplet(s, 1, 2, o, 0),
+        AnnotatedTriplet(box(0, 0, 10, 5), 1, 2, o, 0),
+        AnnotatedTriplet(s, 1, 0, box(20, 5, 30, 10), 0),
+    ]
+    relation_half = [t for t in triplets
+                     if iou(t.subject_box, s) == 0.5 and iou(t.object_box, o) == 0.5]
+    phrase_half = [t for t in triplets
+                   if iou(union_box(t.subject_box, t.object_box), union_box(s, o)) == 0.5]
+    assert relation_half and phrase_half
+    predictions = prediction_set("img", triplets)
+    for task in TASKS:
+        hits = match_predictions(predictions, gts, task)
+        assert hits == reference_match(triplets, gts, task), task
+    # Ranked alone against one ground truth, the first prediction exactly at
+    # the boundary takes it: the threshold is inclusive.
+    for task, chosen in (("relation", relation_half), ("phrase", phrase_half)):
+        ranked = [t for t in chosen if t.predicate == 2]
+        hits = match_predictions(prediction_set("img", ranked), gts[:1], task)
+        expected = [True] + [False] * (len(ranked) - 1)
+        assert hits == reference_match(ranked, gts[:1], task) == expected
 
 
 def test_recall_hand_counts():
@@ -250,7 +346,7 @@ def brute_force_max_matching(predictions, ground_truth, task):
         used_preds = set()
         for g, slot in enumerate(assignment):
             if slot < len(predictions.triplets) and slot not in used_preds:
-                if _hit_condition(predictions.triplets[slot], ground_truth[g], task, 0.5):
+                if _hit_condition(predictions.triplets[slot], ground_truth[g], task):
                     used_preds.add(slot)
                     count += 1
         best = max(best, count)
@@ -280,7 +376,7 @@ def test_greedy_equals_max_matching_when_unambiguous():
                      target.object_box, target.object_category, float(s), i)
             )
         preds.sort(key=lambda t: -t.score)
-        pset = PredictionSet("img", preds)
+        pset = prediction_set("img", preds)
         greedy_hits = sum(match_predictions(pset, gts, "relation"))
         assert greedy_hits == brute_force_max_matching(pset, gts, "relation")
 
@@ -300,7 +396,7 @@ def test_tie_permutation_stable_after_canonical_sort():
         shuffled = [result.triplets[i] for i in rng.permutation(len(result.triplets))]
         shuffled.sort(key=lambda t: (-t.score, t.pair_index, t.predicate))
         hits_b = match_predictions(
-            PredictionSet(scene.image_id, shuffled), list(annotations), "relation"
+            prediction_set(scene.image_id, shuffled), list(annotations), "relation"
         )
         assert sum(hits_b) == sum(hits_a)
         assert shuffled == result.triplets
@@ -436,15 +532,8 @@ def reference_recalls(scenes, scorer, config, training_types):
     for scene in scenes:
         gt = [g for g in scene.annotations
               if not config.zero_shot_only or g.type_key() not in training_types]
-        consumed = [False] * len(gt)
-        hits = []
-        for p in reference_ranking(scene, scorer, config.task, config.k):
-            g = next((g for g, truth in enumerate(gt) if not consumed[g]
-                      and _hit_condition(p, truth, config.task, config.iou_threshold)), None)
-            if g is not None:
-                consumed[g] = True
-            hits.append(g is not None)
-        image_hits.append(hits)
+        ranking = reference_ranking(scene, scorer, config.task, config.k)
+        image_hits.append(reference_match(ranking, gt, config.task))
         gt_counts.append(len(gt))
     out = {}
     for n in config.n_values:

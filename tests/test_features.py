@@ -19,7 +19,14 @@ from urelnet.features import (
     spatial_rows,
 )
 from urelnet.pairs import ScenePairs, detection_union_key, generate_for_scene
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord, Vocabulary
+from urelnet.scene import (
+    AnnotatedTriplet,
+    BoundingBox,
+    DetectedObject,
+    SceneRecord,
+    Vocabulary,
+    box_array,
+)
 
 coord = st.integers(min_value=-8000, max_value=8000).map(lambda v: v / 16.0)
 extent = st.integers(min_value=8, max_value=4800).map(lambda v: v / 16.0)
@@ -514,8 +521,10 @@ def test_matrix_out_of_range_category_errors(stream, role):
     bad = dataclasses.replace(getattr(pairs[0], role), category=5)
     subjects, objects = ([0, 2], [1, 1]) if role == "subject" else ([0, 0], [1, 2])
     key = pairs.union_keys[0]
+    table = pairs.objects + (bad,)
     pairs = ScenePairs(
-        pairs.objects + (bad,), np.array(subjects), np.array(objects),
+        table, box_array(o.box for o in table), np.array([o.category for o in table]),
+        np.array([o.confidence for o in table]), np.array(subjects), np.array(objects),
         np.zeros((2, 1), dtype=bool), np.zeros((2, vocab.predicate_count)), (key, key),
     )
     extractor = FeatureExtractor(store, stats, emb, vocab)

@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from urelnet.errors import GeometryError
-from urelnet.scene import BoundingBox, box_array, iou, iou_rows, pair_indices, union_box
+from urelnet.scene import (
+    BoundingBox,
+    box_array,
+    iou,
+    iou_rows,
+    pair_indices,
+    union_box,
+    union_rows,
+)
 
 # Coordinates on a 1/32 grid keep box differences exactly representable,
 # so equality-sensitive properties are not confounded by float rounding.
@@ -127,6 +135,9 @@ def test_iou_rows_bit_identical_to_iou():
     assert got.tobytes() == expected.tobytes()
     assert iou_rows(box_array([]), box_array(b)).shape == (0, len(b))
     assert iou_rows(box_array(a), box_array([])).shape == (len(a), 0)
+    # The row-wise union of the same boxes, paired row by row.
+    unions = union_rows(box_array(a), box_array(b))
+    assert unions.tobytes() == box_array(map(union_box, a, b)).tobytes()
 
 
 @given(st.lists(boxes(), min_size=1, max_size=4), st.lists(boxes(), min_size=1, max_size=4))
