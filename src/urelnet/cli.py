@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_model, save_checkpoint
 from .dataset import load_dataset, save_dataset
-from .errors import OutputError, UrelnetError, UsageError
+from .errors import OutOfMemoryError, OutputError, UrelnetError, UsageError
 from .evaluation import ModelScorer, predict_scene
 from .features import build_triplet_statistics
 from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem
@@ -210,7 +210,7 @@ def cmd_predict(args) -> int:
     check_model_compatibility(model.config, dataset)
     scenes = {s.image_id: s for s in dataset.scenes}
     if args.image_id not in scenes:
-        raise UrelnetError(f"image id {args.image_id!r} not in dataset")
+        raise UsageError(f"image id {args.image_id!r} not in dataset")
     scene = scenes[args.image_id]
     scorer = ModelScorer(model, build_extractor(dataset))
     result = predict_scene(
@@ -382,11 +382,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UrelnetError as exc:
-        print(
-            json.dumps({"error": {"category": exc.category, "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return 1
+        error = exc
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        error = OutOfMemoryError(str(exc) or "memory allocation failed")
+    print(
+        json.dumps({"error": {"category": error.category, "message": str(error)}}),
+        file=sys.stderr,
+    )
+    return 1
 
 
 if __name__ == "__main__":

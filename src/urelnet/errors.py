@@ -68,6 +68,12 @@ class CheckpointError(UrelnetError):
     category = "checkpoint-error"
 
 
+class OutOfMemoryError(UrelnetError):
+    """An allocation failed: the requested sizes need more memory than there is."""
+
+    category = "out-of-memory"
+
+
 class OutputError(UrelnetError):
     """An output file or directory could not be written."""
 

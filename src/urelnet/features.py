@@ -1,6 +1,7 @@
 """Per-pair feature extraction: visual (ingested), spatial, linguistic.
 
-Visual vectors are ingested from a feature store, never computed here.
+Visual vectors are rows of a feature store's one table, ingested, never
+computed here.
 Spatial features are the 8 closed-form union-relative box offsets. The
 internal linguistic feature is a smoothed predicate distribution estimated
 from training-set triplet frequencies; the external one averages word
@@ -8,8 +9,8 @@ vectors of the (lowercased) category name tokens. Both depend only on
 categories, so each is tabulated once, (N, N, M) internal and (N, E)
 external. A scene's ``ScenePairs`` carry its object table (boxes and
 categories, one row per object) and index it, so every object's box,
-category and visual vector is read once and gathered by the pairs' subject
-and object indices; only the union vector is looked up per pair.
+category and feature row number is read once and gathered by the pairs'
+subject and object indices; only the union key is resolved per pair.
 """
 
 from __future__ import annotations
@@ -261,34 +262,35 @@ def external_linguistic(embeddings: EmbeddingTable, category_name: str) -> np.nd
 
 
 class FeatureStore:
-    """In-memory visual feature vectors keyed by string.
+    """Visual feature vectors: one read-only (count, dim) little-endian
+    float64 table and a key -> row index.
 
-    Binary layout on disk: rows of little-endian float64 in key order given
-    by the sidecar JSON index.
+    On disk the table is ``features.bin``, written as it is held, and the
+    index is the ``keys`` map of the JSON sidecar.
     """
 
-    def __init__(self, dim: int, vectors: Dict[str, np.ndarray]):
-        self.dim = dim
-        self.vectors = vectors
+    def __init__(self, table: np.ndarray, index: Dict[str, int]):
+        # A view, so the caller's array keeps its own flags.
+        self.table = np.asarray(table, dtype="<f8").view()
+        self.table.flags.writeable = False
+        self.index = index
+
+    @property
+    def dim(self) -> int:
+        return self.table.shape[1]
 
     def __contains__(self, key: str) -> bool:
-        return key in self.vectors
+        return key in self.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
-    def add(self, key: str, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise DimensionError(
-                f"feature {key!r} has shape {vector.shape}, expected ({self.dim},)"
-            )
-        self.vectors[key] = vector
-
-    def vector(self, key: str) -> np.ndarray:
+    def lookup(self, keys: Iterable[str]) -> np.ndarray:
+        """Row numbers of ``keys`` in ``table``."""
         try:
-            return self.vectors[key]
-        except KeyError:
+            return np.array([self.index[key] for key in keys], dtype=np.intp)
+        except KeyError as exc:
+            key = exc.args[0]
             raise IngestionError(f"missing visual feature vector for key {key!r}") from None
 
     @classmethod
@@ -323,25 +325,19 @@ class FeatureStore:
                 f"{data_path}: expected {expected} float64 values "
                 f"({count} rows x {dim}), found {flat.size}"
             )
-        # Every vector is a view into this one array; read-only, so no caller
-        # can change the store through a vector it was handed.
-        flat.flags.writeable = False
-        rows = flat.reshape(count, dim)
+        table = flat.reshape(count, dim)
         if not all_finite(flat):
-            bad_row = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            bad_row = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
             raise IngestionError(f"{data_path}: non-finite values in feature row {bad_row}")
-        vectors = {key: rows[row] for key, row in keys.items()}
-        return cls(dim, vectors)
+        return cls(table, keys)
 
     def save(self, data_path, index_path) -> None:
-        keys = sorted(self.vectors)
-        rows = np.stack([self.vectors[k] for k in keys]) if keys else np.zeros((0, self.dim))
-        rows.astype("<f8").tofile(data_path)
+        self.table.tofile(data_path)
         index = {
             "schema_version": 1,
             "dim": self.dim,
-            "count": len(keys),
-            "keys": {k: i for i, k in enumerate(keys)},
+            "count": len(self.index),
+            "keys": self.index,
         }
         with open(index_path, "w", encoding="utf-8") as fh:
             json.dump(index, fh, sort_keys=True, indent=1)
@@ -422,19 +418,18 @@ class FeatureExtractor:
             indices = subjects if name == "external_subject" else objects
             return self._external_table[pairs.categories[indices]]
         if name == "visual_union":
-            return self._vectors(pairs.union_keys, scene, "pair")
+            return self.store.table[self._rows(pairs.union_keys, scene, "pair")]
         if name in ("visual_subject", "visual_object"):
-            table = self._vectors([o.feature_key for o in pairs.objects], scene, "object")
-            return table[subjects if name == "visual_subject" else objects]
+            rows = self._rows([o.feature_key for o in pairs.objects], scene, "object")
+            return self.store.table[rows[subjects if name == "visual_subject" else objects]]
         raise DimensionError(f"unknown feature stream {name!r}")
 
-    def _vectors(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
-        """The store's vectors of ``keys`` as (len(keys), dim) rows."""
+    def _rows(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
+        """The store's row numbers of ``keys``."""
         if None in keys:
             missing = f"{what} {keys.index(None)}"
             raise IngestionError(f"scene {scene.image_id!r}: {missing} has no feature key")
-        rows = [self.store.vector(k) for k in keys]
-        return np.stack(rows) if rows else np.zeros((0, self.store.dim))
+        return self.store.lookup(keys)
 
     def matrix(
         self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str] | None = None

@@ -372,14 +372,19 @@ def gradient_check(
     tolerance: float = 1e-4,
     step: float = 1e-5,
 ) -> GradientCheckReport:
-    """Compare analytic gradients with central finite differences."""
-    numeric = finite_difference_gradients(loss_fn, params, step=step)
+    """Compare analytic gradients with central finite differences.
+
+    A step so large that the loss overflows gives non-finite differences;
+    they fail the comparison without a floating-point warning.
+    """
     errors = {}
-    for name in params:
-        a = analytic[name]
-        n = numeric[name]
-        # Floor keeps finite-difference roundoff on near-zero entries from
-        # registering as large relative errors.
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-2)
-        errors[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+    with np.errstate(all="ignore"):
+        numeric = finite_difference_gradients(loss_fn, params, step=step)
+        for name in params:
+            a = analytic[name]
+            n = numeric[name]
+            # Floor keeps finite-difference roundoff on near-zero entries from
+            # registering as large relative errors.
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-2)
+            errors[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
     return GradientCheckReport(block_errors=errors, tolerance=tolerance)

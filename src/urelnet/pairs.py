@@ -15,6 +15,7 @@ undetermined with all-zero labels. A scene's pairs are one ``ScenePairs``.
 from __future__ import annotations
 
 import enum
+import math
 from collections import abc
 from dataclasses import dataclass, replace
 from functools import partial
@@ -221,8 +222,8 @@ class BatchSpec:
     def __post_init__(self):
         if self.batch_size <= 0:
             raise UsageError("batch_size must be positive")
-        if self.undetermined_ratio < 0:
-            raise UsageError("undetermined_ratio must be >= 0")
+        if not 0 <= self.undetermined_ratio < math.inf:
+            raise UsageError("undetermined_ratio must be finite and >= 0")
 
     @property
     def undetermined_quota(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .scene import (
     DetectedObject,
     SceneRecord,
     Vocabulary,
+    box_array,
     pair_indices,
-    union_box,
+    union_rows,
 )
 
 CATEGORY_GROUPS = 4
@@ -100,8 +101,8 @@ def _hash_vector(seed: int, tag: str, dim: int, scale: float) -> np.ndarray:
     return rng.standard_normal(dim) * scale
 
 
-def _box_tag(box: BoundingBox) -> str:
-    return "{:.4f},{:.4f},{:.4f},{:.4f}".format(*box.as_tuple())
+def _box_tag(coords: Sequence[float]) -> str:
+    return "{:.4f},{:.4f},{:.4f},{:.4f}".format(*coords)
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -313,44 +314,44 @@ def _build_scene(
     return scene, [true for _, true in detections]
 
 
-def _scene_features(
-    scene: SceneRecord,
-    true_categories: Sequence[int],
-    config: SyntheticConfig,
-    blueprint: _Blueprint,
-    store: FeatureStore,
-) -> None:
-    """Visual vectors: category prototype plus box-hash noise for objects
-    (label flips keep the true category's prototype), pure hash noise for
-    union boxes."""
-    seed = config.seed
-
-    def box_vector(box: BoundingBox, category: int) -> np.ndarray:
-        noise = _hash_vector(
-            seed, f"{scene.image_id}|{_box_tag(box)}", config.visual_dim, config.visual_noise
-        )
-        return blueprint.prototypes[category] + noise
-
+def _scene_features(scene: SceneRecord, true_categories: Sequence[int]) -> Iterator[tuple]:
+    """(key, hash tag, prototype category) of each of the scene's visual
+    vectors. Objects take their true category's prototype (label flips keep
+    it); union boxes have none, their vectors are content-free noise."""
+    image_id = scene.image_id
     for i, det in enumerate(scene.detections):
-        store.add(det.feature_key, box_vector(det.box, true_categories[i]))
+        yield det.feature_key, f"{image_id}|{_box_tag(det.box.as_tuple())}", true_categories[i]
     gt_objects = scene.gt_objects()
     for i, (box, cat) in enumerate(gt_objects):
-        store.add(gt_feature_key(scene.image_id, i), box_vector(box, cat))
-    # Union-box vectors are content-free noise derived from the box and image.
+        yield gt_feature_key(image_id, i), f"{image_id}|{_box_tag(box.as_tuple())}", cat
     for boxes, key_fn in (
-        ([d.box for d in scene.detections], detection_union_key),
-        ([b for b, _ in gt_objects], gt_union_key),
+        (box_array(d.box for d in scene.detections), detection_union_key),
+        (box_array(b for b, _ in gt_objects), gt_union_key),
     ):
         subjects, objects = pair_indices(len(boxes))
-        for i, j in zip(subjects.tolist(), objects.tolist()):
-            u = union_box(boxes[i], boxes[j])
-            store.add(
-                key_fn(scene.image_id, i, j),
-                _hash_vector(
-                    seed, f"{scene.image_id}|union|{_box_tag(u)}",
-                    config.visual_dim, config.visual_noise,
-                ),
-            )
+        unions = union_rows(boxes[subjects], boxes[objects])
+        for i, j, u in zip(subjects.tolist(), objects.tolist(), unions.tolist()):
+            yield key_fn(image_id, i, j), f"{image_id}|union|{_box_tag(u)}", None
+
+
+def _feature_store(built: list, config: SyntheticConfig, blueprint: _Blueprint) -> FeatureStore:
+    """The visual vectors of every built (scene, true categories), one table
+    row per key in key order: prototype plus box-hash noise, or the noise alone."""
+    specs = {
+        key: (tag, category)
+        for scene, true_categories in built
+        for key, tag, category in _scene_features(scene, true_categories)
+    }
+    keys = sorted(specs)
+    table = np.empty((len(keys), config.visual_dim), dtype="<f8")
+    for row, key in zip(table, keys):
+        tag, category = specs[key]
+        noise = _hash_vector(config.seed, tag, config.visual_dim, config.visual_noise)
+        if category is None:
+            row[:] = noise
+        else:
+            np.add(blueprint.prototypes[category], noise, out=row)
+    return FeatureStore(table, {key: row for row, key in enumerate(keys)})
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
@@ -362,24 +363,22 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         tuple(f"obj{i:02d}" for i in range(config.object_count)),
         tuple(f"rel{j}" for j in range(config.predicate_count)),
     )
-    store = FeatureStore(config.visual_dim, {})
-    scenes: List[SceneRecord] = []
-    for split, count in (
-        ("train", config.train_scenes),
-        ("validation", config.validation_scenes),
-        ("test", config.test_scenes),
-    ):
-        for i in range(count):
-            scene, true_categories = _build_scene(
-                f"synth-{split}-{i:04d}", split, config, blueprint, rng
-            )
-            _scene_features(scene, true_categories, config, blueprint, store)
-            scenes.append(scene)
+    # Features draw nothing from ``rng``, so every scene is built first.
+    built = [
+        _build_scene(f"synth-{split}-{i:04d}", split, config, blueprint, rng)
+        for split, count in (
+            ("train", config.train_scenes),
+            ("validation", config.validation_scenes),
+            ("test", config.test_scenes),
+        )
+        for i in range(count)
+    ]
     embeddings = EmbeddingTable(
         {vocab.object_names[i]: blueprint.embeddings[i].copy() for i in range(config.object_count)},
         config.embedding_dim,
     )
-    return Dataset(vocabulary=vocab, scenes=scenes, features=store, embeddings=embeddings)
+    features = _feature_store(built, config, blueprint)
+    return Dataset(vocab, [scene for scene, _ in built], features, embeddings)
 
 
 def held_out_types(config: SyntheticConfig) -> List[Tuple[int, int, int]]:

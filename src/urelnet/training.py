@@ -65,10 +65,17 @@ class RunConfig:
         for name, value in positive.items():
             if value is not None and value <= 0:
                 raise UsageError(f"{name} must be positive, got {value}")
-        for name in ("undetermined_ratio", "per_scene_undetermined_cap"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise UsageError(f"{name} must be >= 0, got {value}")
+        cap = self.per_scene_undetermined_cap
+        if cap is not None and cap < 0:
+            raise UsageError(f"per_scene_undetermined_cap must be >= 0, got {cap}")
+        # Written so that a NaN, which fails every comparison, is rejected.
+        ratio, lr, decay = self.undetermined_ratio, self.schedule.base_lr, self.schedule.decay_rate
+        if not 0 <= ratio < math.inf:
+            raise UsageError(f"undetermined_ratio must be finite and >= 0, got {ratio!r}")
+        if not 0 < lr < math.inf:
+            raise UsageError(f"base_lr must be positive and finite, got {lr!r}")
+        if not 0 < decay <= 1:
+            raise UsageError(f"decay_rate must be in (0, 1], got {decay!r}")
 
 
 def make_run_config(model: ModelConfig, task: str = "relation", **overrides) -> RunConfig:
@@ -187,24 +194,31 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
         )
         return recalls[str(VALIDATION_N)]
 
-    for step in range(total_steps):
-        idx = np.array(sampler.sample_batch(), dtype=int)
-        lr = adam.learning_rate()
-        loss, terms, grads = model.loss_and_gradients(
-            pool.features.rows(idx), pool.labels[idx], pool.determinate[idx]
-        )
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss!r} at step {step}")
-        adam_step(params, grads, adam)
-        record = {"step": step, "learning_rate": lr, "loss": loss}
-        record.update(terms)
-        records.append(record)
-        if val_scenes and (step + 1) % val_interval == 0:
-            recall = validate()
-            records.append({"step": step, "validation_recall": recall})
-            if best_recall is None or recall > best_recall:
-                best_recall = recall
-                best_params = params.flat.copy()
+    step = 0
+    try:
+        # Arithmetic that overflows (huge loss weights or rates) has diverged:
+        # numpy raises instead of printing a warning and going on.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for step in range(total_steps):
+                idx = np.array(sampler.sample_batch(), dtype=int)
+                lr = adam.learning_rate()
+                loss, terms, grads = model.loss_and_gradients(
+                    pool.features.rows(idx), pool.labels[idx], pool.determinate[idx]
+                )
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss {loss!r} at step {step}")
+                adam_step(params, grads, adam)
+                record = {"step": step, "learning_rate": lr, "loss": loss}
+                record.update(terms)
+                records.append(record)
+                if val_scenes and (step + 1) % val_interval == 0:
+                    recall = validate()
+                    records.append({"step": step, "validation_recall": recall})
+                    if best_recall is None or recall > best_recall:
+                        best_recall = recall
+                        best_params = params.flat.copy()
+    except FloatingPointError as exc:
+        raise DivergenceError(f"floating-point {exc} at step {step}") from None
     if best_params is not None:
         params.flat[...] = best_params
     return TrainingResult(

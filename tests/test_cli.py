@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import shutil
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urelnet.cli import main
 
@@ -277,11 +284,24 @@ def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch,
         ["--undetermined-cap", "-1"],
         ["--validation-interval", "-1"],
         ["--dc-loss-weight", "nan"],
+        ["--undetermined-ratio", "nan"],
+        ["--undetermined-ratio", "inf"],
+        ["--undetermined-ratio=-inf"],
+        ["--base-lr=-1"],
+        ["--base-lr", "0"],
+        ["--base-lr", "inf"],
+        ["--base-lr", "nan"],
+        ["--decay-rate=-2"],
+        ["--decay-rate", "0"],
+        ["--decay-rate", "1.5"],
+        ["--decay-rate", "nan"],
     ],
     ids=["modals", "one-modal-bogus", "transform-dim-zero", "batch-size-zero",
          "negative-ratio", "decay-interval-zero", "steps-negative", "steps-zero",
          "epochs-zero", "undetermined-cap-negative", "validation-interval-negative",
-         "loss-weight-nan"],
+         "loss-weight-nan", "ratio-nan", "ratio-inf", "ratio-negative-inf",
+         "base-lr-negative", "base-lr-zero", "base-lr-inf", "base-lr-nan",
+         "decay-rate-negative", "decay-rate-zero", "decay-rate-above-one", "decay-rate-nan"],
 )
 def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     run = tmp_path / "run"
@@ -362,8 +382,8 @@ def test_wrong_typed_dataset_field_is_one_json_error_line(
 
 @pytest.mark.parametrize(
     "bad",
-    [["--k", "-1"], ["--k", "0"], ["--top", "-1"], ["--top", "0"]],
-    ids=["k-negative", "k-zero", "top-negative", "top-zero"],
+    [["--k", "-1"], ["--k", "0"], ["--top", "-1"], ["--top", "0"], ["--image-id", "nope"]],
+    ids=["k-negative", "k-zero", "top-negative", "top-zero", "image-id-unknown"],
 )
 def test_bad_predict_arguments_are_usage_errors(workspace, capsys, bad):
     code = main([
@@ -390,6 +410,76 @@ def test_bad_gradcheck_arguments_are_usage_errors(capsys, bad):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["category"] == "usage-error"
+
+
+def test_gradcheck_huge_step_fails_without_floating_point_warnings(capsys):
+    # The loss overflows at this step; the verdict is FAIL, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gradcheck", "--instances", "1", "--step", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "instance 0: max relative error 1.000e+00 [FAIL]\n"
+        "  worst block: dc.hidden.bias\n"
+        "gradcheck: 0/1 instances passed (worst 1.000e+00, tolerance 1.0e-04)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 16.0 TiB for an array"),
+      "Unable to allocate 16.0 TiB for an array"),
+     (MemoryError(), "memory allocation failed")],
+    ids=["numpy-message", "no-message"],
+)
+def test_failed_allocation_is_one_json_error_line(capsys, tmp_path, monkeypatch, exc, message):
+    # Raised, never allocated: the real request would be about 16 TB.
+    from urelnet import cli
+
+    def no_memory(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_memory)
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--visual-dim", "100000000000"]) == 1
+    assert _single_error_line(capsys) == {"category": "out-of-memory", "message": message}
+    assert not out.exists()
+
+
+# Train's float flags, each also given NaN, the infinities, zeros, negative
+# and huge values. Integer flags are left out: a huge dimension or batch size
+# is a real request for memory and time, not a malformed number.
+_FLOAT_FLAGS = ("--base-lr", "--decay-rate", "--undetermined-ratio",
+                "--dc-undetermined-weight", "--rel-undetermined-weight", "--dc-loss-weight")
+_EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300, 5e-324, 1.0, 0.5]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=st.dictionaries(
+    st.sampled_from(_FLOAT_FLAGS), _EDGE_FLOATS | st.floats(), min_size=1, max_size=3
+))
+def test_train_numeric_flags_fuzz(workspace, flags):
+    # Every run exits 0, or exits 1 with exactly one JSON error line. A
+    # warning would print before that line, so warnings fail the test.
+    args = ["train", "--steps", "1", "--transform-dim", "4", "--dc-hidden-dim", "3",
+            "--rel-hidden-dim", "4", "--dataset", str(workspace / "ds")]
+    args += [f"{flag}={value!r}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory(dir=workspace) as run, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args + ["--out-dir", run])
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "checkpoint" in json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"category", "message"}
 
 
 def test_unwritable_output_paths_are_output_errors(workspace, capsys, tmp_path, monkeypatch):

@@ -28,11 +28,12 @@ def minimal_dataset():
     scene = SceneRecord(
         "img0", 100.0, 100.0, detections, (AnnotatedTriplet(sbox, 0, 0, obox, 1),), "train"
     )
-    store = FeatureStore(3, {})
-    rng = np.random.default_rng(0)
-    for key in ("img0|det|0", "img0|det|1", "img0|union|det|0|1", "img0|union|det|1|0",
-                "img0|gt|0", "img0|gt|1", "img0|union|gt|0|1", "img0|union|gt|1|0"):
-        store.add(key, rng.standard_normal(3))
+    keys = ("img0|det|0", "img0|det|1", "img0|union|det|0|1", "img0|union|det|1|0",
+            "img0|gt|0", "img0|gt|1", "img0|union|gt|0|1", "img0|union|gt|1|0")
+    store = FeatureStore(
+        np.random.default_rng(0).standard_normal((len(keys), 3)),
+        {key: row for row, key in enumerate(keys)},
+    )
     embeddings = EmbeddingTable({"cup": np.array([1.0, 2.0]), "table": np.array([3.0, 4.0])}, 2)
     return Dataset(vocabulary=vocab, scenes=[scene], features=store, embeddings=embeddings)
 
@@ -47,8 +48,10 @@ def test_minimal_roundtrip(tmp_path):
     assert scene.image_id == "img0"
     assert scene.detections == original.scenes[0].detections
     assert scene.annotations == original.scenes[0].annotations
-    for key, vec in original.features.vectors.items():
-        np.testing.assert_array_equal(loaded.features.vector(key), vec)
+    for key, row in original.features.index.items():
+        np.testing.assert_array_equal(
+            loaded.features.table[loaded.features.index[key]], original.features.table[row]
+        )
     np.testing.assert_array_equal(loaded.embeddings.vectors["cup"], [1.0, 2.0])
 
 

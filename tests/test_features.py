@@ -294,6 +294,15 @@ def test_embedding_file_non_numeric(tmp_path):
         EmbeddingTable.from_file(path)
 
 
+def _store(keys, vectors):
+    """A store whose row i is ``vectors[i]``, keyed by ``keys[i]``."""
+    return FeatureStore(np.asarray(vectors, dtype=np.float64), {k: i for i, k in enumerate(keys)})
+
+
+def _vector(store, key):
+    return store.table[store.lookup([key])[0]]
+
+
 def _pair_scene_fixture():
     vocab = Vocabulary(("person", "horse"), ("ride", "on", "near"))
     sbox, obox = BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10)
@@ -303,11 +312,9 @@ def _pair_scene_fixture():
     )
     ann = AnnotatedTriplet(sbox, 0, 0, obox, 1)
     scene = SceneRecord("img", 100.0, 100.0, detections, (ann,), "train")
-    store = FeatureStore(4, {})
-    rng = np.random.default_rng(3)
-    for key in ["img|det|0", "img|det|1", detection_union_key("img", 0, 1),
-                detection_union_key("img", 1, 0)]:
-        store.add(key, rng.standard_normal(4))
+    keys = ["img|det|0", "img|det|1", detection_union_key("img", 0, 1),
+            detection_union_key("img", 1, 0)]
+    store = _store(keys, np.random.default_rng(3).standard_normal((4, 4)))
     emb = EmbeddingTable({"person": np.array([1.0, 0.0]), "horse": np.array([0.0, 1.0])}, 2)
     stats = build_triplet_statistics([scene], vocab)
     # Row 0 is the pair (0, 1), row 1 the flipped pair (1, 0).
@@ -330,7 +337,7 @@ def test_matrix_one_pair_shapes_and_invariants():
 
 def test_matrix_missing_visual_vector_errors():
     vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
-    del store.vectors["img|det|1"]
+    del store.index["img|det|1"]
     extractor = FeatureExtractor(store, stats, emb, vocab)
     with pytest.raises(IngestionError, match=r"'img\|det\|1'"):
         extractor.matrix(pairs.take([0]), scene)
@@ -346,36 +353,33 @@ def test_matrix_stacks_rows():
 
 
 def test_feature_store_roundtrip(tmp_path):
-    store = FeatureStore(3, {})
-    rng = np.random.default_rng(0)
-    for i in range(5):
-        store.add(f"k{i}", rng.standard_normal(3))
+    store = _store([f"k{i}" for i in range(5)], np.random.default_rng(0).standard_normal((5, 3)))
     store.save(tmp_path / "f.bin", tmp_path / "f.idx.json")
     loaded = FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
     assert len(loaded) == 5
-    for key, vec in store.vectors.items():
-        np.testing.assert_array_equal(loaded.vector(key), vec)
+    for key in store.index:
+        np.testing.assert_array_equal(_vector(loaded, key), _vector(store, key))
 
 
 def test_feature_store_keeps_read_only_views(tmp_path):
-    store = FeatureStore(3, {})
-    rng = np.random.default_rng(1)
-    for i in range(4):
-        store.add(f"k{i}", rng.standard_normal(3))
-    store.save(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    vectors = np.random.default_rng(1).standard_normal((4, 3))
+    _store([f"k{i}" for i in range(4)], vectors).save(tmp_path / "f.bin", tmp_path / "f.idx.json")
     index = json.loads((tmp_path / "f.idx.json").read_text())["keys"]
     on_disk = np.fromfile(tmp_path / "f.bin", dtype="<f8").reshape(4, 3)
     loaded = FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
-    for key, row in index.items():
-        vec = loaded.vector(key)
-        np.testing.assert_array_equal(vec, on_disk[row])
-        with pytest.raises(ValueError):
-            vec[0] = 1.0
-    assert len({id(loaded.vector(k).base) for k in index}) == 1
+    assert loaded.index == index
+    assert loaded.table.tobytes() == on_disk.tobytes()
+    with pytest.raises(ValueError):
+        loaded.table[0, 0] = 1.0
+    # The caller's array stays writable; the store holds a read-only view.
+    store = _store(["a"], vectors[:1])
+    assert vectors.flags.writeable and np.shares_memory(store.table, vectors)
+    with pytest.raises(ValueError):
+        store.table[0, 0] = 1.0
 
 
 def _saved_store(tmp_path, rows=2):
-    store = FeatureStore(3, {f"k{i}": np.full(3, float(i)) for i in range(rows)})
+    store = _store([f"k{i}" for i in range(rows)], [np.full(3, float(i)) for i in range(rows)])
     store.save(tmp_path / "f.bin", tmp_path / "f.idx.json")
     return tmp_path / "f.bin", tmp_path / "f.idx.json"
 
@@ -394,7 +398,7 @@ def test_feature_store_accepts_large_finite_values(tmp_path):
     data, index = _saved_store(tmp_path)
     np.full(6, 1e200).tofile(data)
     loaded = FeatureStore.from_files(data, index)
-    np.testing.assert_array_equal(loaded.vector("k1"), np.full(3, 1e200))
+    np.testing.assert_array_equal(_vector(loaded, "k1"), np.full(3, 1e200))
 
 
 def test_feature_store_accepts_finite_values_whose_sum_overflows(tmp_path):
@@ -404,7 +408,7 @@ def test_feature_store_accepts_finite_values_whose_sum_overflows(tmp_path):
         assert not np.isfinite(values.sum())
     values.tofile(data)
     loaded = FeatureStore.from_files(data, index)
-    np.testing.assert_array_equal(loaded.vector("k0"), values[:3])
+    np.testing.assert_array_equal(_vector(loaded, "k0"), values[:3])
 
 
 @pytest.mark.parametrize("row", [-1, 2, 7, 1.0, "1"])
@@ -568,22 +572,23 @@ def test_matrix_looks_up_object_vectors_once_per_object(stream, monkeypatch):
     extractor, scene, pairs = _synthetic_scene_pairs()
     d = len(scene.detections)
     if stream == "visual_union":
-        keys = list(pairs.union_keys)  # one lookup per pair
-        expected_calls = keys
-    else:  # one lookup per object, gathered to every pair
+        keys = list(pairs.union_keys)  # one key resolved per pair
+        expected_resolved = keys
+    else:  # one key resolved per object, gathered to every pair
         role = stream[len("visual_") :]
         keys = [getattr(pairs[p], role).feature_key for p in range(len(pairs))]
-        expected_calls = [det.feature_key for det in scene.detections]
-    calls = []
-    vector = FeatureStore.vector
+        expected_resolved = [det.feature_key for det in scene.detections]
+    resolved = []
+    lookup = FeatureStore.lookup
 
-    def counting(self, key):
-        calls.append(key)
-        return vector(self, key)
+    def counting(self, keys):
+        resolved.extend(keys)
+        return lookup(self, keys)
 
-    monkeypatch.setattr(FeatureStore, "vector", counting)
+    monkeypatch.setattr(FeatureStore, "lookup", counting)
     matrix = extractor.matrix(pairs, scene, streams=[stream])
     assert len(pairs) == d * (d - 1) > d
-    assert calls == expected_calls
-    expected = np.stack([extractor.store.vectors[key] for key in keys])
+    assert resolved == expected_resolved
+    store = extractor.store
+    expected = np.stack([store.table[store.index[key]] for key in keys])
     assert matrix[stream].tobytes() == expected.tobytes()

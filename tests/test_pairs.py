@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urelnet.errors import InsufficientDataError
+from urelnet.errors import InsufficientDataError, UsageError
 from urelnet.pairs import (
     BatchSpec,
     PairSampler,
@@ -199,6 +199,12 @@ def test_batch_spec_quota():
     assert spec.undetermined_quota == 6
     assert spec.determinate_quota == 2
     assert BatchSpec(8, 0.0).undetermined_quota == 0
+
+
+@pytest.mark.parametrize("ratio", [-1.0, float("nan"), float("inf")])
+def test_batch_spec_rejects_negative_or_non_finite_ratio(ratio):
+    with pytest.raises(UsageError, match="undetermined_ratio"):
+        BatchSpec(8, ratio)
 
 
 def test_sampler_composition_and_determinism():

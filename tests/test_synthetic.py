@@ -1,9 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
+from urelnet import synthetic
 from urelnet.dataset import save_dataset
 from urelnet.features import build_triplet_statistics
-from urelnet.pairs import PairStatus, generate_for_scene
+from urelnet.pairs import (
+    PairStatus,
+    detection_union_key,
+    generate_for_scene,
+    gt_feature_key,
+    gt_union_key,
+)
+from urelnet.scene import union_box
 from urelnet.synthetic import SyntheticConfig, generate_synthetic, held_out_types
 
 QUICK = dict(train_scenes=15, validation_scenes=3, test_scenes=6)
@@ -98,3 +108,68 @@ def test_statistics_buildable_from_train_split():
     ds = generate_synthetic(SyntheticConfig(**QUICK, seed=10))
     stats = build_triplet_statistics(ds.split("train"), ds.vocabulary)
     assert stats.total == sum(len(s.annotations) for s in ds.split("train"))
+
+
+def _features_the_old_way(config):
+    """Reference ``features.bin`` and ``features.idx.json`` bytes, built one
+    vector per key: prototype plus ``_hash_vector`` noise for objects, the
+    noise of ``union_box`` tags for pairs, then stacked in sorted-key order."""
+    rng = np.random.default_rng(config.seed)
+    blueprint = synthetic._Blueprint(config, rng)
+    vectors = {}
+    for split, count in (
+        ("train", config.train_scenes),
+        ("validation", config.validation_scenes),
+        ("test", config.test_scenes),
+    ):
+        for n in range(count):
+            scene, true_categories = synthetic._build_scene(
+                f"synth-{split}-{n:04d}", split, config, blueprint, rng
+            )
+            image_id = scene.image_id
+
+            def noise(kind, box):
+                tag = f"{image_id}|{kind}" + "{:.4f},{:.4f},{:.4f},{:.4f}".format(*box.as_tuple())
+                return synthetic._hash_vector(
+                    config.seed, tag, config.visual_dim, config.visual_noise
+                )
+
+            for d, det in enumerate(scene.detections):
+                vectors[det.feature_key] = (
+                    blueprint.prototypes[true_categories[d]] + noise("", det.box)
+                )
+            gt_objects = scene.gt_objects()
+            for g, (box, cat) in enumerate(gt_objects):
+                vectors[gt_feature_key(image_id, g)] = blueprint.prototypes[cat] + noise("", box)
+            for boxes, key_fn in (
+                ([det.box for det in scene.detections], detection_union_key),
+                ([box for box, _ in gt_objects], gt_union_key),
+            ):
+                for i in range(len(boxes)):
+                    for j in range(len(boxes)):
+                        if i != j:
+                            u = union_box(boxes[i], boxes[j])
+                            vectors[key_fn(image_id, i, j)] = noise("union|", u)
+    keys = sorted(vectors)
+    data = np.stack([vectors[k] for k in keys]).astype("<f8").tobytes()
+    index = {
+        "schema_version": 1,
+        "dim": config.visual_dim,
+        "count": len(keys),
+        "keys": {k: i for i, k in enumerate(keys)},
+    }
+    return data, json.dumps(index, sort_keys=True, indent=1).encode("utf-8")
+
+
+@pytest.mark.parametrize("visual_noise", [0.35, 0.0], ids=["noisy", "noise-free"])
+def test_feature_files_equal_per_key_reference(tmp_path, visual_noise):
+    # Label flips make a detection's prototype differ from its label; a zero
+    # noise scale gives -0.0 union entries, which must survive as they are.
+    config = SyntheticConfig(
+        train_scenes=4, validation_scenes=2, test_scenes=3, label_flip_rate=0.5,
+        visual_dim=5, visual_noise=visual_noise, seed=11,
+    )
+    save_dataset(generate_synthetic(config), tmp_path)
+    data, index = _features_the_old_way(config)
+    assert (tmp_path / "features.idx.json").read_bytes() == index
+    assert (tmp_path / "features.bin").read_bytes() == data

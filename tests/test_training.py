@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, UndefinedMetricError
-from urelnet.features import FeatureMatrix
+from urelnet.features import FeatureMatrix, FeatureStore
 from urelnet.model import ModelConfig, build_model, model_shapes, required_streams
 from urelnet.pairs import generate_for_scene
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
@@ -190,8 +190,7 @@ def test_divergent_features_raise():
     ds = generate_synthetic(
         SyntheticConfig(train_scenes=6, test_scenes=1, min_relations=2, max_relations=3, seed=14)
     )
-    for key in ds.features.vectors:
-        ds.features.vectors[key] = np.full(ds.features.dim, np.inf)
+    ds.features = FeatureStore(np.full_like(ds.features.table, np.inf), ds.features.index)
     rc = RunConfig(
         model=ModelConfig(
             predicate_count=ds.vocabulary.predicate_count,
