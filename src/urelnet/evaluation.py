@@ -6,7 +6,9 @@ categories and predicate only; the phrase task checks IoU of the union
 boxes; the relation task checks both individual box IoUs. Evaluation
 thresholds are inclusive (>= 0.5), unlike the strict generator threshold.
 A ranking is a ``PredictionSet`` of columns gathered from the candidate
-pairs' arrays, and matching tests it against all ground truth at once.
+pairs' arrays. A scene's ground truth is a ``GroundTruth`` of columns,
+built once per scene, and matching runs the IoU tests only on the
+(prediction, ground truth) entries whose triplet types agree.
 
 Phrase and relation rank the same detection pairs, and the zero-shot filter
 only drops ground truth, so an evaluation scores each scene once per
@@ -26,7 +28,7 @@ from .errors import DimensionError, DivergenceError, UndefinedMetricError, Usage
 from .features import FeatureExtractor
 from .model import required_streams
 from .pairs import ScenePairs, generate_for_scene, gt_pairs_for_scene
-from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, box_array, iou_rows, union_rows
+from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, box_array, iou_pairs, union_rows
 
 TASKS = ("predicate", "phrase", "relation")
 
@@ -160,11 +162,18 @@ def predict_scene(
         raise UsageError(f"k must be >= 1, got {k}")
     pairs = candidate_pairs(scene, task, predicate_count)
     if pairs:
-        scores = np.asarray(scorer(pairs, scene), dtype=np.float64)
+        diverged = DivergenceError(f"non-finite relation scores for image {scene.image_id!r}")
+        # Scores that overflow have diverged: numpy raises instead of printing
+        # a warning and going on, as in a training step.
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                scores = np.asarray(scorer(pairs, scene), dtype=np.float64)
+        except FloatingPointError:
+            raise diverged from None
         if scores.ndim != 2 or scores.shape[0] != len(pairs):
             raise DimensionError(f"scorer returned shape {scores.shape} for {len(pairs)} pairs")
         if not np.isfinite(scores).all():
-            raise DivergenceError(f"non-finite relation scores for image {scene.image_id!r}")
+            raise diverged
     else:
         scores = np.zeros((0, predicate_count))
     # Per pair, the k best predicates (ties to the lower index); then every
@@ -182,34 +191,67 @@ def predict_scene(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Ground-truth triplets as columns, in annotation order."""
+
+    subject_categories: np.ndarray  # (G,) intp
+    predicates: np.ndarray  # (G,) intp
+    object_categories: np.ndarray  # (G,) intp
+    subject_boxes: np.ndarray  # (G, 4) float64
+    object_boxes: np.ndarray  # (G, 4) float64
+
+    @classmethod
+    def of(cls, triplets: Sequence[AnnotatedTriplet]) -> "GroundTruth":
+        types = np.array([gt.type_key() for gt in triplets], dtype=np.intp).reshape(-1, 3)
+        return cls(
+            *types.T,
+            box_array(gt.subject_box for gt in triplets),
+            box_array(gt.object_box for gt in triplets),
+        )
+
+    def __len__(self) -> int:
+        return len(self.predicates)
+
+    def take(self, rows) -> "GroundTruth":
+        """The triplets at ``rows`` (indices or a boolean mask), in order."""
+        return GroundTruth(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
 def match_predictions(
     predictions: PredictionSet,
-    ground_truth: Sequence[AnnotatedTriplet],
+    ground_truth: GroundTruth | Sequence[AnnotatedTriplet],
     task: str = "relation",
 ) -> List[bool]:
     """Greedy matching in rank order; each ground-truth triplet is consumed
-    by at most one prediction (first eligible in annotation order). All
-    (prediction, ground truth) hit tests are one eligibility matrix.
+    by at most one prediction (first eligible in annotation order).
+
+    The (prediction, ground truth) entries whose types agree are found at
+    once; only those get the task's IoU tests.
     """
     p = predictions
-    types = np.stack([p.subject_categories, p.predicates, p.object_categories], axis=1)
-    gt_types = np.array([gt.type_key() for gt in ground_truth], dtype=np.intp).reshape(-1, 3)
-    eligible = (types[:, None, :] == gt_types[None, :, :]).all(axis=2)
-    gt_subjects = box_array(gt.subject_box for gt in ground_truth)
-    gt_objects = box_array(gt.object_box for gt in ground_truth)
-    if task == "phrase":
-        unions = union_rows(p.subject_boxes, p.object_boxes)
-        eligible &= iou_rows(unions, union_rows(gt_subjects, gt_objects)) >= EVAL_IOU_THRESHOLD
-    elif task != "predicate":  # relation
-        eligible &= iou_rows(p.subject_boxes, gt_subjects) >= EVAL_IOU_THRESHOLD
-        eligible &= iou_rows(p.object_boxes, gt_objects) >= EVAL_IOU_THRESHOLD
-    consumed = np.zeros(len(ground_truth), dtype=bool)
+    gt = ground_truth if isinstance(ground_truth, GroundTruth) else GroundTruth.of(ground_truth)
+    rows, cols = np.nonzero(
+        (p.predicates[:, None] == gt.predicates)
+        & (p.subject_categories[:, None] == gt.subject_categories)
+        & (p.object_categories[:, None] == gt.object_categories)
+    )
+    if rows.size and task == "phrase":
+        unions = union_rows(p.subject_boxes[rows], p.object_boxes[rows])
+        gt_unions = union_rows(gt.subject_boxes[cols], gt.object_boxes[cols])
+        keep = iou_pairs(unions, gt_unions) >= EVAL_IOU_THRESHOLD
+        rows, cols = rows[keep], cols[keep]
+    elif rows.size and task != "predicate":  # relation
+        keep = iou_pairs(p.subject_boxes[rows], gt.subject_boxes[cols]) >= EVAL_IOU_THRESHOLD
+        keep &= iou_pairs(p.object_boxes[rows], gt.object_boxes[cols]) >= EVAL_IOU_THRESHOLD
+        rows, cols = rows[keep], cols[keep]
+    # Entries come in rank order, each row's in annotation order.
     hits = [False] * len(p.scores)
-    for row in np.flatnonzero(eligible.any(axis=1)).tolist():
-        free = np.flatnonzero(eligible[row] & ~consumed)
-        if free.size:
-            consumed[free[0]] = True
+    consumed = set()
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if not hits[row] and col not in consumed:
             hits[row] = True
+            consumed.add(col)
     return hits
 
 
@@ -280,7 +322,8 @@ def evaluate_configs(
     against the full one. With zero_shot_only, ground truth is filtered to
     triplet types unseen in training before counting.
     """
-    if any(c.zero_shot_only for c in configs) and training_types is None:
+    zero_shot = any(c.zero_shot_only for c in configs)
+    if zero_shot and training_types is None:
         raise ValueError("zero-shot evaluation requires the training triplet types")
     limits: Dict[Tuple[str, int], int] = {}
     for config in configs:
@@ -288,6 +331,10 @@ def evaluate_configs(
         limits[key] = max(limits.get(key, 0), max(config.n_values))
     tallies = [RecallTally(config) for config in configs]
     for scene in scenes:
+        gt = GroundTruth.of(scene.annotations)
+        if zero_shot:
+            unseen = [t.type_key() not in training_types for t in scene.annotations]
+            zero_shot_gt = gt.take(np.array(unseen, dtype=bool))
         ranked: Dict[Tuple[str, int], PredictionSet] = {}
         for tally in tallies:
             config = tally.config
@@ -302,11 +349,9 @@ def evaluate_configs(
                     _limit=limits[key],
                 )
             predictions = ranked[key].top(max(config.n_values))
-            gt = list(scene.annotations)
-            if config.zero_shot_only:
-                gt = zero_shot_filter(gt, training_types)
-            tally.image_hits.append(match_predictions(predictions, gt, config.task))
-            tally.gt_counts.append(len(gt))
+            truth = zero_shot_gt if config.zero_shot_only else gt
+            tally.image_hits.append(match_predictions(predictions, truth, config.task))
+            tally.gt_counts.append(len(truth))
     return tallies
 
 

@@ -9,14 +9,17 @@ vectors of the (lowercased) category name tokens. Both depend only on
 categories, so each is tabulated once, (N, N, M) internal and (N, E)
 external. A scene's ``ScenePairs`` carry its object table (boxes and
 categories, one row per object) and index it, so every object's box,
-category and feature row number is read once and gathered by the pairs'
-subject and object indices; only the union key is resolved per pair.
+category and feature row number is read once; only the union key is
+resolved per pair. The four streams that read one box (subject and object
+visual and external vectors) stay one row per object in a
+``FeatureMatrix``, with the pairs' subject or object indices beside them,
+so the model can transform each object's row once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
@@ -39,6 +42,14 @@ STREAMS = (
     "external_object",
     "internal",
 )
+
+# Streams that read one box, each with the pair role whose box it reads.
+ONE_BOX_STREAMS = {
+    "visual_subject": "subject",
+    "visual_object": "object",
+    "external_subject": "subject",
+    "external_object": "object",
+}
 
 
 def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -345,32 +356,51 @@ class FeatureStore:
 
 @dataclass
 class FeatureMatrix:
-    """Batched feature streams, one row per pair."""
+    """Batched feature streams, one row per pair.
+
+    A stream named in ``index`` is held as one row per object, and pair p
+    reads row ``index[name][p]`` of it; the model can then transform each
+    object's row once. Indexing by name, ``rows`` and ``concatenate``
+    always hand out one row per pair.
+    """
 
     streams: Dict[str, np.ndarray]
+    index: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
-            return self.streams[name]
+            rows = self.streams[name]
         except KeyError:
             raise DimensionError(
                 f"feature stream {name!r} was not assembled "
                 f"(available: {sorted(self.streams)})"
             ) from None
+        index = self.index.get(name)
+        return rows if index is None else rows[index]
+
+    def shape(self, name: str) -> Tuple[int, ...]:
+        """The per-pair shape of stream ``name``, without gathering it."""
+        index = self.index.get(name)
+        if index is None:
+            return self[name].shape
+        return (len(index),) + self.streams[name].shape[1:]
 
     @property
     def count(self) -> int:
-        return next(iter(self.streams.values())).shape[0]
+        return self.shape(next(iter(self.streams)))[0]
 
     def rows(self, indices) -> "FeatureMatrix":
-        return FeatureMatrix({k: v[indices] for k, v in self.streams.items()})
+        return FeatureMatrix(
+            {
+                name: rows[self.index[name][indices]] if name in self.index else rows[indices]
+                for name, rows in self.streams.items()
+            }
+        )
 
     @classmethod
     def concatenate(cls, matrices: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
         names = list(matrices[0].streams)
-        return cls(
-            {name: np.concatenate([m.streams[name] for m in matrices]) for name in names}
-        )
+        return cls({name: np.concatenate([m[name] for m in matrices]) for name in names})
 
 
 def _check_categories(pairs: ScenePairs, count: int) -> None:
@@ -404,25 +434,28 @@ class FeatureExtractor:
             [external_linguistic(embeddings, name) for name in vocab.object_names]
         )
 
-    def _stream(self, name: str, pairs: ScenePairs, scene) -> np.ndarray:
+    def _pair_stream(self, name: str, pairs: ScenePairs, scene) -> np.ndarray:
+        """(P, dim) rows of a stream that reads both boxes of a pair."""
         subjects, objects = pairs.subject_indices, pairs.object_indices
         if name == "spatial":
             return spatial_rows(pairs.boxes[subjects], pairs.boxes[objects])
         if name == "internal":
             return self.stats.internal_table[pairs.categories[subjects], pairs.categories[objects]]
-        if name in ("external_subject", "external_object"):
-            if self._external_table is None:
-                raise IngestionError(
-                    "external linguistic features requested but no embedding table loaded"
-                )
-            indices = subjects if name == "external_subject" else objects
-            return self._external_table[pairs.categories[indices]]
         if name == "visual_union":
             return self.store.table[self._rows(pairs.union_keys, scene, "pair")]
-        if name in ("visual_subject", "visual_object"):
-            rows = self._rows([o.feature_key for o in pairs.objects], scene, "object")
-            return self.store.table[rows[subjects if name == "visual_subject" else objects]]
         raise DimensionError(f"unknown feature stream {name!r}")
+
+    def _object_stream(self, modality: str, pairs: ScenePairs, scene) -> np.ndarray:
+        """(D, dim) rows of every object of ``pairs`` for a one-box stream."""
+        if modality == "visual":
+            keys = [o.feature_key for o in pairs.objects]
+            return self.store.table[self._rows(keys, scene, "object")]
+        if self._external_table is None:
+            raise IngestionError(
+                "external linguistic features requested but no embedding table loaded"
+            )
+        # An object that no pair reads was not range-checked; its row is never read.
+        return self._external_table.take(pairs.categories, axis=0, mode="clip")
 
     def _rows(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
         """The store's row numbers of ``keys``."""
@@ -434,7 +467,24 @@ class FeatureExtractor:
     def matrix(
         self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str] | None = None
     ) -> FeatureMatrix:
-        """Stacked rows for the requested streams (all of them by default)."""
+        """Stacked rows for the requested streams (all of them by default).
+
+        The one-box streams hold one row per object, indexed by the pairs'
+        subject or object indices; subject and object share those rows.
+        """
         names = list(streams) if streams is not None else list(STREAMS)
         _check_categories(pairs, self.stats.object_count)
-        return FeatureMatrix({name: self._stream(name, pairs, scene) for name in names})
+        rows: Dict[str, np.ndarray] = {}
+        index: Dict[str, np.ndarray] = {}
+        per_object: Dict[str, np.ndarray] = {}
+        for name in names:
+            role = ONE_BOX_STREAMS.get(name)
+            if role is None:
+                rows[name] = self._pair_stream(name, pairs, scene)
+                continue
+            modality = name[: -len(role) - 1]
+            if modality not in per_object:
+                per_object[modality] = self._object_stream(modality, pairs, scene)
+            rows[name] = per_object[modality]
+            index[name] = getattr(pairs, f"{role}_indices")
+        return FeatureMatrix(rows, index)

@@ -259,19 +259,29 @@ class RelationNetwork:
 
         Transforming mode transforms each stream, concatenates within each
         modality, transforms again, and concatenates the modality outputs.
-        Concatenating mode concatenates raw streams first and applies two
-        dense layers with the same stage widths.
+        A stream held as one row per object is transformed once per object
+        and the result gathered to the pairs; such a forward cannot be
+        backpropagated. Concatenating mode concatenates raw streams first
+        and applies two dense layers with the same stage widths.
         """
+        self._cache["per_object"] = []
         if self.config.fusion_mode == "transforming":
             parts = []
             for modality, streams in self.spec:
-                transformed = [
-                    self.layers[f"transform.{s}"].forward(features[s]) for s in streams
-                ]
+                transformed = [self._transform(s, features) for s in streams]
                 parts.append(self.layers[f"fuse.{modality}"].forward(np.concatenate(transformed, axis=1)))
             return np.concatenate(parts, axis=1)
         raw = np.concatenate([features[s] for s in self.streams], axis=1)
         return self.layers["concat.stage2"].forward(self.layers["concat.stage1"].forward(raw))
+
+    def _transform(self, name: str, features: FeatureMatrix) -> np.ndarray:
+        """``transform.<name>`` on the stream's per-pair rows, computed once per
+        object row when the stream is held per object."""
+        layer = self.layers[f"transform.{name}"]
+        if name not in features.index:
+            return layer.forward(features[name])
+        self._cache["per_object"].append(name)
+        return layer.forward(features.streams[name])[features.index[name]]
 
     def dc_forward(self, fused: np.ndarray) -> np.ndarray:
         """Determinate confidence in (0, 1), shape (B,)."""
@@ -294,11 +304,12 @@ class RelationNetwork:
         Stream shapes are checked here, once per call; the layers do not
         check their inputs.
         """
+        count = features.count
         for s, dim in self.stream_dims.items():
-            if features[s].shape != (features.count, dim):
+            shape = features.shape(s)
+            if shape != (count, dim):
                 raise DimensionError(
-                    f"feature stream {s!r} has shape {features[s].shape}, "
-                    f"expected ({features.count}, {dim})"
+                    f"feature stream {s!r} has shape {shape}, expected ({count}, {dim})"
                 )
         fused = self.fuse_features(features)
         dc_probs = self.dc_forward(fused)
@@ -321,6 +332,11 @@ class RelationNetwork:
         """
         if "fused" not in self._cache:
             raise StateError("backward called before forward")
+        if self._cache["per_object"]:
+            raise StateError(
+                f"backward after a forward that transformed {self._cache['per_object']} "
+                "once per object; backward needs one row per pair"
+            )
         fused = self._cache["fused"]
         dc_probs = self._cache["dc_probs"]
         expected = (fused.shape[0], self.config.predicate_count)

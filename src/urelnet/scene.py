@@ -79,7 +79,12 @@ def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) IoU of every row of ``a`` (n, 4) with every row of ``b`` (m, 4),
     in the operation order of ``iou``, so every entry equals it bit for bit."""
-    a, b = a[:, None, :], b[None, :, :]
+    return iou_pairs(a[:, None, :], b[None, :, :])
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of row i of ``a`` with row i of ``b`` (box arrays whose leading
+    axes broadcast), bit for bit equal to ``iou``."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)

@@ -426,6 +426,37 @@ def test_gradcheck_huge_step_fails_without_floating_point_warnings(capsys):
     )
 
 
+@pytest.fixture(scope="module")
+def huge_rate_checkpoint(workspace):
+    # One step at a huge but finite rate leaves parameters near 1e300, so
+    # scoring with them overflows; training itself does not.
+    run = workspace / "huge-rate"
+    args = ["train", "--steps", "1", "--base-lr", "1e300", "--transform-dim", "12",
+            "--dc-hidden-dim", "6", "--rel-hidden-dim", "12", "--seed", "2"]
+    assert main(args + ["--dataset", str(workspace / "ds"), "--out-dir", str(run)]) == 0
+    return run / "checkpoint.bin"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--tasks", "relation,predicate"],
+     ["predict", "--image-id", "synth-test-0000", "--top", "5"]],
+    ids=["evaluate", "predict"],
+)
+def test_overflowing_scores_are_divergence_without_warnings(
+    workspace, huge_rate_checkpoint, capsys, command
+):
+    args = command + ["--dataset", str(workspace / "ds"), "--checkpoint", str(huge_rate_checkpoint)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["category"] == "training-divergence"
+    assert error["message"].startswith("non-finite relation scores for image ")
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [(MemoryError("Unable to allocate 16.0 TiB for an array"),

@@ -612,3 +612,104 @@ def test_eval_config_rejects_bad_values_as_usage_error(kwargs):
     with pytest.raises(UsageError) as info:
         EvalConfig(**kwargs)
     assert info.value.category == "usage-error"
+
+
+# ----------------------------------------------------------------------
+# Model scoring: one-box streams are transformed once per detection.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_model_scorer_transforms_each_detection_once(im_mode, monkeypatch):
+    from urelnet.evaluation import ModelScorer
+    from urelnet.features import FeatureMatrix
+    from urelnet.model import ModelConfig, build_model
+    from urelnet.nn import DenseLayer
+    from urelnet.synthetic import SyntheticConfig, generate_synthetic
+    from urelnet.training import build_extractor
+
+    dataset = generate_synthetic(SyntheticConfig(train_scenes=4, test_scenes=3, seed=5))
+    config = ModelConfig(
+        predicate_count=dataset.vocabulary.predicate_count,
+        object_count=dataset.vocabulary.object_count,
+        visual_dim=dataset.features.dim, embedding_dim=dataset.embeddings.dim,
+        transform_dim=10, dc_hidden_dim=6, rel_hidden_dim=10, im_mode=im_mode,
+    )
+    model = build_model(config, np.random.default_rng(0))
+    extractor = build_extractor(dataset)
+    scorer = ModelScorer(model, extractor)
+    networks = model.networks if im_mode else {"union": model}
+    names = {layer: f"{role}.{name}" for role, net in networks.items()
+             for name, layer in net.layers.items()}
+    seen = []
+    forward = DenseLayer.forward
+
+    def recording(layer, x):
+        seen.append((names[layer], x.shape[0]))
+        return forward(layer, x)
+
+    scene = max(dataset.split("test"), key=lambda s: len(s.detections))
+    pairs = candidate_pairs(scene, "relation", config.predicate_count)
+    d, p = len(scene.detections), len(pairs)
+    assert p == d * (d - 1) > d
+    monkeypatch.setattr(DenseLayer, "forward", recording)
+    scores = scorer(pairs, scene)
+    monkeypatch.setattr(DenseLayer, "forward", forward)
+    rows = dict(seen)
+    assert len(rows) == len(seen)  # every layer ran once
+    for role, net in networks.items():
+        for stream in net.streams:
+            once = stream in ("visual_subject", "visual_object", "external_subject", "external_object")
+            assert rows[f"{role}.transform.{stream}"] == (d if once else p), (role, stream)
+        assert all(rows[f"{role}.{name}"] == p for name in net.layers if not name.startswith("transform."))
+    # The per-pair path gives the same scores to a relative 1e-12.
+    matrix = extractor.matrix(pairs, scene, streams=scorer.streams)
+    per_pair = FeatureMatrix({name: matrix[name] for name in matrix.streams})
+    confs = pairs.confidences
+    expected = model.relation_scores(
+        per_pair, confs[pairs.subject_indices], confs[pairs.object_indices]
+    )
+    np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+
+def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):
+    # The evaluator builds a scene's ground-truth arrays once and takes the
+    # zero-shot rows by mask; hits equal the scalar oracle's, and IoU is
+    # computed only for (prediction, ground truth) entries whose types agree.
+    from urelnet import evaluation
+    from urelnet.evaluation import GroundTruth
+
+    ious = []
+    iou_pairs = evaluation.iou_pairs
+
+    def counting(a, b):
+        ious.append(len(a))
+        return iou_pairs(a, b)
+
+    monkeypatch.setattr(evaluation, "iou_pairs", counting)
+    rng = np.random.default_rng(12)
+    scorer = TiedScorer()
+    type_matches = hits = 0
+    for index in range(40):
+        scene = random_eval_scene(rng, index)
+        truth = GroundTruth.of(scene.annotations)
+        unseen = np.array([g.type_key() not in EVAL_TRAINING_TYPES for g in scene.annotations])
+        subsets = ((list(scene.annotations), truth),
+                   (zero_shot_filter(scene.annotations, EVAL_TRAINING_TYPES), truth.take(unseen)))
+        for task in TASKS:
+            ranking = predict_scene(scene, scorer, task=task, k=2, predicate_count=M)
+            for listed, table in subsets:
+                expected = reference_match(ranking.triplets, listed, task)
+                del ious[:]
+                assert match_predictions(ranking, table, task) == expected
+                assert match_predictions(ranking, listed, task) == expected
+                agree = sum(
+                    (t.subject_category, t.predicate, t.object_category) == g.type_key()
+                    for t in ranking.triplets for g in listed
+                )
+                # Per call: no IoU for predicate, union IoU for phrase, two for relation.
+                calls = {"predicate": 0, "phrase": 1, "relation": 2}[task] if agree else 0
+                assert ious == [agree] * (2 * calls), task
+                type_matches += agree
+                hits += sum(expected)
+    assert type_matches > hits > 0

@@ -506,11 +506,13 @@ def test_matrix_of_no_pairs_has_zero_rows():
     vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
     matrix = FeatureExtractor(store, stats, emb, vocab).matrix(pairs.take([]), scene)
     assert matrix.count == 0
-    assert {name: v.shape for name, v in matrix.streams.items()} == {
+    expected = {
         "visual_subject": (0, 4), "visual_object": (0, 4), "visual_union": (0, 4),
         "spatial": (0, 8), "external_subject": (0, 2), "external_object": (0, 2),
         "internal": (0, 3),
     }
+    assert {name: matrix[name].shape for name in matrix.streams} == expected
+    assert {name: matrix.shape(name) for name in matrix.streams} == expected
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from urelnet.errors import DimensionError, ModeError, StateError
-from urelnet.features import STREAMS, FeatureMatrix
+from urelnet.features import ONE_BOX_STREAMS, STREAMS, FeatureMatrix
 from urelnet.model import (
     ALL_MODALS,
     BatchStatus,
@@ -22,6 +22,7 @@ from urelnet.model import (
     wire_model,
 )
 from urelnet.nn import Arena, gradient_check, sigmoid_ce
+from urelnet.scene import pair_indices
 
 TOY = dict(
     predicate_count=4,
@@ -566,3 +567,81 @@ def test_status_row_loss_equals_full_batch_reference(batch):
             assert terms == terms_ref
             assert np.array_equal(d_rel, d_rel_ref)
             assert np.array_equal(d_dc, d_dc_ref)
+
+
+# ----------------------------------------------------------------------
+# One-box streams held per object: transformed once, gathered to the pairs.
+# ----------------------------------------------------------------------
+
+MID = dict(visual_dim=96, embedding_dim=20, transform_dim=40, dc_hidden_dim=16, rel_hidden_dim=40)
+
+PER_OBJECT_CASES = [
+    dict(),
+    dict(dc_feed="hidden"),
+    dict(im_mode=True),
+    dict(im_mode=True, dc_feed="hidden"),
+    dict(enabled_modals=("spatial", "linguistic_external", "linguistic_internal")),
+    dict(im_mode=True, enabled_modals=("spatial", "linguistic_external")),
+]
+PER_OBJECT_IDS = ["union", "union-hidden", "im", "im-hidden", "union-no-visual", "im-no-visual"]
+
+
+def per_object_features(config, objects, rng):
+    """Features of every ordered pair of ``objects`` objects, once with the
+    one-box streams held per object and indexed by the pairs' roles, once
+    with every stream gathered to one row per pair."""
+    subjects, objs = pair_indices(objects)
+    per_pair = random_features(config, len(subjects), rng)
+    per_object = random_features(config, objects, rng)
+    streams, index = dict(per_pair.streams), {}
+    for name, role in ONE_BOX_STREAMS.items():
+        streams[name] = per_object[name]
+        index[name] = subjects if role == "subject" else objs
+    factored = FeatureMatrix(streams, index)
+    return factored, FeatureMatrix({name: factored[name] for name in streams})
+
+
+@pytest.mark.parametrize("overrides", PER_OBJECT_CASES, ids=PER_OBJECT_IDS)
+def test_per_object_streams_score_as_per_pair_rows(overrides):
+    # GEMMs over D object rows round like those over P pair rows only up to
+    # the last bits, so the scores agree to a relative 1e-12.
+    rng = np.random.default_rng(21)
+    config = toy_config(**MID, **overrides)
+    model = build_model(config, rng)
+    for objects in (2, 9):
+        factored, per_pair = per_object_features(config, objects, rng)
+        assert factored.count == per_pair.count == objects * (objects - 1)
+        subj, obj = rng.uniform(0.1, 1.0, size=(2, factored.count))
+        got = model.relation_scores(factored, subj, obj)
+        expected = model.relation_scores(per_pair, subj, obj)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_concatenating_mode_reads_per_object_streams_bit_for_bit(im_mode):
+    rng = np.random.default_rng(22)
+    config = toy_config(**MID, fusion_mode="concatenating", im_mode=im_mode)
+    model = build_model(config, rng)
+    factored, per_pair = per_object_features(config, 7, rng)
+    subj, obj = rng.uniform(0.1, 1.0, size=(2, factored.count))
+    got = model.relation_scores(factored, subj, obj)
+    assert got.tobytes() == model.relation_scores(per_pair, subj, obj).tobytes()
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_backward_after_a_per_object_forward_raises(im_mode):
+    rng = np.random.default_rng(23)
+    config = toy_config(**MID, im_mode=im_mode)
+    model = build_model(config, rng)
+    factored, per_pair = per_object_features(config, 4, rng)
+    labels = np.zeros((factored.count, config.predicate_count))
+    labels[0, 1] = 1.0
+    mask = labels.any(axis=1)
+    with pytest.raises(StateError, match="once per object"):
+        model.loss_and_gradients(factored, labels, mask)
+    net = model.networks["union"] if im_mode else model
+    dc, rel = net.forward(factored)
+    with pytest.raises(StateError, match="once per object"):
+        net.backward(rel, dc)
+    # A per-pair forward backpropagates again.
+    model.loss_and_gradients(per_pair, labels, mask)

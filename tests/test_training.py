@@ -134,6 +134,38 @@ def test_capped_pool_matches_list_reference(dataset, cap):
     assert pool.determinate.tolist() == mask.tolist()
 
 
+def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
+    # The extractor holds one-box streams per object; the pool gathers them
+    # to one row per pair, the bytes of a lookup per pair and stream.
+    from urelnet.features import external_linguistic, internal_linguistic, spatial_features
+
+    run_config = quick_run(dataset, model=small_model(dataset, im_mode=True))
+    extractor = build_extractor(dataset)
+    pool = build_training_pool(dataset, extractor, run_config)
+    assert pool.features.index == {}
+    assert sorted(pool.features.streams) == sorted(required_streams(run_config.model))
+    store, vocab = dataset.features, dataset.vocabulary
+    expected = {name: [] for name in pool.features.streams}
+    for scene in dataset.split("train"):
+        pairs = generate_for_scene(scene, vocab.predicate_count)
+        for pair in pairs:
+            for role, obj in (("subject", pair.subject), ("object", pair.object)):
+                expected[f"visual_{role}"].append(store.table[store.index[obj.feature_key]])
+                name = vocab.object_names[obj.category]
+                expected[f"external_{role}"].append(external_linguistic(dataset.embeddings, name))
+            expected["visual_union"].append(store.table[store.index[pair.union_feature_key]])
+            expected["spatial"].append(spatial_features(pair.subject.box, pair.object.box))
+            expected["internal"].append(
+                internal_linguistic(extractor.stats, pair.subject.category, pair.object.category)
+            )
+    for name, rows in expected.items():
+        assert pool.features[name].tobytes() == np.stack(rows).tobytes(), name
+    batch = pool.features.rows(np.array([5, 0, 5]))
+    assert batch.index == {}
+    for name in expected:
+        assert batch[name].tobytes() == np.stack([expected[name][r] for r in (5, 0, 5)]).tobytes()
+
+
 def test_training_loss_decreases(dataset):
     result = run_training(dataset, quick_run(dataset, steps=150))
     losses = [r["loss"] for r in result.log_records if "loss" in r]
