@@ -229,6 +229,8 @@ def match_predictions(
     The (prediction, ground truth) entries whose types agree are found at
     once; only those get the task's IoU tests.
     """
+    if task not in TASKS:
+        raise UsageError(f"task must be one of {TASKS}, got {task!r}")
     p = predictions
     gt = ground_truth if isinstance(ground_truth, GroundTruth) else GroundTruth.of(ground_truth)
     rows, cols = np.nonzero(
@@ -241,7 +243,7 @@ def match_predictions(
         gt_unions = union_rows(gt.subject_boxes[cols], gt.object_boxes[cols])
         keep = iou_pairs(unions, gt_unions) >= EVAL_IOU_THRESHOLD
         rows, cols = rows[keep], cols[keep]
-    elif rows.size and task != "predicate":  # relation
+    elif rows.size and task == "relation":
         keep = iou_pairs(p.subject_boxes[rows], gt.subject_boxes[cols]) >= EVAL_IOU_THRESHOLD
         keep &= iou_pairs(p.object_boxes[rows], gt.object_boxes[cols]) >= EVAL_IOU_THRESHOLD
         rows, cols = rows[keep], cols[keep]

@@ -95,10 +95,81 @@ class SyntheticConfig:
                     raise UsageError(f"{name} must be {rule}, got {value!r}")
 
 
-def _hash_vector(seed: int, tag: str, dim: int, scale: float) -> np.ndarray:
-    digest = hashlib.sha256(f"{seed}|{tag}".encode("utf-8")).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    return rng.standard_normal(dim) * scale
+# numpy's SeedSequence hash and mix constants (pool of 4 uint32 words) and
+# PCG64's 128-bit LCG multiplier, as ``np.random.default_rng`` uses them.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# Keys seeded per batch; bounds the memory the batch's Python ints take.
+_SEED_CHUNK = 512
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant: (xor word, multiplier) per hash."""
+    const = init
+    while True:
+        xor = const
+        const = const * mult & _MASK32
+        yield np.uint32(xor), np.uint32(const)
+
+
+def _hashed(values: np.ndarray, constants: Iterator) -> np.ndarray:
+    xor, mult = next(constants)
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64 seed
+    ``s``, as one (n, 4) uint64 array computed in uint32 arithmetic.
+
+    Each seed is two little-endian entropy words. A seed below 2**32 is one
+    word to SeedSequence, but its pool hashes missing words as 0, so the
+    zero high word gives the same pool.
+    """
+    words = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashed(words[:, i], constants) for i in range(2)]
+    pool += [_hashed(np.zeros(len(words), np.uint32), constants) for _ in range(_POOL_SIZE - 2)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([_hashed(pool[i % _POOL_SIZE], constants) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8")
+
+
+def _standard_normal_rows(seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill row r of the (n, dim) ``out`` with exactly
+    ``np.random.default_rng(int(seeds[r])).standard_normal(dim)``.
+
+    One PCG64 is re-seeded per row with the state ``PCG64(seed)`` derives
+    from ``_seed_states`` (``pcg_setseq_128_srandom_r``: inc is the odd
+    stream id; the state is stepped, offset by the seed word, stepped
+    again), and each draw lands in its row. Every seed's state words become
+    Python ints at once, so callers pass bounded batches.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    snapshot = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(out, _seed_states(seeds).tolist()):
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = snapshot
+        generator.standard_normal(out=row)
+    return out
 
 
 def _box_tag(coords: Sequence[float]) -> str:
@@ -336,7 +407,11 @@ def _scene_features(scene: SceneRecord, true_categories: Sequence[int]) -> Itera
 
 def _feature_store(built: list, config: SyntheticConfig, blueprint: _Blueprint) -> FeatureStore:
     """The visual vectors of every built (scene, true categories), one table
-    row per key in key order: prototype plus box-hash noise, or the noise alone."""
+    row per key in key order: prototype plus box-hash noise, or the noise alone.
+
+    A key's noise is ``default_rng(s).standard_normal(dim) * visual_noise``,
+    with ``s`` the first 8 bytes, little-endian, of ``sha256(f"{seed}|{tag}")``.
+    """
     specs = {
         key: (tag, category)
         for scene, true_categories in built
@@ -344,13 +419,19 @@ def _feature_store(built: list, config: SyntheticConfig, blueprint: _Blueprint) 
     }
     keys = sorted(specs)
     table = np.empty((len(keys), config.visual_dim), dtype="<f8")
-    for row, key in zip(table, keys):
-        tag, category = specs[key]
-        noise = _hash_vector(config.seed, tag, config.visual_dim, config.visual_noise)
-        if category is None:
-            row[:] = noise
-        else:
-            np.add(blueprint.prototypes[category], noise, out=row)
+    for start in range(0, len(keys), _SEED_CHUNK):
+        chunk = keys[start:start + _SEED_CHUNK]
+        digests = b"".join(
+            hashlib.sha256(f"{config.seed}|{specs[key][0]}".encode("utf-8")).digest()[:8]
+            for key in chunk
+        )
+        rows = table[start:start + len(chunk)]
+        _standard_normal_rows(np.frombuffer(digests, dtype="<u8"), rows)
+        rows *= config.visual_noise
+        for row, key in zip(rows, chunk):
+            category = specs[key][1]
+            if category is not None:
+                row += blueprint.prototypes[category]
     return FeatureStore(table, {key: row for row, key in enumerate(keys)})
 
 

@@ -248,6 +248,21 @@ def test_category_mismatch_never_hits():
         assert match_predictions(predictions, [gt], task) == [False]
 
 
+@pytest.mark.parametrize("task", ["bogus", ""])
+def test_match_predictions_rejects_unknown_task(task):
+    from urelnet.errors import UsageError
+
+    # An exact match would hit under every known task.
+    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    predictions = prediction_set("img", [pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.9)])
+    with pytest.raises(UsageError) as info:
+        match_predictions(predictions, [gt], task)
+    with pytest.raises(UsageError) as config_info:
+        EvalConfig(task=task)
+    assert info.value.category == "usage-error"
+    assert str(info.value) == str(config_info.value)
+
+
 def test_greedy_consumes_first_eligible_gt():
     # One prediction could match either GT; greedy takes annotation order,
     # which can cost a later prediction its only match.

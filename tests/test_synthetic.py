@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -110,10 +111,16 @@ def test_statistics_buildable_from_train_split():
     assert stats.total == sum(len(s.annotations) for s in ds.split("train"))
 
 
+def _per_key_noise(seed, tag, dim, scale):
+    """The documented definition of one key's visual noise."""
+    digest = hashlib.sha256(f"{seed}|{tag}".encode("utf-8")).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little")).standard_normal(dim) * scale
+
+
 def _features_the_old_way(config):
     """Reference ``features.bin`` and ``features.idx.json`` bytes, built one
-    vector per key: prototype plus ``_hash_vector`` noise for objects, the
-    noise of ``union_box`` tags for pairs, then stacked in sorted-key order."""
+    vector per key: prototype plus ``_per_key_noise`` for objects, the noise
+    of ``union_box`` tags for pairs, then stacked in sorted-key order."""
     rng = np.random.default_rng(config.seed)
     blueprint = synthetic._Blueprint(config, rng)
     vectors = {}
@@ -130,9 +137,7 @@ def _features_the_old_way(config):
 
             def noise(kind, box):
                 tag = f"{image_id}|{kind}" + "{:.4f},{:.4f},{:.4f},{:.4f}".format(*box.as_tuple())
-                return synthetic._hash_vector(
-                    config.seed, tag, config.visual_dim, config.visual_noise
-                )
+                return _per_key_noise(config.seed, tag, config.visual_dim, config.visual_noise)
 
             for d, det in enumerate(scene.detections):
                 vectors[det.feature_key] = (
@@ -173,3 +178,21 @@ def test_feature_files_equal_per_key_reference(tmp_path, visual_noise):
     data, index = _features_the_old_way(config)
     assert (tmp_path / "features.idx.json").read_bytes() == index
     assert (tmp_path / "features.bin").read_bytes() == data
+
+
+@pytest.mark.parametrize("dim", [1, 24, 4096])
+def test_batched_seeding_equals_default_rng(dim):
+    # Synthesis seeds PCG64 itself; a numpy change to SeedSequence or to
+    # PCG64's seeding would make its rows differ from default_rng's here.
+    rng = np.random.default_rng(0)
+    seeds = np.concatenate([
+        np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**32, 1_000, dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True),
+    ])
+    for start in range(0, len(seeds), 512):
+        chunk = seeds[start:start + 512]
+        rows = synthetic._standard_normal_rows(chunk, np.empty((len(chunk), dim)))
+        for seed, row in zip(chunk.tolist(), rows):
+            expected = np.random.default_rng(seed).standard_normal(dim)
+            assert row.tobytes() == expected.tobytes(), seed
