@@ -21,8 +21,8 @@ from .checkpoint import load_model, save_checkpoint
 from .dataset import load_dataset, save_dataset
 from .errors import OutOfMemoryError, OutputError, UrelnetError, UsageError
 from .evaluation import ModelScorer, predict_scene
-from .features import build_triplet_statistics
-from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem
+from .features import FeatureExtractor, build_triplet_statistics
+from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem, required_streams
 from .nn import gradient_check
 from .pairs import generate_for_scene
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -159,6 +159,7 @@ def cmd_train(args) -> int:
     if args.undetermined_ratio is not None:
         overrides["undetermined_ratio"] = args.undetermined_ratio
     run_config = make_run_config(model_config, task=args.task, **overrides)
+    FeatureExtractor.check_embeddings(required_streams(run_config.model), dataset.embeddings)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

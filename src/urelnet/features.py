@@ -358,10 +358,11 @@ class FeatureStore:
 class FeatureMatrix:
     """Batched feature streams, one row per pair.
 
-    A stream named in ``index`` is held as one row per object, and pair p
-    reads row ``index[name][p]`` of it; the model can then transform each
-    object's row once. Indexing by name, ``rows`` and ``concatenate``
-    always hand out one row per pair.
+    A stream named in ``index`` is held as a table, and pair p reads row
+    ``index[name][p]`` of it. For inference the table holds one row per
+    object, so the model can transform each object's row once; the training
+    pool indexes the dataset's and the extractor's tables directly. Indexing
+    by name and ``rows`` always hand out one row per pair.
     """
 
     streams: Dict[str, np.ndarray]
@@ -399,8 +400,22 @@ class FeatureMatrix:
 
     @classmethod
     def concatenate(cls, matrices: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
-        names = list(matrices[0].streams)
-        return cls({name: np.concatenate([m[name] for m in matrices]) for name in names})
+        """The pairs of ``matrices``, in order. Every matrix must index the
+        same streams into the same tables, which the result indexes too; the
+        other streams' rows are stacked."""
+        first = matrices[0]
+        if any(
+            m.index.keys() != first.index.keys()
+            or any(m.streams[name] is not first.streams[name] for name in first.index)
+            for m in matrices
+        ):
+            raise DimensionError("the matrices do not index one set of shared tables")
+        index = {name: np.concatenate([m.index[name] for m in matrices]) for name in first.index}
+        streams = {
+            name: table if name in index else np.concatenate([m.streams[name] for m in matrices])
+            for name, table in first.streams.items()
+        }
+        return cls(streams, index)
 
 
 def _check_categories(pairs: ScenePairs, count: int) -> None:
@@ -416,9 +431,11 @@ def _check_categories(pairs: ScenePairs, count: int) -> None:
 class FeatureExtractor:
     """Assembles batched feature matrices from the store, statistics, and embeddings.
 
-    The linguistic streams are row gathers from two tables indexed by
-    category: the statistics' (N, N, M) internal table, and an (N, E) table
-    of external embeddings built here once.
+    Every stream but spatial is a row gather from one table: the store's
+    visual table, the statistics' internal table viewed as (N * N, M) rows,
+    or an (N, E) table of external embeddings built here once. ``matrix``
+    gathers a scene's rows for inference; ``table_matrix`` keeps the row
+    numbers instead, for the training pool.
     """
 
     def __init__(
@@ -434,28 +451,61 @@ class FeatureExtractor:
             [external_linguistic(embeddings, name) for name in vocab.object_names]
         )
 
-    def _pair_stream(self, name: str, pairs: ScenePairs, scene) -> np.ndarray:
-        """(P, dim) rows of a stream that reads both boxes of a pair."""
-        subjects, objects = pairs.subject_indices, pairs.object_indices
-        if name == "spatial":
-            return spatial_rows(pairs.boxes[subjects], pairs.boxes[objects])
-        if name == "internal":
-            return self.stats.internal_table[pairs.categories[subjects], pairs.categories[objects]]
-        if name == "visual_union":
-            return self.store.table[self._rows(pairs.union_keys, scene, "pair")]
-        raise DimensionError(f"unknown feature stream {name!r}")
+    @cached_property
+    def _internal_rows(self) -> np.ndarray:
+        """The internal table as (N * N, M) rows; row s * N + o is (s, o)'s."""
+        return self.stats.internal_table.reshape(-1, self.stats.predicate_count)
 
-    def _object_stream(self, modality: str, pairs: ScenePairs, scene) -> np.ndarray:
-        """(D, dim) rows of every object of ``pairs`` for a one-box stream."""
-        if modality == "visual":
-            keys = [o.feature_key for o in pairs.objects]
-            return self.store.table[self._rows(keys, scene, "object")]
-        if self._external_table is None:
+    @staticmethod
+    def check_embeddings(streams: Iterable[str], embeddings) -> None:
+        """Reject external linguistic streams when ``embeddings`` (a table or
+        the table built from it) is None."""
+        if embeddings is None and any(name.startswith("external_") for name in streams):
             raise IngestionError(
                 "external linguistic features requested but no embedding table loaded"
             )
+
+    def _sources(
+        self, names: Sequence[str], pairs: ScenePairs, scene
+    ) -> Dict[str, Tuple[np.ndarray, np.ndarray | None]]:
+        """Each stream's (table, row numbers). A one-box stream reads one row
+        per object of ``pairs``, and its subject and object streams share
+        them; the other streams read one row per pair. Spatial rows are
+        computed, so they are their own table, with no row numbers."""
+        _check_categories(pairs, self.stats.object_count)
+        self.check_embeddings(names, self._external_table)
+        sources = {}
+        per_object = {}
+        for name in names:
+            role = ONE_BOX_STREAMS.get(name)
+            if role is None:
+                sources[name] = self._pair_source(name, pairs, scene)
+                continue
+            modality = name[: -len(role) - 1]
+            if modality not in per_object:
+                per_object[modality] = self._object_source(modality, pairs, scene)
+            sources[name] = per_object[modality]
+        return sources
+
+    def _pair_source(self, name: str, pairs: ScenePairs, scene):
+        """The table and (P,) row numbers of a stream that reads both boxes."""
+        subjects, objects = pairs.subject_indices, pairs.object_indices
+        if name == "spatial":
+            return spatial_rows(pairs.boxes[subjects], pairs.boxes[objects]), None
+        if name == "internal":
+            n = self.stats.object_count
+            return self._internal_rows, pairs.categories[subjects] * n + pairs.categories[objects]
+        if name == "visual_union":
+            return self.store.table, self._rows(pairs.union_keys, scene, "pair")
+        raise DimensionError(f"unknown feature stream {name!r}")
+
+    def _object_source(self, modality: str, pairs: ScenePairs, scene):
+        """The table and (D,) row numbers of every object for a one-box stream."""
+        if modality == "visual":
+            keys = [o.feature_key for o in pairs.objects]
+            return self.store.table, self._rows(keys, scene, "object")
         # An object that no pair reads was not range-checked; its row is never read.
-        return self._external_table.take(pairs.categories, axis=0, mode="clip")
+        return self._external_table, np.clip(pairs.categories, 0, len(self._external_table) - 1)
 
     def _rows(self, keys: Sequence[str | None], scene, what: str) -> np.ndarray:
         """The store's row numbers of ``keys``."""
@@ -473,18 +523,34 @@ class FeatureExtractor:
         subject or object indices; subject and object share those rows.
         """
         names = list(streams) if streams is not None else list(STREAMS)
-        _check_categories(pairs, self.stats.object_count)
         rows: Dict[str, np.ndarray] = {}
         index: Dict[str, np.ndarray] = {}
-        per_object: Dict[str, np.ndarray] = {}
-        for name in names:
+        gathered: Dict[str, np.ndarray] = {}
+        for name, (table, at) in self._sources(names, pairs, scene).items():
             role = ONE_BOX_STREAMS.get(name)
             if role is None:
-                rows[name] = self._pair_stream(name, pairs, scene)
+                rows[name] = table if at is None else table[at]
                 continue
             modality = name[: -len(role) - 1]
-            if modality not in per_object:
-                per_object[modality] = self._object_stream(modality, pairs, scene)
-            rows[name] = per_object[modality]
+            if modality not in gathered:
+                gathered[modality] = table[at]
+            rows[name] = gathered[modality]
             index[name] = getattr(pairs, f"{role}_indices")
+        return FeatureMatrix(rows, index)
+
+    def table_matrix(
+        self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str]
+    ) -> FeatureMatrix:
+        """The requested streams as one row number per pair into the shared
+        tables, which the matrix holds without copying; only spatial holds
+        its own rows. ``FeatureMatrix.concatenate`` merges such matrices."""
+        rows: Dict[str, np.ndarray] = {}
+        index: Dict[str, np.ndarray] = {}
+        for name, (table, at) in self._sources(streams, pairs, scene).items():
+            rows[name] = table
+            role = ONE_BOX_STREAMS.get(name)
+            if role is not None:
+                index[name] = at[getattr(pairs, f"{role}_indices")]
+            elif at is not None:
+                index[name] = at
         return FeatureMatrix(rows, index)

@@ -228,6 +228,8 @@ class BatchSpec:
     @property
     def undetermined_quota(self) -> int:
         r = self.undetermined_ratio
+        if 1.0 + r == r:  # the whole batch, where batch_size * r could overflow
+            return self.batch_size
         return int(round(self.batch_size * r / (1.0 + r)))
 
     @property

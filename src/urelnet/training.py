@@ -1,7 +1,9 @@
 """Training and evaluation runs: pools, batches, optimization, reports.
 
-A run builds the training pair pools once (features precomputed as stacked
-matrices), then repeats sample -> forward -> joint loss -> backward -> Adam.
+A run builds the training pair pool once, as row numbers into the dataset's
+and the extractor's feature tables (only spatial rows are its own), then
+repeats sample -> gather the batch's rows -> forward -> joint loss ->
+backward -> Adam.
 The four loss terms are logged every step; with a validation split present,
 the parameters with the best validation recall are kept. Runs are fully
 reproducible from their seeds.
@@ -94,7 +96,8 @@ def build_extractor(dataset: Dataset) -> FeatureExtractor:
 
 @dataclass
 class TrainingPool:
-    """Precomputed features and labels for every training pair."""
+    """Features and labels for every training pair. The features index the
+    shared tables, so a batch's ``features.rows`` is its only copy."""
 
     features: FeatureMatrix
     labels: np.ndarray
@@ -125,7 +128,7 @@ def build_training_pool(
                 pairs = pairs.take(np.concatenate([np.flatnonzero(determinate), undetermined]))
         if not pairs:
             continue
-        matrices.append(extractor.matrix(pairs, scene, streams=streams))
+        matrices.append(extractor.table_matrix(pairs, scene, streams))
         labels.append(pairs.labels)
         masks.append(pairs.determinate)
     if not matrices:

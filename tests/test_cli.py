@@ -195,6 +195,23 @@ def test_missing_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_p
     assert "embeddings.txt" in error["message"]
 
 
+def test_train_without_embeddings_fails_before_creating_out_dir(workspace, capsys, tmp_path):
+    # The default modals read external linguistic features.
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace / "ds", ds)
+    doc = json.loads((ds / "dataset.json").read_text())
+    doc["embeddings_file"] = ""
+    (ds / "dataset.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    assert main(SMALL_TRAIN + ["--dataset", str(ds), "--out-dir", str(out_dir)]) == 1
+    error = _single_error_line(capsys)
+    assert error == {
+        "category": "ingestion-error",
+        "message": "external linguistic features requested but no embedding table loaded",
+    }
+    assert not out_dir.exists()
+
+
 def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_path):
     ds = tmp_path / "ds"
     shutil.copytree(workspace / "ds", ds)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urelnet.errors import DatasetValidationError, GeometryError, IngestionError
+from urelnet.errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from urelnet.features import (
+    STREAMS,
     EmbeddingTable,
     FeatureExtractor,
+    FeatureMatrix,
     FeatureStore,
     TripletStatistics,
     build_triplet_statistics,
@@ -594,3 +596,29 @@ def test_matrix_looks_up_object_vectors_once_per_object(stream, monkeypatch):
     store = extractor.store
     expected = np.stack([store.table[store.index[key]] for key in keys])
     assert matrix[stream].tobytes() == expected.tobytes()
+
+
+def test_concatenate_merges_row_numbers_over_one_shared_table():
+    table = np.arange(12.0).reshape(6, 2)
+    a = FeatureMatrix({"t": table, "s": np.ones((2, 1))}, {"t": np.array([5, 0])})
+    b = FeatureMatrix({"t": table, "s": np.zeros((1, 1))}, {"t": np.array([3])})
+    merged = FeatureMatrix.concatenate([a, b])
+    assert merged.streams["t"] is table
+    assert merged.index["t"].tolist() == [5, 0, 3]
+    assert merged["s"].tolist() == [[1.0], [1.0], [0.0]]
+    assert merged.rows([2, 0])["t"].tolist() == [[6.0, 7.0], [10.0, 11.0]]
+    other_table = FeatureMatrix({"t": table.copy(), "s": np.ones((1, 1))}, {"t": np.array([1])})
+    per_pair = FeatureMatrix({"t": table[:1], "s": np.ones((1, 1))})
+    for matrices in ([a, other_table], [a, per_pair], [per_pair, a]):
+        with pytest.raises(DimensionError, match="do not index one set of shared tables"):
+            FeatureMatrix.concatenate(matrices)
+
+
+def test_table_matrix_reads_the_rows_matrix_gathers():
+    extractor, scene, pairs = _synthetic_scene_pairs()
+    chosen = pairs.take([3, 0, 3, len(pairs) - 1])
+    indexed = extractor.table_matrix(chosen, scene, STREAMS)
+    gathered = extractor.matrix(chosen, scene)
+    assert sorted(indexed.index) == sorted(set(STREAMS) - {"spatial"})
+    for name in STREAMS:
+        assert indexed[name].tobytes() == gathered[name].tobytes(), name

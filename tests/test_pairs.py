@@ -201,6 +201,13 @@ def test_batch_spec_quota():
     assert BatchSpec(8, 0.0).undetermined_quota == 0
 
 
+@pytest.mark.parametrize("ratio", [2.0**53, 1e20, 5.617791046444737e306, 1.7976931348623157e308])
+def test_batch_spec_huge_finite_ratio_is_all_undetermined(ratio):
+    # 32 * 5.6e306 overflows to inf; the quota is the whole batch all the same.
+    spec = BatchSpec(32, ratio)
+    assert (spec.undetermined_quota, spec.determinate_quota) == (32, 0)
+
+
 @pytest.mark.parametrize("ratio", [-1.0, float("nan"), float("inf")])
 def test_batch_spec_rejects_negative_or_non_finite_ratio(ratio):
     with pytest.raises(UsageError, match="undetermined_ratio"):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
-from urelnet.errors import CheckpointError, UndefinedMetricError
+from urelnet.errors import CheckpointError, IngestionError, UndefinedMetricError
 from urelnet.features import FeatureMatrix, FeatureStore
 from urelnet.model import ModelConfig, build_model, model_shapes, required_streams
-from urelnet.pairs import generate_for_scene
+from urelnet.pairs import (
+    BatchSpec,
+    PairSampler,
+    detection_union_key,
+    generate_for_scene,
+    gt_pairs_for_scene,
+)
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import (
     SCHEDULE_PRESETS,
@@ -118,7 +125,8 @@ def _list_capped_pool(dataset, extractor, run_config):
             rows.append(extractor.matrix(pairs.take([p]), scene, streams=streams))
             labels.append(pairs[p].predicate_labels)
             mask.append(pairs[p].determinate)
-    return FeatureMatrix.concatenate(rows), np.stack(labels), np.array(mask)
+    stacked = FeatureMatrix({name: np.concatenate([m[name] for m in rows]) for name in streams})
+    return stacked, np.stack(labels), np.array(mask)
 
 
 @pytest.mark.parametrize("cap", [0, 2, 5])
@@ -135,15 +143,28 @@ def test_capped_pool_matches_list_reference(dataset, cap):
 
 
 def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
-    # The extractor holds one-box streams per object; the pool gathers them
-    # to one row per pair, the bytes of a lookup per pair and stream.
+    # The pool holds row numbers into the shared tables; reading a stream
+    # gives one row per pair, the bytes of a lookup per pair and stream.
     from urelnet.features import external_linguistic, internal_linguistic, spatial_features
 
     run_config = quick_run(dataset, model=small_model(dataset, im_mode=True))
     extractor = build_extractor(dataset)
     pool = build_training_pool(dataset, extractor, run_config)
-    assert pool.features.index == {}
     assert sorted(pool.features.streams) == sorted(required_streams(run_config.model))
+    # Every stream but spatial is one row number per pair into a shared table.
+    tables = {
+        "visual": dataset.features.table,
+        "external": extractor._external_table,
+        "internal": extractor.stats.internal_table,
+    }
+    pairs_in_pool = len(pool.labels)
+    for name, table in pool.features.streams.items():
+        if name == "spatial":
+            assert name not in pool.features.index
+            assert table.shape == (pairs_in_pool, 8)
+            continue
+        assert np.shares_memory(table, tables[name.split("_")[0]]), name
+        assert pool.features.index[name].shape == (pairs_in_pool,), name
     store, vocab = dataset.features, dataset.vocabulary
     expected = {name: [] for name in pool.features.streams}
     for scene in dataset.split("train"):
@@ -164,6 +185,101 @@ def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
     assert batch.index == {}
     for name in expected:
         assert batch[name].tobytes() == np.stack([expected[name][r] for r in (5, 0, 5)]).tobytes()
+
+
+def _stacked_pool(dataset, extractor, run_config):
+    """The pool's features as they were stacked before the pool indexed the
+    shared tables: each scene's ``matrix`` gathered to one row per pair."""
+    m = dataset.vocabulary.predicate_count
+    streams = required_streams(run_config.model)
+    cap_rng = np.random.default_rng(run_config.seed)
+    matrices = []
+    for scene in dataset.split("train"):
+        if run_config.task == "predicate":
+            pairs = gt_pairs_for_scene(scene, m, annotated_only=True)
+        else:
+            pairs = generate_for_scene(scene, m)
+            cap = run_config.per_scene_undetermined_cap
+            if cap is not None:
+                determinate = pairs.determinate
+                undetermined = np.flatnonzero(~determinate)
+                if len(undetermined) > cap:
+                    keep = cap_rng.choice(len(undetermined), size=cap, replace=False)
+                    undetermined = undetermined[np.sort(keep)]
+                pairs = pairs.take(np.concatenate([np.flatnonzero(determinate), undetermined]))
+        if pairs:
+            matrices.append(extractor.matrix(pairs, scene, streams=streams))
+    return FeatureMatrix({name: np.concatenate([x[name] for x in matrices]) for name in streams})
+
+
+@pytest.mark.parametrize("case", ["predicate", "cap", "im"])
+def test_pool_batches_equal_the_stacked_per_pair_pool(dataset, case):
+    task = "predicate" if case == "predicate" else "relation"
+    run_config = make_run_config(
+        small_model(dataset, im_mode=case == "im"), task=task, steps=40, seed=3, batch_size=16,
+        per_scene_undetermined_cap=2 if case == "cap" else None,
+    )
+    extractor = build_extractor(dataset)
+    pool = build_training_pool(dataset, extractor, run_config)
+    stacked = _stacked_pool(dataset, extractor, run_config)
+    assert sorted(pool.features.streams) == sorted(stacked.streams)
+    for name in stacked.streams:
+        assert pool.features[name].tobytes() == stacked[name].tobytes(), name
+    # The batches ``run_training`` draws, each gathered from both layouts.
+    spec = BatchSpec(run_config.batch_size, run_config.undetermined_ratio, run_config.seed)
+    sampler = PairSampler(
+        pool.determinate_indices.tolist(), pool.undetermined_indices.tolist(), spec
+    )
+    for _ in range(run_config.steps):
+        idx = np.array(sampler.sample_batch(), dtype=int)
+        batch, expected = pool.features.rows(idx), stacked.rows(idx)
+        for name in stacked.streams:
+            assert batch[name].tobytes() == expected[name].tobytes(), name
+
+
+PARITY_DATA = SyntheticConfig(train_scenes=4, test_scenes=1, min_relations=2, max_relations=3, seed=14)
+
+
+def _faulty_dataset(fault):
+    """A small dataset with one fault in its second train scene, a run
+    config made before the fault, and the message the pool reports for it."""
+    ds = generate_synthetic(PARITY_DATA)
+    run_config = quick_run(ds)
+    scene = ds.split("train")[1]
+    at = ds.scenes.index(scene)
+    n = ds.vocabulary.object_count
+    if fault == "union key":
+        key = detection_union_key(scene.image_id, 0, 1)
+        index = {k: row for k, row in ds.features.index.items() if k != key}
+        ds.features = FeatureStore(ds.features.table, index)
+        return ds, run_config, f"missing visual feature vector for key {key!r}"
+    if fault == "embeddings":
+        ds.embeddings = None
+        return ds, run_config, "external linguistic features requested but no embedding table loaded"
+    change = {"feature key": dict(feature_key=None), "category": dict(category=n)}[fault]
+    detections = list(scene.detections)
+    detections[1] = replace(detections[1], **change)
+    ds.scenes[at] = replace(scene, detections=tuple(detections))
+    if fault == "feature key":
+        return ds, run_config, f"scene {scene.image_id!r}: object 1 has no feature key"
+    return ds, run_config, f"subject category {n} out of range [0, {n})"
+
+
+@pytest.mark.parametrize("fault", ["union key", "feature key", "category", "embeddings"])
+def test_pool_reports_missing_or_bad_inputs_before_any_step(fault, monkeypatch):
+    import urelnet.training as training
+
+    ds, run_config, message = _faulty_dataset(fault)
+    with pytest.raises(IngestionError, match=re.escape(message)) as raised:
+        build_training_pool(ds, build_extractor(ds), run_config)
+    assert str(raised.value) == message
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the run built a model")
+
+    monkeypatch.setattr(training, "build_model", no_model)
+    with pytest.raises(IngestionError, match=re.escape(message)):
+        run_training(ds, run_config)
 
 
 def test_training_loss_decreases(dataset):
