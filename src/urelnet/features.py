@@ -13,7 +13,8 @@ category and feature row number is read once; only the union key is
 resolved per pair. The four streams that read one box (subject and object
 visual and external vectors) stay one row per object in a
 ``FeatureMatrix``, with the pairs' subject or object indices beside them,
-so the model can transform each object's row once.
+so the model can transform each object's row once. The training pool
+keeps one row number per pair into the tables instead of rows.
 """
 
 from __future__ import annotations
