@@ -20,8 +20,11 @@ keeps one row number per pair into the tables instead of rows.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Dict, Iterable, Sequence, Set, Tuple
 
 import numpy as np
@@ -32,6 +35,10 @@ from .pairs import ScenePairs
 from .scene import BoundingBox, SceneRecord, Vocabulary, box_array, union_rows
 
 SPATIAL_DIM = 8
+
+# float64 values read and checked at a time when a feature file is loaded:
+# 1 MiB, one reused buffer.
+LOAD_BLOCK = 1 << 17
 
 # Canonical stream order used for batched matrices and model wiring.
 STREAMS = (
@@ -278,7 +285,10 @@ class FeatureStore:
     float64 table and a key -> row index.
 
     On disk the table is ``features.bin``, written as it is held, and the
-    index is the ``keys`` map of the JSON sidecar.
+    index is the ``keys`` map of the JSON sidecar. A loaded table is a
+    read-only memory map of the file, so only the rows a run reads become
+    resident; ``save`` writes a new file rather than rewriting the old one,
+    so a table mapped from the old file keeps its bytes.
     """
 
     def __init__(self, table: np.ndarray, index: Dict[str, int]):
@@ -308,7 +318,8 @@ class FeatureStore:
     @classmethod
     def from_files(cls, data_path, index_path) -> "FeatureStore":
         """Load and validate a store: every index row must be in range and
-        every feature value finite."""
+        every feature value finite. The file is read once, in blocks, to
+        check it, and then mapped."""
         try:
             with open(index_path, "r", encoding="utf-8") as fh:
                 index = json.load(fh)
@@ -328,22 +339,20 @@ class FeatureStore:
                 f"outside [0, {count})"
             )
         try:
-            flat = np.fromfile(data_path, dtype="<f8")
+            with open(data_path, "rb", buffering=0) as fh:
+                table = _checked_map(fh, data_path, count, dim)
         except (OSError, ValueError) as exc:
             raise IngestionError(f"feature file not found or unreadable: {exc}") from None
-        expected = count * dim
-        if flat.size != expected:
-            raise IngestionError(
-                f"{data_path}: expected {expected} float64 values "
-                f"({count} rows x {dim}), found {flat.size}"
-            )
-        table = flat.reshape(count, dim)
-        if not all_finite(flat):
-            bad_row = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
-            raise IngestionError(f"{data_path}: non-finite values in feature row {bad_row}")
         return cls(table, keys)
 
     def save(self, data_path, index_path) -> None:
+        """Write the table and the index. The table goes to a new file: the
+        old one is unlinked first, so a store mapped from it keeps its bytes."""
+        # Unlinking first, not writing a temporary file and renaming it over
+        # the old one, frees an unmapped old file's pages before the write
+        # needs as many. The rename keeps both copies at once, which made a
+        # 271 MB save about three times slower on a 2-vCPU VM.
+        Path(data_path).unlink(missing_ok=True)
         self.table.tofile(data_path)
         index = {
             "schema_version": 1,
@@ -353,6 +362,48 @@ class FeatureStore:
         }
         with open(index_path, "w", encoding="utf-8") as fh:
             json.dump(index, fh, sort_keys=True, indent=1)
+
+
+def _size_error(data_path, size: int, count: int, dim: int) -> IngestionError:
+    """The error for a feature file of ``size`` bytes where a (count, dim)
+    table was expected."""
+    expected = count * dim
+    # A partial value past a whole table is named, or the two counts would read equal.
+    stray = f" and {size % 8} more bytes" if size // 8 == expected else ""
+    return IngestionError(
+        f"{data_path}: expected {expected} float64 values "
+        f"({count} rows x {dim}), found {size // 8}{stray}"
+    )
+
+
+def _checked_map(fh, data_path, count: int, dim: int) -> np.ndarray:
+    """The (count, dim) table of the open file ``fh``, mapped read-only.
+
+    Before mapping, the file's size must be the table's, and one pass of
+    ``LOAD_BLOCK``-value reads into one buffer checks every value is
+    finite. A file that ends early while it is read is a size error.
+    """
+    expected = count * dim
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected * 8:
+        raise _size_error(data_path, size, count, dim)
+    if expected == 0:  # mmap rejects an empty file
+        return np.empty((0, dim), dtype="<f8")
+    block = np.empty(min(expected, LOAD_BLOCK), dtype="<f8")
+    raw = memoryview(block).cast("B")
+    for start in range(0, expected, len(block)):
+        values = block[: min(len(block), expected - start)]
+        filled = 0
+        while filled < values.nbytes:
+            read = fh.readinto(raw[filled : values.nbytes])
+            if not read:
+                raise _size_error(data_path, os.fstat(fh.fileno()).st_size, count, dim)
+            filled += read
+        if not all_finite(values):
+            first = start + int(np.flatnonzero(~np.isfinite(values))[0])
+            raise IngestionError(f"{data_path}: non-finite values in feature row {first // dim}")
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype="<f8", count=expected).reshape(count, dim)
 
 
 @dataclass

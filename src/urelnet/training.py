@@ -22,7 +22,7 @@ from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError, UsageError
 from .evaluation import EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
 from .features import FeatureExtractor, FeatureMatrix, build_triplet_statistics
-from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams
+from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams, wire_model
 from .nn import AdamState, adam_step
 from .pairs import BatchSpec, PairSampler, generate_for_scene, gt_pairs_for_scene
 
@@ -224,8 +224,10 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
         raise DivergenceError(f"floating-point {exc} at step {step}") from None
     if best_params is not None:
         params.flat[...] = best_params
+    # The trained parameters on a fresh, untouched gradient arena, as
+    # ``load_model`` builds them: the written gradients are not kept.
     return TrainingResult(
-        model=model,
+        model=wire_model(run_config.model, params),
         run_config=run_config,
         log_records=records,
         total_steps=total_steps,

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -65,6 +67,34 @@ def test_load_save_load_fixpoint(tmp_path):
     assert (tmp_path / "a" / "features.bin").read_bytes() == (
         tmp_path / "b" / "features.bin"
     ).read_bytes()
+
+
+DATASET_FILES = ["dataset.json", "embeddings.txt", "features.bin", "features.idx.json"]
+
+
+def _other_dataset():
+    """``minimal_dataset`` with different feature values and one more key."""
+    first = minimal_dataset()
+    index = dict(first.features.index, extra=len(first.features))
+    table = np.random.default_rng(1).standard_normal((len(index), 3))
+    return dataclasses.replace(first, features=FeatureStore(table, index))
+
+
+def test_saving_over_a_loaded_dataset_keeps_its_table(tmp_path):
+    target = tmp_path / "ds"
+    save_dataset(minimal_dataset(), target)
+    first = load_dataset(target)
+    before = first.features.table.copy()
+    # Rewriting the directory a loaded table is mapped from, with other data
+    # and with the loaded data itself, leaves the loaded table as it was.
+    for data in (_other_dataset(), first):
+        save_dataset(data, target)
+        assert sorted(os.listdir(target)) == DATASET_FILES
+        for row in range(len(before)):
+            assert first.features.table[row].tobytes() == before[row].tobytes()
+        fresh = load_dataset(target)
+        assert fresh.features.index == data.features.index
+        assert fresh.features.table.tobytes() == data.features.table.tobytes()
 
 
 def _write_and_mutate(tmp_path, mutate):

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urelnet import features
 from urelnet.errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from urelnet.features import (
     STREAMS,
@@ -446,6 +450,107 @@ def test_feature_store_malformed_index(tmp_path, text):
     index.write_text(text)
     with pytest.raises(IngestionError, match="malformed feature index"):
         FeatureStore.from_files(data, index)
+
+
+def _straddling_store(tmp_path):
+    """Five rows of three values: with blocks of 4 values, rows 1 to 3 each
+    straddle a block boundary."""
+    data, index = _saved_store(tmp_path, rows=5)
+    np.arange(15.0).tofile(data)
+    return data, index
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 7, 15, 16, features.LOAD_BLOCK])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_store_block_check_reports_first_non_finite_row(tmp_path, monkeypatch, block,
+                                                                value):
+    monkeypatch.setattr(features, "LOAD_BLOCK", block)
+    data, index = _straddling_store(tmp_path)
+    clean = np.fromfile(data, dtype="<f8")
+    # The first value, the last, and every value of the straddling rows;
+    # a later bad value in another block must not be the one reported.
+    for at in range(15):
+        flat = clean.copy()
+        flat[at] = value
+        flat[min(at + 5, 14)] = np.nan
+        flat.tofile(data)
+        with pytest.raises(IngestionError) as info:
+            FeatureStore.from_files(data, index)
+        assert str(info.value) == f"{data}: non-finite values in feature row {at // 3}"
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda b: b[:-8], "found 5"),
+    (lambda b: b + b[:8], "found 7"),
+    (lambda b: b[:-3], "found 5"),
+    (lambda b: b + b[:11], "found 7"),
+    (lambda b: b + b[:3], "found 6 and 3 more bytes"),
+    (lambda b: b"", "found 0"),
+])
+def test_feature_store_rejects_a_file_of_the_wrong_size(tmp_path, edit, found):
+    data, index = _saved_store(tmp_path)
+    data.write_bytes(edit(data.read_bytes()))
+    with pytest.raises(IngestionError) as info:
+        FeatureStore.from_files(data, index)
+    assert str(info.value) == f"{data}: expected 6 float64 values (2 rows x 3), {found}"
+
+
+def test_feature_store_zero_rows(tmp_path):
+    FeatureStore(np.empty((0, 3)), {}).save(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    assert (tmp_path / "f.bin").read_bytes() == b""
+    loaded = FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    assert loaded.table.shape == (0, 3) and len(loaded) == 0
+    assert not loaded.table.flags.writeable
+    (tmp_path / "f.bin").write_bytes(bytes(8))
+    with pytest.raises(IngestionError, match=re.escape("expected 0 float64 values (0 rows x 3), found 1")):
+        FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
+
+
+@pytest.mark.parametrize("left, found", [(0, 0), (8, 1), (32, 4), (40, 5)])
+def test_feature_store_file_shrinking_while_checked_raises(tmp_path, monkeypatch, left, found):
+    monkeypatch.setattr(features, "LOAD_BLOCK", 4)
+    data, index = _straddling_store(tmp_path)
+    check = features.all_finite
+
+    def shrink_after_first_block(values):
+        if data.stat().st_size > left:
+            with open(data, "r+b") as fh:
+                fh.truncate(left)
+        return check(values)
+
+    monkeypatch.setattr(features, "all_finite", shrink_after_first_block)
+    outcome = []
+
+    def load():
+        try:
+            FeatureStore.from_files(data, index)
+        except IngestionError as exc:
+            outcome.append(str(exc))
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    loader.join(timeout=30)
+    assert not loader.is_alive()
+    assert outcome == [f"{data}: expected 15 float64 values (5 rows x 3), found {found}"]
+
+
+def test_feature_store_maps_the_table_instead_of_copying_it(tmp_path):
+    rows, dim = 1024, 1024  # an 8 MiB table
+    vectors = np.random.default_rng(2).standard_normal((rows, dim))
+    _store([f"k{i}" for i in range(rows)], vectors).save(tmp_path / "f.bin", tmp_path / "f.idx.json")
+    tracemalloc.start()
+    try:
+        loaded = FeatureStore.from_files(tmp_path / "f.bin", tmp_path / "f.idx.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert type(loaded.table) is np.ndarray
+    assert loaded.table.tobytes() == vectors.tobytes()
+    with pytest.raises(ValueError):
+        loaded.table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        loaded.table.flags.writeable = True
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urelnet import training
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, IngestionError, UndefinedMetricError
 from urelnet.features import FeatureMatrix, FeatureStore
@@ -327,6 +328,30 @@ def test_best_validation_parameters_are_a_snapshot(dataset):
     final = result.model.parameters()
     assert np.array_equal(final.flat, replay.model.parameters().flat)
     assert not np.array_equal(final.flat, last.model.parameters().flat)
+
+
+@pytest.mark.parametrize("im_mode, validation", [(False, {}), (False, {"validation_interval": 5}),
+                                                 (True, {})])
+def test_trained_model_holds_no_written_gradients(dataset, monkeypatch, tmp_path, im_mode,
+                                                  validation):
+    built = []
+
+    def keep_built(config, rng):
+        built.append(build_model(config, rng))
+        return built[-1]
+
+    monkeypatch.setattr(training, "build_model", keep_built)
+    run = quick_run(dataset, model=small_model(dataset, im_mode=im_mode), steps=10, **validation)
+    result = run_training(dataset, run)
+    (trained,) = built
+    assert type(result.model) is type(trained)
+    assert np.any(trained.gradients().flat)
+    assert not np.any(result.model.gradients().flat)
+    # The same parameter buffer, so the checkpoint is the trained model's.
+    assert result.model.parameters().flat is trained.parameters().flat
+    save_checkpoint(tmp_path / "returned.bin", result.model.config, result.model.parameters())
+    save_checkpoint(tmp_path / "trained.bin", trained.config, trained.parameters())
+    assert (tmp_path / "returned.bin").read_bytes() == (tmp_path / "trained.bin").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
