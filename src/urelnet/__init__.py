@@ -9,7 +9,7 @@ from .scene import (
     iou,
     union_box,
 )
-from .pairs import BatchSpec, ObjectPair, PairSampler, PairStatus, classify_pair, generate_for_scene
+from .pairs import BatchSpec, ObjectPair, PairSampler, PairStatus, generate_for_scene
 from .features import (
     EmbeddingTable,
     FeatureExtractor,
@@ -17,11 +17,9 @@ from .features import (
     TripletStatistics,
     build_triplet_statistics,
     external_linguistic,
-    internal_linguistic,
-    spatial_features,
 )
 from .model import InferringModel, ModelConfig, RelationNetwork, build_model, joint_loss
-from .evaluation import EvalConfig, PredictionSet, match_predictions, predict_scene, recall_at_n, zero_shot_filter
+from .evaluation import EvalConfig, PredictionSet, match_predictions, predict_scene, recall_at_n
 from .dataset import Dataset, load_dataset, save_dataset
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import RunConfig, Schedule, run_evaluation, run_training
@@ -52,11 +50,9 @@ __all__ = [
     "Vocabulary",
     "build_model",
     "build_triplet_statistics",
-    "classify_pair",
     "external_linguistic",
     "generate_for_scene",
     "generate_synthetic",
-    "internal_linguistic",
     "iou",
     "joint_loss",
     "load_checkpoint",
@@ -69,9 +65,7 @@ __all__ = [
     "run_training",
     "save_checkpoint",
     "save_dataset",
-    "spatial_features",
     "union_box",
-    "zero_shot_filter",
 ]
 
 __version__ = "0.1.0"

@@ -48,46 +48,45 @@ def save_checkpoint(path, config: ModelConfig, params: Arena) -> None:
 
 def load_checkpoint(path) -> Tuple[ModelConfig, Arena]:
     try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint file not found: {path}") from None
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
-        prefix = fh.read(8)
-        if len(prefix) != 8:
-            raise CheckpointError(f"{path}: truncated before the header length")
-        version, header_len = struct.unpack("<II", prefix)
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        if PREFIX_BYTES + header_len > size:
-            raise CheckpointError(f"{path}: truncated header ({header_len} bytes declared)")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            config = ModelConfig.from_json_dict(header["config"])
-            shapes = model_shapes(config)
-            blocks = header["blocks"]
-        except (KeyError, TypeError, ValueError, UrelnetError) as exc:
-            # ValueError covers JSON and UTF-8 decoding and ModelConfig's checks;
-            # UrelnetError a configuration that leaves a network without streams.
-            raise CheckpointError(f"{path}: corrupt header ({exc!r})") from None
-        if blocks != _block_list(shapes):
-            raise CheckpointError(
-                f"{path}: corrupt header (its blocks are not the layout of its configuration)"
-            )
-        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
-        payload = size - PREFIX_BYTES - header_len
-        if payload < expected:
-            raise CheckpointError(
-                f"{path}: truncated payload (expected {expected} bytes, got {payload})"
-            )
-        if payload > expected:
-            raise CheckpointError(f"{path}: trailing bytes after the payload")
-        flat = np.empty(expected // 8, dtype="<f8")
-        if fh.readinto(flat) != expected:
-            raise CheckpointError(f"{path}: truncated payload while reading")
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            magic = fh.read(8)
+            if magic != MAGIC:
+                raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
+            prefix = fh.read(8)
+            if len(prefix) != 8:
+                raise CheckpointError(f"{path}: truncated before the header length")
+            version, header_len = struct.unpack("<II", prefix)
+            if version != FORMAT_VERSION:
+                raise CheckpointError(f"{path}: unsupported format version {version}")
+            if PREFIX_BYTES + header_len > size:
+                raise CheckpointError(f"{path}: truncated header ({header_len} bytes declared)")
+            try:
+                header = json.loads(fh.read(header_len).decode("utf-8"))
+                config = ModelConfig.from_json_dict(header["config"])
+                shapes = model_shapes(config)
+                blocks = header["blocks"]
+            except (KeyError, TypeError, ValueError, UrelnetError) as exc:
+                # ValueError covers JSON and UTF-8 decoding and ModelConfig's checks;
+                # UrelnetError a configuration that leaves a network without streams.
+                raise CheckpointError(f"{path}: corrupt header ({exc!r})") from None
+            if blocks != _block_list(shapes):
+                raise CheckpointError(
+                    f"{path}: corrupt header (its blocks are not the layout of its configuration)"
+                )
+            expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+            payload = size - PREFIX_BYTES - header_len
+            if payload < expected:
+                raise CheckpointError(
+                    f"{path}: truncated payload (expected {expected} bytes, got {payload})"
+                )
+            if payload > expected:
+                raise CheckpointError(f"{path}: trailing bytes after the payload")
+            flat = np.empty(expected // 8, dtype="<f8")
+            if fh.readinto(flat) != expected:
+                raise CheckpointError(f"{path}: truncated payload while reading")
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint file not found or unreadable: {exc}") from None
     params = Arena(shapes, flat.astype(np.float64, copy=False))
     bad = non_finite_block(params)
     if bad is not None:

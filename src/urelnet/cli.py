@@ -99,13 +99,13 @@ def cmd_generate_pairs(args) -> int:
                 "determinate": determinate,
                 "undetermined": len(pairs) - determinate,
                 "pairs": [
-                    {
-                        "subject_index": p.subject_index,
-                        "object_index": p.object_index,
-                        "status": p.status.value,
-                        "predicates": [int(i) for i in np.flatnonzero(p.predicate_labels)],
-                    }
-                    for p in pairs
+                    {"subject_index": i, "object_index": j,
+                     "status": "determinate" if matched else "undetermined",
+                     "predicates": np.flatnonzero(labels).tolist()}
+                    for i, j, matched, labels in zip(
+                        pairs.subject_indices.tolist(), pairs.object_indices.tolist(),
+                        pairs.determinate.tolist(), pairs.labels,
+                    )
                 ],
             }
         )
@@ -121,7 +121,7 @@ def cmd_build_stats(args) -> int:
 
 
 def _model_config_from_args(args, dataset) -> ModelConfig:
-    modals = tuple(args.modals.split(",")) if args.modals else ALL_MODALS
+    modals = tuple(args.modals.split(",")) if args.modals is not None else ALL_MODALS
     return ModelConfig(
         predicate_count=dataset.vocabulary.predicate_count,
         object_count=dataset.vocabulary.object_count,
@@ -221,17 +221,19 @@ def cmd_predict(args) -> int:
         k=args.k,
         predicate_count=dataset.vocabulary.predicate_count,
     )
-    vocab = dataset.vocabulary
+    vocab, top = dataset.vocabulary, result.top(args.top)
+    columns = (top.subject_boxes, top.subject_categories, top.predicates, top.object_boxes,
+               top.object_categories, top.scores)
     triplets = [
         {
-            "subject_box": list(t.subject_box.as_tuple()),
-            "subject": vocab.object_names[t.subject_category],
-            "predicate": vocab.predicate_names[t.predicate],
-            "object_box": list(t.object_box.as_tuple()),
-            "object": vocab.object_names[t.object_category],
-            "score": t.score,
+            "subject_box": s,
+            "subject": vocab.object_names[sc],
+            "predicate": vocab.predicate_names[p],
+            "object_box": o,
+            "object": vocab.object_names[oc],
+            "score": score,
         }
-        for t in result.top(args.top).triplets
+        for s, sc, p, o, oc, score in zip(*(column.tolist() for column in columns))
     ]
     _write_json({"image_id": scene.image_id, "predictions": triplets}, args.out)
     return 0

@@ -137,8 +137,8 @@ def load_dataset(path) -> Dataset:
     try:
         with open(doc_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise IngestionError(f"dataset file not found: {doc_path}") from None
+    except OSError as exc:
+        raise IngestionError(f"dataset file not found or unreadable: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{doc_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # not UTF-8, or an integer literal too long to convert

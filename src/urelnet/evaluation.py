@@ -61,7 +61,8 @@ class EvalConfig:
 @dataclass(frozen=True)
 class PredictedTriplet:
     """One ranked output triplet; pair_index preserves the enumeration order
-    for deterministic tie-breaking."""
+    for deterministic tie-breaking. A row of ``PredictionSet.triplets``,
+    which only perfbench and tests read; the commands read the columns."""
 
     subject_box: BoundingBox
     subject_category: int
@@ -76,7 +77,8 @@ class PredictedTriplet:
 class PredictionSet:
     """Ranked triplets for one image, highest score first; ties broken by
     pair enumeration index then predicate index. One column per
-    ``PredictedTriplet`` field, in its order; ``triplets`` are the rows."""
+    ``PredictedTriplet`` field, in its order; ``triplets`` are the rows,
+    read by perfbench and tests only."""
 
     image_id: str
     subject_boxes: np.ndarray  # (R, 4) float64
@@ -284,14 +286,6 @@ def recall_at_n(
         raise UndefinedMetricError("no ground-truth triplets in the evaluation set")
     total_hits = sum(sum(hits[:n]) for hits in image_hits)
     return total_hits / total_gt
-
-
-def zero_shot_filter(
-    ground_truth: Sequence[AnnotatedTriplet],
-    training_types: Set[Tuple[int, int, int]],
-) -> List[AnnotatedTriplet]:
-    """Keep only triplets whose category-level type never occurs in training."""
-    return [gt for gt in ground_truth if gt.type_key() not in training_types]
 
 
 @dataclass

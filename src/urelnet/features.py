@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DatasetValidationError, DimensionError, GeometryError, IngestionError
 from .nn import all_finite
 from .pairs import ScenePairs
-from .scene import BoundingBox, SceneRecord, Vocabulary, box_array, union_rows
+from .scene import SceneRecord, Vocabulary, union_rows
 
 SPATIAL_DIM = 8
 
@@ -88,11 +88,6 @@ def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     )
 
 
-def spatial_features(subject: BoundingBox, obj: BoundingBox) -> np.ndarray:
-    """The 8-vector of ``spatial_rows`` for one (subject, object) pair."""
-    return spatial_rows(box_array([subject]), box_array([obj]))[0]
-
-
 @dataclass
 class TripletStatistics:
     """Raw (subject, predicate, object) co-occurrence counts from training data."""
@@ -117,8 +112,13 @@ class TripletStatistics:
 
     @cached_property
     def internal_table(self) -> np.ndarray:
-        """(N, N, M) read-only table of ``internal_linguistic`` for every
-        (subject, object) category pair, built on first use."""
+        """(N, N, M) read-only table of the internal linguistic feature of
+        every (subject, object) category pair, built on first use.
+
+        Entry (s, o) is the smoothed predicate distribution given the pair's
+        categories. It factorizes as P(p) * P(s|p) * P(o|p) with add-one
+        smoothing on every factor, renormalized; smoothing keeps unseen
+        category pairs strictly positive."""
         n, m = self.object_count, self.predicate_count
         cp = self.counts.sum(axis=(0, 2)).astype(np.float64)
         prior = (cp + 1.0) / (self.total + m)
@@ -150,16 +150,6 @@ class TripletStatistics:
             "counts": entries,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TripletStatistics":
-        counts = np.zeros(
-            (data["object_count"], data["predicate_count"], data["object_count"]),
-            dtype=np.int64,
-        )
-        for s, p, o, c in data["counts"]:
-            counts[s, p, o] = c
-        return cls(counts)
-
 
 def build_triplet_statistics(
     scenes: Iterable[SceneRecord], vocab: Vocabulary
@@ -186,23 +176,6 @@ def build_triplet_statistics(
                     )
             counts[ann.subject_category, ann.predicate, ann.object_category] += 1
     return TripletStatistics(counts)
-
-
-def internal_linguistic(
-    stats: TripletStatistics, subject_category: int, object_category: int
-) -> np.ndarray:
-    """Smoothed predicate distribution given the pair's category labels.
-
-    Factorizes as P(p) * P(subject|p) * P(object|p) with add-one smoothing
-    on every factor, renormalized; smoothing keeps unseen category pairs
-    strictly positive.
-    """
-    n = stats.object_count
-    if not (0 <= subject_category < n and 0 <= object_category < n):
-        raise IngestionError(
-            f"category pair ({subject_category}, {object_category}) out of range [0, {n})"
-        )
-    return stats.internal_table[subject_category, object_category]
 
 
 class EmbeddingTable:

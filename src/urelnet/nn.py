@@ -175,6 +175,8 @@ class DenseLayer:
     def create(
         cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator
     ) -> "DenseLayer":
+        """A Glorot-initialized layer with its own arrays, for perfbench's
+        GEMM probe; models wire their layers onto an arena."""
         weight = np.empty((out_dim, in_dim))
         glorot_uniform(rng, weight)
         return cls(weight, np.zeros(out_dim), activation)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, Tuple
 
@@ -49,6 +49,7 @@ class ObjectPair:
     ``predicate_labels`` is a multi-hot float vector of length M; it has at
     least one set bit iff the pair is determinate. ``union_feature_key``
     names the pair's union-box visual vector in the feature store.
+    No pipeline path reads this view; perfbench reads its ``determinate``.
     """
 
     subject_index: int
@@ -70,7 +71,8 @@ class ScenePairs(abc.Sequence):
     """A scene's candidate pairs: row p pairs ``objects[subject_indices[p]]``
     with ``objects[object_indices[p]]`` and matches annotation k iff
     ``hits[p, k]``. ``boxes``, ``categories`` and ``confidences`` tabulate
-    the objects. ``pairs[p]`` is row p as an ``ObjectPair``."""
+    the objects. ``pairs[p]`` is row p as an ``ObjectPair``; only perfbench
+    and tests read rows."""
 
     objects: Tuple[DetectedObject, ...]
     boxes: np.ndarray  # (D, 4) float64
@@ -146,28 +148,6 @@ def _detection_overlaps(boxes: np.ndarray, role_boxes: np.ndarray) -> np.ndarray
 def _same_boxes(boxes: np.ndarray, role_boxes: np.ndarray) -> np.ndarray:
     """The ground-truth box test: all four coordinates equal."""
     return (boxes[:, None, :] == role_boxes[None, :, :]).all(axis=2)
-
-
-def classify_pair(
-    subject: DetectedObject,
-    obj: DetectedObject,
-    annotations: Sequence[AnnotatedTriplet],
-    predicate_count: int,
-    subject_index: int = 0,
-    object_index: int = 1,
-    union_feature_key: str | None = None,
-) -> ObjectPair:
-    """Classify one detected pair against the annotations.
-
-    The pair is determinate iff at least one annotation matches on both
-    category labels and both IoUs; the label vector takes the union of the
-    predicates of all matching annotations.
-    """
-    pair = _build_pairs(
-        (subject, obj), annotations, predicate_count, lambda *_: union_feature_key,
-        _detection_overlaps,
-    )
-    return replace(pair[0], subject_index=subject_index, object_index=object_index)
 
 
 def detection_union_key(image_id: str, i: int, j: int) -> str:

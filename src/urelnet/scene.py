@@ -49,20 +49,13 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, other: "BoundingBox") -> bool:
-        return (
-            self.x_min <= other.x_min
-            and self.y_min <= other.y_min
-            and self.x_max >= other.x_max
-            and self.y_max >= other.y_max
-        )
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint."""
+    """Intersection over union of two boxes; 0.0 when disjoint. The pipeline
+    runs ``iou_rows``; this one-pair form is for tests and perfbench."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if ix <= 0.0 or iy <= 0.0:
@@ -99,7 +92,8 @@ def union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
-    """Smallest axis-aligned box containing both inputs."""
+    """Smallest axis-aligned box containing both inputs. The pipeline runs
+    ``union_rows``; this one-pair form is for tests and perfbench."""
     return BoundingBox(
         min(a.x_min, b.x_min),
         min(a.y_min, b.y_min),
@@ -195,19 +189,23 @@ class SceneRecord:
                     )
 
     def gt_objects(self) -> List[Tuple[BoundingBox, int]]:
-        """Unique (box, category) ground-truth objects in first-appearance order.
+        return unique_objects(self.annotations)
 
-        Order scans annotations, subject then object; it fixes the ground-truth
-        feature-key numbering, so it must stay stable.
-        """
-        seen = {}
-        for ann in self.annotations:
-            for box, cat in (
-                (ann.subject_box, ann.subject_category),
-                (ann.object_box, ann.object_category),
-            ):
-                seen.setdefault((box.as_tuple(), cat), (box, cat))
-        return list(seen.values())
+
+def unique_objects(annotations: Iterable[AnnotatedTriplet]) -> List[Tuple[BoundingBox, int]]:
+    """Unique (box, category) ground-truth objects in first-appearance order.
+
+    Order scans annotations, subject then object; it fixes the ground-truth
+    feature-key numbering, so it must stay stable.
+    """
+    seen = {}
+    for ann in annotations:
+        for box, cat in (
+            (ann.subject_box, ann.subject_category),
+            (ann.object_box, ann.object_category),
+        ):
+            seen.setdefault((box.as_tuple(), cat), (box, cat))
+    return list(seen.values())
 
 
 @dataclass(frozen=True)

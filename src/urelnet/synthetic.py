@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .scene import (
     box_array,
     pair_indices,
     union_rows,
+    unique_objects,
 )
 
 CATEGORY_GROUPS = 4
@@ -331,12 +332,8 @@ def _build_scene(
             annotations.append(AnnotatedTriplet(subject, s_cat, other, obj, o_cat))
 
     # Noisy detections: jittered ground-truth objects plus spurious boxes.
-    seen: Dict[Tuple, Tuple[BoundingBox, int]] = {}
-    for ann in annotations:
-        for box, cat in ((ann.subject_box, ann.subject_category), (ann.object_box, ann.object_category)):
-            seen.setdefault((box.as_tuple(), cat), (box, cat))
     detections: List[Tuple[DetectedObject, int]] = []  # (detection, true category)
-    for box, cat in seen.values():
+    for box, cat in unique_objects(annotations):
         if rng.random() < config.miss_rate:
             continue
         j = config.box_jitter

@@ -23,7 +23,7 @@ from urelnet.evaluation import (
     recall_at_n,
 )
 from urelnet.experiment import relation_gap_experiment
-from urelnet.features import TripletStatistics, internal_linguistic, spatial_features
+from urelnet.features import TripletStatistics, spatial_rows
 from urelnet.model import (
     ALL_MODALS,
     ModelConfig,
@@ -31,8 +31,8 @@ from urelnet.model import (
     make_gradient_check_problem,
 )
 from urelnet.nn import gradient_check
-from urelnet.pairs import classify_pair
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject
+from urelnet.pairs import generate_for_scene
+from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import RunConfig, Schedule, run_evaluation, run_training, write_log
 
@@ -113,9 +113,8 @@ def test_acceptance_2_generator_oracle_equivalence():
     started = time.monotonic()
     rng = np.random.default_rng(777)
     m = 5
-    mismatches = 0
-    pairs_checked = 0
-    for _ in range(1000):
+    mismatches = pairs_checked = determinate = 0
+    for index in range(1000):
         n_det = int(rng.integers(1, 7))
         n_ann = int(rng.integers(0, 7))
 
@@ -139,31 +138,40 @@ def test_acceptance_2_generator_oracle_equivalence():
                 obox, ocat = detections[int(rng.integers(n_det))]
             annotations.append((sbox, cat, int(rng.integers(m)), obox, ocat))
 
-        det_objs = [DetectedObject(BoundingBox(*b), c, 0.9) for b, c in detections]
-        ann_objs = [
-            AnnotatedTriplet(BoundingBox(*s), sc, p, BoundingBox(*o), oc)
-            for s, sc, p, o, oc in annotations
+        scene = SceneRecord(
+            f"scene{index}", 200.0, 200.0,
+            tuple(DetectedObject(BoundingBox(*b), c, 0.9) for b, c in detections),
+            tuple(
+                AnnotatedTriplet(BoundingBox(*s), sc, p, BoundingBox(*o), oc)
+                for s, sc, p, o, oc in annotations
+            ),
+            "test",
+        )
+        pairs = generate_for_scene(scene, m)
+        want = [
+            ((i, j), *_oracle_classification(detections[i], detections[j], annotations, m))
+            for i in range(n_det)
+            for j in range(n_det)
+            if i != j
         ]
-        for i in range(n_det):
-            for j in range(n_det):
-                if i == j:
-                    continue
-                pair = classify_pair(det_objs[i], det_objs[j], ann_objs, m, i, j)
-                want_det, want_labels, want_matched = _oracle_classification(
-                    detections[i], detections[j], annotations, m
-                )
-                if (
-                    pair.determinate != want_det
-                    or pair.predicate_labels.tolist() != want_labels
-                    or pair.matched_annotations != want_matched
-                ):
-                    mismatches += 1
-                pairs_checked += 1
+        got = [
+            ((i, j), status, labels, tuple(np.flatnonzero(hits).tolist()))
+            for i, j, status, labels, hits in zip(
+                pairs.subject_indices.tolist(), pairs.object_indices.tolist(),
+                pairs.determinate.tolist(), pairs.labels.tolist(), pairs.hits,
+            )
+        ]
+        assert len(got) == len(want)
+        mismatches += sum(g != w for g, w in zip(got, want))
+        pairs_checked += len(want)
+        determinate += sum(w[1] for w in want)
     elapsed = time.monotonic() - started
     assert mismatches == 0
+    assert 0 < determinate < pairs_checked
     assert elapsed < 10.0, f"generator oracle sweep took {elapsed:.1f}s"
     _report(2, "generator oracle equivalence",
-            f"1000 scenes, {pairs_checked} pairs, 0 mismatches, {elapsed:.1f}s")
+            f"1000 scenes, {pairs_checked} pairs ({determinate} determinate), "
+            f"0 mismatches, {elapsed:.1f}s")
 
 
 # ----------------------------------------------------------------------
@@ -226,8 +234,13 @@ def test_acceptance_3_loss_algebra():
 # ----------------------------------------------------------------------
 
 
+def _spatial(subject, obj):
+    """``spatial_rows`` of one (subject, object) pair of boxes."""
+    return spatial_rows(np.array([subject.as_tuple()]), np.array([obj.as_tuple()]))[0]
+
+
 def test_acceptance_4_closed_form_features():
-    got = spatial_features(BoundingBox(2, 2, 6, 6), BoundingBox(4, 4, 10, 8))
+    got = _spatial(BoundingBox(2, 2, 6, 6), BoundingBox(4, 4, 10, 8))
     expected = np.array([0.0, 0.0, -0.5, -1.0 / 3.0, 0.25, 1.0 / 3.0, 0.0, 0.0])
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -239,8 +252,8 @@ def test_acceptance_4_closed_form_features():
             return BoundingBox(x1, y1, x1 + float(rng.uniform(1, 60)), y1 + float(rng.uniform(1, 60)))
 
         a, b = rand_box(), rand_box()
-        fwd = spatial_features(a, b)
-        rev = spatial_features(b, a)
+        fwd = _spatial(a, b)
+        rev = _spatial(b, a)
         assert np.allclose(fwd[:4], rev[4:], atol=1e-12)
         assert np.allclose(fwd[4:], rev[:4], atol=1e-12)
         dx, dy = float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100))
@@ -252,7 +265,7 @@ def test_acceptance_4_closed_form_features():
                 (box.x_max + dx) * s, (box.y_max + dy) * s,
             )
 
-        assert np.allclose(fwd, spatial_features(transform(a), transform(b)), atol=1e-9)
+        assert np.allclose(fwd, _spatial(transform(a), transform(b)), atol=1e-9)
 
     # Smoothed predicate prior vs a from-scratch evaluation of the factorization.
     for _ in range(100):
@@ -261,7 +274,7 @@ def test_acceptance_4_closed_form_features():
         counts = rng.integers(0, 5, size=(n, m, n))
         stats = TripletStatistics(counts)
         ls, lo = int(rng.integers(n)), int(rng.integers(n))
-        got = internal_linguistic(stats, ls, lo)
+        got = stats.internal_table[ls, lo]
         total = counts.sum()
         raw = []
         for p in range(m):

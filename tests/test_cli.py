@@ -114,6 +114,22 @@ def test_error_is_machine_readable(workspace, capsys, tmp_path):
     assert "category" in err["error"]
 
 
+def test_directory_as_checkpoint_is_one_json_error_line(workspace, capsys, tmp_path):
+    code = main(["evaluate", "--dataset", str(workspace / "ds"), "--checkpoint", str(tmp_path)])
+    assert code == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "checkpoint-error"
+    assert "not found or unreadable" in error["message"]
+
+
+def test_directory_as_dataset_file_is_one_json_error_line(capsys, tmp_path):
+    (tmp_path / "ds" / "dataset.json").mkdir(parents=True)
+    assert main(["build-stats", "--dataset", str(tmp_path / "ds")]) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "ingestion-error"
+    assert "not found or unreadable" in error["message"]
+
+
 def test_truncated_checkpoint_is_one_json_error_line(workspace, capsys, tmp_path):
     cut = tmp_path / "cut.bin"
     cut.write_bytes((workspace / "run" / "checkpoint.bin").read_bytes()[:12])
@@ -325,6 +341,18 @@ def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     code = main(SMALL_TRAIN + ["--dataset", str(workspace / "ds"), "--out-dir", str(run)] + bad)
     assert code == 1
     assert _single_error_line(capsys)["category"] == "usage-error"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("modals", ["", "visual,"])
+def test_empty_modal_name_is_a_usage_error(workspace, capsys, tmp_path, modals):
+    # An empty --modals names one empty modal; it does not mean all of them.
+    run = tmp_path / "run"
+    args = ["--dataset", str(workspace / "ds"), "--out-dir", str(run), "--modals", modals]
+    assert main(SMALL_TRAIN + args) == 1
+    assert _single_error_line(capsys) == {
+        "category": "usage-error", "message": "unknown modals ['']",
+    }
     assert not run.exists()
 
 

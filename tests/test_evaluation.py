@@ -18,7 +18,6 @@ from urelnet.evaluation import (
     match_predictions,
     predict_scene,
     recall_at_n,
-    zero_shot_filter,
 )
 from urelnet.pairs import generate_for_scene
 from urelnet.scene import (
@@ -417,16 +416,33 @@ def test_tie_permutation_stable_after_canonical_sort():
         assert shuffled == result.triplets
 
 
-def test_zero_shot_filter():
-    gt = [
+def test_zero_shot_filter(monkeypatch):
+    # A zero-shot config is matched against the ground truth whose type
+    # never occurs in training, in annotation order; the others against all.
+    from urelnet import evaluation
+
+    gt = (
         AnnotatedTriplet(box(0, 0, 10, 10), 0, 0, box(20, 0, 30, 10), 1),
         AnnotatedTriplet(box(0, 0, 10, 10), 0, 1, box(20, 0, 30, 10), 1),
         AnnotatedTriplet(box(0, 0, 10, 10), 2, 0, box(20, 0, 30, 10), 1),
-    ]
-    training_types = {(0, 0, 1)}
-    kept = zero_shot_filter(gt, training_types)
-    assert [g.type_key() for g in kept] == [(0, 1, 1), (2, 0, 1)]
-    assert zero_shot_filter(gt, set()) == gt
+    )
+    scene = SceneRecord("img", 100.0, 100.0, (), gt, "test")
+    matched = []
+    match = evaluation.match_predictions
+
+    def recording(predictions, truth, task):
+        columns = (truth.subject_categories, truth.predicates, truth.object_categories)
+        matched.append(list(zip(*(column.tolist() for column in columns))))
+        return match(predictions, truth, task)
+
+    monkeypatch.setattr(evaluation, "match_predictions", recording)
+    configs = [EvalConfig(task="predicate", zero_shot_only=True), EvalConfig(task="predicate")]
+    every = [g.type_key() for g in gt]
+    for training_types, kept in (({(0, 0, 1)}, [(0, 1, 1), (2, 0, 1)]), (set(), every)):
+        del matched[:]
+        tallies = evaluate_configs([scene], UniformRandomScorer(M), configs, M, training_types)
+        assert matched == [kept, every]
+        assert [tally.gt_counts for tally in tallies] == [[len(kept)], [len(every)]]
 
 
 def test_perfect_oracle_predicate_recall_is_one():
@@ -710,7 +726,8 @@ def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):
         truth = GroundTruth.of(scene.annotations)
         unseen = np.array([g.type_key() not in EVAL_TRAINING_TYPES for g in scene.annotations])
         subsets = ((list(scene.annotations), truth),
-                   (zero_shot_filter(scene.annotations, EVAL_TRAINING_TYPES), truth.take(unseen)))
+                   ([g for g in scene.annotations if g.type_key() not in EVAL_TRAINING_TYPES],
+                    truth.take(unseen)))
         for task in TASKS:
             ranking = predict_scene(scene, scorer, task=task, k=2, predicate_count=M)
             for listed, table in subsets:

@@ -20,8 +20,6 @@ from urelnet.features import (
     TripletStatistics,
     build_triplet_statistics,
     external_linguistic,
-    internal_linguistic,
-    spatial_features,
     spatial_rows,
 )
 from urelnet.pairs import ScenePairs, detection_union_key, generate_for_scene
@@ -43,6 +41,11 @@ def boxes(draw):
     x1 = draw(coord)
     y1 = draw(coord)
     return BoundingBox(x1, y1, x1 + draw(extent), y1 + draw(extent))
+
+
+def spatial_features(subject, obj):
+    """``spatial_rows`` of one (subject, object) pair of boxes."""
+    return spatial_rows(box_array([subject]), box_array([obj]))[0]
 
 
 def test_spatial_hand_example():
@@ -73,7 +76,6 @@ def test_spatial_rows_bit_identical_to_one_pair_form():
     assert rows.shape == (300, 8)
     for p in range(300):
         s, o = BoundingBox(*subjects[p]), BoundingBox(*objects[p])
-        assert rows[p].tobytes() == spatial_features(s, o).tobytes()
         assert rows[p].tobytes() == _scalar_spatial(s, o).tobytes()
 
 
@@ -187,13 +189,6 @@ def test_stats_rejects_non_train_split():
         build_triplet_statistics([_scene([_ann(0, 0, 1)], split="test")], vocab)
 
 
-def test_stats_json_roundtrip():
-    vocab = Vocabulary(("a", "b", "c"), ("p", "q"))
-    stats = build_triplet_statistics([_scene([_ann(0, 1, 2), _ann(1, 0, 0)])], vocab)
-    again = TripletStatistics.from_json_dict(stats.to_json_dict())
-    np.testing.assert_array_equal(stats.counts, again.counts)
-
-
 def test_internal_linguistic_hand_example():
     # objects: person, dog, horse, street; predicates: ride, on
     # counts: (person, ride, horse)=2, (person, on, street)=1, (dog, on, street)=1
@@ -202,20 +197,20 @@ def test_internal_linguistic_hand_example():
     counts[0, 1, 3] = 1
     counts[1, 1, 3] = 1
     stats = TripletStatistics(counts)
-    got = internal_linguistic(stats, 0, 2)  # (person, horse)
+    got = stats.internal_table[0, 2]  # (person, horse)
     np.testing.assert_allclose(got, [9 / 11, 2 / 11], atol=1e-12)
 
 
 def test_internal_linguistic_empty_stats_uniform():
     stats = TripletStatistics(np.zeros((3, 5, 3), dtype=np.int64))
-    np.testing.assert_allclose(internal_linguistic(stats, 0, 1), np.full(5, 0.2), atol=1e-15)
+    np.testing.assert_allclose(stats.internal_table[0, 1], np.full(5, 0.2), atol=1e-15)
 
 
 def test_internal_linguistic_unseen_pair_positive():
     counts = np.zeros((3, 2, 3), dtype=np.int64)
     counts[0, 0, 1] = 5
     stats = TripletStatistics(counts)
-    v = internal_linguistic(stats, 2, 2)
+    v = stats.internal_table[2, 2]
     assert np.all(v > 0)
     assert v.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -242,7 +237,7 @@ def test_internal_linguistic_matches_brute_force():
         counts = rng.integers(0, 5, size=(n, m, n))
         stats = TripletStatistics(counts)
         ls, lo = int(rng.integers(n)), int(rng.integers(n))
-        got = internal_linguistic(stats, ls, lo)
+        got = stats.internal_table[ls, lo]
         np.testing.assert_allclose(got, brute_force_internal(counts, ls, lo), atol=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -585,14 +580,17 @@ def test_internal_table_bit_identical_to_per_pair_formula(n, m):
     for s in range(n):
         for o in range(n):
             assert table[s, o].tobytes() == _per_pair_internal(stats, s, o).tobytes()
-            assert internal_linguistic(stats, s, o).tobytes() == table[s, o].tobytes()
 
 
 @pytest.mark.parametrize("s, o", [(-1, 0), (0, 2), (2, 2)])
 def test_internal_linguistic_rejects_out_of_range_categories(s, o):
-    stats = TripletStatistics(np.zeros((2, 3, 2), dtype=np.int64))
-    with pytest.raises(IngestionError, match="out of range"):
-        internal_linguistic(stats, s, o)
+    vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
+    # The pair (0, 1) with its subject's category s and its object's o.
+    pairs = dataclasses.replace(pairs.take([0]), categories=np.array([s, o]))
+    role, category = ("subject", s) if not 0 <= s < 2 else ("object", o)
+    extractor = FeatureExtractor(store, stats, emb, vocab)
+    with pytest.raises(IngestionError, match=f"{role} category {category} out of range"):
+        extractor.matrix(pairs, scene, streams=["internal"])
 
 
 def test_matrix_linguistic_streams_are_the_per_category_vectors():
@@ -601,7 +599,7 @@ def test_matrix_linguistic_streams_are_the_per_category_vectors():
     matrix = FeatureExtractor(store, stats, emb, vocab).matrix(chosen, scene)
     for row, p in enumerate(chosen):
         s, o = p.subject.category, p.object.category
-        assert matrix["internal"][row].tobytes() == internal_linguistic(stats, s, o).tobytes()
+        assert matrix["internal"][row].tobytes() == _per_pair_internal(stats, s, o).tobytes()
         for role, category in (("subject", s), ("object", o)):
             np.testing.assert_array_equal(
                 matrix[f"external_{role}"][row],

@@ -6,7 +6,6 @@ from urelnet.pairs import (
     BatchSpec,
     PairSampler,
     PairStatus,
-    classify_pair,
     generate_for_scene,
     gt_pairs_for_scene,
 )
@@ -27,25 +26,39 @@ def shifted(box, dx):
     return BoundingBox(box.x_min + dx, box.y_min, box.x_max + dx, box.y_max)
 
 
+def _scene(detections, annotations, image_id="img0", split="train"):
+    return SceneRecord(
+        image_id=image_id,
+        width=200.0,
+        height=200.0,
+        detections=tuple(detections),
+        annotations=tuple(annotations),
+        split=split,
+    )
+
+
+def classify(subject, obj, annotations):
+    """Row (0, 1) of a two-detection scene's pairs: whether it is
+    determinate, its labels and the annotations it matches."""
+    pairs = generate_for_scene(_scene([subject, obj], annotations), M)
+    assert (pairs.subject_indices[0], pairs.object_indices[0]) == (0, 1)
+    matched = tuple(np.flatnonzero(pairs.hits[0]).tolist())
+    return bool(pairs.determinate[0]), pairs.labels[0].tolist(), matched
+
+
 def test_classify_matching_pair_is_determinate():
     # 10x10 boxes shifted to land at IoU 0.8+ / 0.7+ against the annotation
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
     subject = det(0.5, 0, 10.5, 10, 1)   # IoU ~ 0.82
     obj = det(21.5, 0, 31.5, 10, 3)      # IoU ~ 0.74
-    pair = classify_pair(subject, obj, [a], M)
-    assert pair.status is PairStatus.DETERMINATE
-    assert pair.predicate_labels.tolist() == [0, 0, 1, 0]
-    assert pair.matched_annotations == (0,)
+    assert classify(subject, obj, [a]) == (True, [0, 0, 1, 0], (0,))
 
 
 def test_classify_low_object_iou_is_undetermined():
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
     subject = det(1, 0, 11, 10, 1)    # IoU ~ 0.82 > 0.5
     obj = det(25, 0, 35, 10, 3)       # IoU = 5/15 < 0.5
-    pair = classify_pair(subject, obj, [a], M)
-    assert pair.status is PairStatus.UNDETERMINED
-    assert pair.predicate_labels.sum() == 0
-    assert pair.matched_annotations == ()
+    assert classify(subject, obj, [a]) == (False, [0, 0, 0, 0], ())
 
 
 def test_classify_category_mismatch_is_undetermined():
@@ -53,19 +66,16 @@ def test_classify_category_mismatch_is_undetermined():
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
     subject = det(0, 0, 10, 10, 0)
     obj = det(20, 0, 30, 10, 3)
-    pair = classify_pair(subject, obj, [a], M)
-    assert pair.status is PairStatus.UNDETERMINED
+    assert classify(subject, obj, [a])[0] is False
 
 
 def test_classify_iou_threshold_is_strict():
     # Exactly 0.5 must NOT match.
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
-    # [0,0,10,10] vs [0,-5,10,10]: intersection 100, union 150... build exact 0.5:
     # box [0,0,10,5] vs [0,0,10,10]: inter 50, union 100 -> 0.5 exactly
     subject = DetectedObject(BoundingBox(0, 0, 10, 5), 1, 0.9)
     obj = det(20, 0, 30, 10, 3)
-    pair = classify_pair(subject, obj, [a], M)
-    assert pair.status is PairStatus.UNDETERMINED
+    assert classify(subject, obj, [a])[0] is False
 
 
 def test_multi_label_accumulation():
@@ -74,26 +84,21 @@ def test_multi_label_accumulation():
         ann(base_s, 1, 0, base_o, 3),
         ann(base_s, 1, 2, base_o, 3),
     ]
-    pair = classify_pair(det(*base_s, 1), det(*base_o, 3), annotations, M)
-    assert pair.status is PairStatus.DETERMINATE
-    assert pair.predicate_labels.tolist() == [1, 0, 1, 0]
-    assert pair.matched_annotations == (0, 1)
+    got = classify(det(*base_s, 1), det(*base_o, 3), annotations)
+    assert got == (True, [1, 0, 1, 0], (0, 1))
 
 
-def brute_force_status(subject, obj, annotations):
+def brute_force_determinate(subject, obj, annotations):
     """Independent re-statement of the determinacy criterion."""
     from urelnet.scene import iou
 
-    for a in annotations:
-        ok = (
-            subject.category == a.subject_category
-            and obj.category == a.object_category
-            and iou(subject.box, a.subject_box) > 0.5
-            and iou(obj.box, a.object_box) > 0.5
-        )
-        if ok:
-            return PairStatus.DETERMINATE
-    return PairStatus.UNDETERMINED
+    return any(
+        subject.category == a.subject_category
+        and obj.category == a.object_category
+        and iou(subject.box, a.subject_box) > 0.5
+        and iou(obj.box, a.object_box) > 0.5
+        for a in annotations
+    )
 
 
 def random_scene(rng, n_det, n_ann, n_cat=4):
@@ -116,6 +121,7 @@ def random_scene(rng, n_det, n_ann, n_cat=4):
 
 def test_classifier_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
+    determinate = 0
     for _ in range(300):
         detections, annotations = random_scene(
             rng, int(rng.integers(2, 7)), int(rng.integers(0, 7))
@@ -128,12 +134,16 @@ def test_classifier_matches_brute_force_oracle():
                     detections[i].box, detections[i].category, int(rng.integers(M)),
                     detections[j].box, detections[j].category,
                 )
-        for i, s in enumerate(detections):
-            for j, o in enumerate(detections):
-                if i == j:
-                    continue
-                pair = classify_pair(s, o, annotations, M, i, j)
-                assert pair.status is brute_force_status(s, o, annotations)
+        pairs = generate_for_scene(_scene(detections, annotations), M)
+        expected = [
+            brute_force_determinate(s, o, annotations)
+            for i, s in enumerate(detections)
+            for j, o in enumerate(detections)
+            if i != j
+        ]
+        assert pairs.determinate.tolist() == expected
+        determinate += sum(expected)
+    assert determinate > 0
 
 
 def test_monotone_in_iou():
@@ -144,22 +154,11 @@ def test_monotone_in_iou():
     for dx in [6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.0]:
         subject = DetectedObject(shifted(a.subject_box, dx), 1, 0.9)
         obj = DetectedObject(shifted(a.object_box, dx), 3, 0.9)
-        pair = classify_pair(subject, obj, [a], M)
+        determinate = classify(subject, obj, [a])[0]
         if was_determinate:
-            assert pair.status is PairStatus.DETERMINATE
-        was_determinate = pair.status is PairStatus.DETERMINATE
+            assert determinate
+        was_determinate = determinate
     assert was_determinate
-
-
-def _scene(detections, annotations, image_id="img0", split="train"):
-    return SceneRecord(
-        image_id=image_id,
-        width=200.0,
-        height=200.0,
-        detections=tuple(detections),
-        annotations=tuple(annotations),
-        split=split,
-    )
 
 
 def test_generate_for_scene_one_direction_matches():

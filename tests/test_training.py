@@ -146,7 +146,8 @@ def test_capped_pool_matches_list_reference(dataset, cap):
 def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
     # The pool holds row numbers into the shared tables; reading a stream
     # gives one row per pair, the bytes of a lookup per pair and stream.
-    from urelnet.features import external_linguistic, internal_linguistic, spatial_features
+    from urelnet.features import external_linguistic, spatial_rows
+    from urelnet.scene import box_array
 
     run_config = quick_run(dataset, model=small_model(dataset, im_mode=True))
     extractor = build_extractor(dataset)
@@ -176,9 +177,10 @@ def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
                 name = vocab.object_names[obj.category]
                 expected[f"external_{role}"].append(external_linguistic(dataset.embeddings, name))
             expected["visual_union"].append(store.table[store.index[pair.union_feature_key]])
-            expected["spatial"].append(spatial_features(pair.subject.box, pair.object.box))
+            boxes = box_array([pair.subject.box]), box_array([pair.object.box])
+            expected["spatial"].append(spatial_rows(*boxes)[0])
             expected["internal"].append(
-                internal_linguistic(extractor.stats, pair.subject.category, pair.object.category)
+                extractor.stats.internal_table[pair.subject.category, pair.object.category]
             )
     for name, rows in expected.items():
         assert pool.features[name].tobytes() == np.stack(rows).tobytes(), name
