@@ -7,10 +7,12 @@ detection recall@50 per variant.
 """
 
 import argparse
+from dataclasses import replace
 
-from urelnet.model import ALL_MODALS, ModelConfig
+from urelnet.experiment import EXPERIMENT_SCHEDULE, experiment_model_config
+from urelnet.model import ALL_MODALS
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
-from urelnet.training import RunConfig, Schedule, run_evaluation, run_training
+from urelnet.training import RunConfig, run_evaluation, run_training
 
 SUBSETS = [
     ("V", ("visual",)),
@@ -43,22 +45,14 @@ def main() -> int:
     print(f"{'variant':<10} {'fusion':<14} {'pred R50':>9} {'rel R50':>9}")
     for label, modals in SUBSETS:
         for fusion in ("transforming", "concatenating"):
-            model_config = ModelConfig(
-                predicate_count=dataset.vocabulary.predicate_count,
-                object_count=dataset.vocabulary.object_count,
-                visual_dim=dataset.features.dim,
-                embedding_dim=dataset.embeddings.dim,
+            model_config = replace(
+                experiment_model_config(dataset),
                 transform_dim=args.transform_dim,
-                dc_hidden_dim=24,
-                rel_hidden_dim=48,
                 enabled_modals=tuple(modals),
                 fusion_mode=fusion,
             )
             run_config = RunConfig(
-                model=model_config,
-                epochs=args.epochs,
-                seed=args.seed,
-                schedule=Schedule(1e-3, 0.5, 1500),
+                model=model_config, epochs=args.epochs, seed=args.seed, schedule=EXPERIMENT_SCHEDULE
             )
             result = run_training(dataset, run_config)
             report = run_evaluation(

@@ -85,7 +85,8 @@ def load_checkpoint(path) -> Tuple[ModelConfig, Arena]:
             flat = np.empty(expected // 8, dtype="<f8")
             if fh.readinto(flat) != expected:
                 raise CheckpointError(f"{path}: truncated payload while reading")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path (the header's are caught above).
         raise CheckpointError(f"checkpoint file not found or unreadable: {exc}") from None
     params = Arena(shapes, flat.astype(np.float64, copy=False))
     bad = non_finite_block(params)

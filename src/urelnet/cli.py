@@ -13,6 +13,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass, replace
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +22,16 @@ import numpy as np
 from .checkpoint import load_model, save_checkpoint
 from .dataset import load_dataset, save_dataset
 from .errors import OutOfMemoryError, OutputError, UrelnetError, UsageError
-from .evaluation import ModelScorer, predict_scene
+from .evaluation import TASKS, ModelScorer, predict_scene
 from .features import FeatureExtractor, build_triplet_statistics
-from .model import ALL_MODALS, ModelConfig, make_gradient_check_problem, required_streams
+from .model import DC_FEEDS, FUSION_MODES, ModelConfig, make_gradient_check_problem, required_streams
 from .nn import gradient_check
 from .pairs import generate_for_scene
-from .synthetic import SyntheticConfig, generate_synthetic
+from .scene import SPLITS
+from .synthetic import NOISE_FIELDS, SyntheticConfig, generate_synthetic
 from .training import (
     SCHEDULE_PRESETS,
+    RunConfig,
     Schedule,
     build_extractor,
     check_model_compatibility,
@@ -56,28 +60,30 @@ def _write_json(data, path: str | None) -> None:
             Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _names(text: str) -> tuple:
+    """A comma list flag's names; an empty name stays, for the config to reject."""
+    return tuple(text.split(","))
+
+
+def _given(args, target) -> dict:
+    """The flags given on the command line that set a field of the dataclass
+    ``target``, or a defaulted parameter of the function ``target``, by
+    ``dest``; ``target``'s own defaults stand for the rest."""
+    if is_dataclass(target):
+        names = {f.name for f in fields(target)}
+    else:
+        names = {p.name for p in signature(target).parameters.values() if p.default is not p.empty}
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def cmd_synth(args) -> int:
-    config = SyntheticConfig(
-        object_count=args.objects,
-        predicate_count=args.predicates,
-        train_scenes=args.train,
-        validation_scenes=args.val,
-        test_scenes=args.test,
-        min_relations=args.min_relations,
-        max_relations=args.max_relations,
-        visual_dim=args.visual_dim,
-        embedding_dim=args.embedding_dim,
-        box_jitter=0.0 if args.no_noise else args.box_jitter,
-        label_flip_rate=0.0 if args.no_noise else args.label_flip_rate,
-        miss_rate=0.0 if args.no_noise else args.miss_rate,
-        spurious_rate=0.0 if args.no_noise else args.spurious_rate,
-        zero_shot_types=args.zero_shot_types,
-        seed=args.seed,
-    )
-    dataset = generate_synthetic(config)
+    settings = _given(args, SyntheticConfig)
+    if args.no_noise:
+        settings.update(dict.fromkeys(NOISE_FIELDS, 0.0))
+    dataset = generate_synthetic(SyntheticConfig(**settings))
     with _writing(args.out):
         save_dataset(dataset, args.out)
-    counts = {split: len(dataset.split(split)) for split in ("train", "validation", "test")}
+    counts = {split: len(dataset.split(split)) for split in SPLITS}
     print(json.dumps({"out": str(args.out), "scenes": counts, "features": len(dataset.features)}))
     return 0
 
@@ -120,45 +126,20 @@ def cmd_build_stats(args) -> int:
     return 0
 
 
-def _model_config_from_args(args, dataset) -> ModelConfig:
-    modals = tuple(args.modals.split(",")) if args.modals is not None else ALL_MODALS
-    return ModelConfig(
+def cmd_train(args) -> int:
+    dataset = load_dataset(args.dataset)
+    model_config = ModelConfig(
         predicate_count=dataset.vocabulary.predicate_count,
         object_count=dataset.vocabulary.object_count,
         visual_dim=dataset.features.dim,
         embedding_dim=dataset.embeddings.dim if dataset.embeddings is not None else 1,
-        transform_dim=args.transform_dim,
-        dc_hidden_dim=args.dc_hidden_dim,
-        rel_hidden_dim=args.rel_hidden_dim,
-        enabled_modals=modals,
-        fusion_mode=args.fusion,
-        dc_feed=args.dc_feed,
-        dc_undetermined_weight=args.dc_undetermined_weight,
-        rel_undetermined_weight=args.rel_undetermined_weight,
-        dc_loss_weight=args.dc_loss_weight,
-        im_mode=args.im,
+        **_given(args, ModelConfig),
     )
-
-
-def cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    model_config = _model_config_from_args(args, dataset)
-    if args.schedule:
-        schedule = SCHEDULE_PRESETS[args.schedule]
-    else:
-        schedule = Schedule(args.base_lr, args.decay_rate, args.decay_interval)
-    overrides = dict(
-        batch_size=args.batch_size,
-        schedule=schedule,
-        epochs=args.epochs,
-        steps=args.steps,
-        seed=args.seed,
-        validation_interval=args.validation_interval,
-        per_scene_undetermined_cap=args.undetermined_cap,
+    # A preset replaces RunConfig's default schedule; rate flags override either.
+    schedule = SCHEDULE_PRESETS[args.preset] if args.preset else RunConfig.schedule
+    run_config = make_run_config(
+        model_config, schedule=replace(schedule, **_given(args, Schedule)), **_given(args, RunConfig)
     )
-    if args.undetermined_ratio is not None:
-        overrides["undetermined_ratio"] = args.undetermined_ratio
-    run_config = make_run_config(model_config, task=args.task, **overrides)
     FeatureExtractor.check_embeddings(required_streams(run_config.model), dataset.embeddings)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
@@ -183,23 +164,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        n_values = tuple(int(n) for n in args.n.split(","))
-    except ValueError:
-        raise UsageError(f"--n takes comma-separated integers, got {args.n!r}") from None
+    options = _given(args, run_evaluation)
+    if "n_values" in options:
+        try:
+            options["n_values"] = tuple(int(n) for n in args.n_values.split(","))
+        except ValueError:
+            raise UsageError(f"--n takes comma-separated integers, got {args.n_values!r}") from None
     dataset = load_dataset(args.dataset)
     model = load_model(args.checkpoint)
-    report = run_evaluation(
-        dataset,
-        model,
-        tasks=tuple(args.tasks.split(",")),
-        n_values=n_values,
-        k=args.k,
-        zero_shot=args.zero_shot,
-        macro_average=args.macro,
-        split=args.split,
-    )
-    _write_json(report, args.out)
+    _write_json(run_evaluation(dataset, model, **options), args.out)
     return 0
 
 
@@ -215,11 +188,8 @@ def cmd_predict(args) -> int:
     scene = scenes[args.image_id]
     scorer = ModelScorer(model, build_extractor(dataset))
     result = predict_scene(
-        scene,
-        scorer,
-        task=args.task,
-        k=args.k,
-        predicate_count=dataset.vocabulary.predicate_count,
+        scene, scorer, predicate_count=dataset.vocabulary.predicate_count,
+        **_given(args, predict_scene),
     )
     vocab, top = dataset.vocabulary, result.top(args.top)
     columns = (top.subject_boxes, top.subject_categories, top.predicates, top.object_boxes,
@@ -288,29 +258,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
+    # Where a flag sets a setting, its dest is the setting's name and it has
+    # no default: the command passes on only the flags given (``_given``).
+    unset = dict(argument_default=argparse.SUPPRESS)
+
+    p = sub.add_parser("synth", help="generate a seeded synthetic dataset", **unset)
     p.add_argument("--out", required=True)
-    p.add_argument("--objects", type=int, default=20)
-    p.add_argument("--predicates", type=int, default=8)
-    p.add_argument("--train", type=int, default=400)
-    p.add_argument("--val", type=int, default=0)
-    p.add_argument("--test", type=int, default=100)
-    p.add_argument("--min-relations", type=int, default=4)
-    p.add_argument("--max-relations", type=int, default=6)
-    p.add_argument("--visual-dim", type=int, default=24)
-    p.add_argument("--embedding-dim", type=int, default=16)
-    p.add_argument("--box-jitter", type=float, default=0.08)
-    p.add_argument("--label-flip-rate", type=float, default=0.05)
-    p.add_argument("--miss-rate", type=float, default=0.03)
-    p.add_argument("--spurious-rate", type=float, default=2.0)
-    p.add_argument("--zero-shot-types", type=int, default=5)
-    p.add_argument("--no-noise", action="store_true", help="disable all detection noise")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--objects", type=int, dest="object_count")
+    p.add_argument("--predicates", type=int, dest="predicate_count")
+    p.add_argument("--train", type=int, dest="train_scenes")
+    p.add_argument("--val", type=int, dest="validation_scenes")
+    p.add_argument("--test", type=int, dest="test_scenes")
+    p.add_argument("--min-relations", type=int)
+    p.add_argument("--max-relations", type=int)
+    p.add_argument("--visual-dim", type=int)
+    p.add_argument("--embedding-dim", type=int)
+    p.add_argument("--box-jitter", type=float)
+    p.add_argument("--label-flip-rate", type=float)
+    p.add_argument("--miss-rate", type=float)
+    p.add_argument("--spurious-rate", type=float)
+    p.add_argument("--zero-shot-types", type=int)
+    p.add_argument("--no-noise", action="store_true", default=False,
+                   help="disable all detection noise")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("generate-pairs", help="classify detection pairs against annotations")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default=None, choices=("train", "validation", "test"))
+    p.add_argument("--split", default=None, choices=SPLITS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate_pairs)
 
@@ -319,52 +294,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_build_stats)
 
-    p = sub.add_parser("train", help="train a model")
+    p = sub.add_parser("train", help="train a model", **unset)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--task", default="relation", choices=("predicate", "phrase", "relation"))
-    p.add_argument("--schedule", default=None, choices=tuple(SCHEDULE_PRESETS))
-    p.add_argument("--base-lr", type=float, default=3e-4)
-    p.add_argument("--decay-rate", type=float, default=0.5)
-    p.add_argument("--decay-interval", type=int, default=4000)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--undetermined-ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transform-dim", type=int, default=500)
-    p.add_argument("--dc-hidden-dim", type=int, default=100)
-    p.add_argument("--rel-hidden-dim", type=int, default=500)
-    p.add_argument("--modals", default=None, help="comma list, e.g. visual,spatial")
-    p.add_argument("--fusion", default="transforming", choices=("transforming", "concatenating"))
-    p.add_argument("--dc-feed", default="probability", choices=("probability", "hidden"))
-    p.add_argument("--dc-undetermined-weight", type=float, default=1.0)
-    p.add_argument("--rel-undetermined-weight", type=float, default=0.5)
-    p.add_argument("--dc-loss-weight", type=float, default=1.0)
-    p.add_argument("--im", action="store_true", help="three-network inferring model")
-    p.add_argument("--validation-interval", type=int, default=None)
-    p.add_argument("--undetermined-cap", type=int, default=None,
+    p.add_argument("--task", choices=TASKS)
+    p.add_argument("--schedule", dest="preset", default=None, choices=tuple(SCHEDULE_PRESETS))
+    p.add_argument("--base-lr", type=float)
+    p.add_argument("--decay-rate", type=float)
+    p.add_argument("--decay-interval", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--undetermined-ratio", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--transform-dim", type=int)
+    p.add_argument("--dc-hidden-dim", type=int)
+    p.add_argument("--rel-hidden-dim", type=int)
+    p.add_argument("--modals", type=_names, dest="enabled_modals",
+                   help="comma list, e.g. visual,spatial")
+    p.add_argument("--fusion", dest="fusion_mode", choices=FUSION_MODES)
+    p.add_argument("--dc-feed", choices=DC_FEEDS)
+    p.add_argument("--dc-undetermined-weight", type=float)
+    p.add_argument("--rel-undetermined-weight", type=float)
+    p.add_argument("--dc-loss-weight", type=float)
+    p.add_argument("--im", action="store_true", dest="im_mode", help="three-network inferring model")
+    p.add_argument("--validation-interval", type=int)
+    p.add_argument("--undetermined-cap", type=int, dest="per_scene_undetermined_cap",
                    help="max undetermined pairs kept per training scene")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="recall@N metrics report")
+    p = sub.add_parser("evaluate", help="recall@N metrics report", **unset)
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tasks", default="relation")
-    p.add_argument("--n", default="50,100")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--tasks", type=_names)
+    p.add_argument("--n", dest="n_values", help="comma list of N")
+    p.add_argument("--k", type=int)
     p.add_argument("--zero-shot", action="store_true")
-    p.add_argument("--macro", action="store_true")
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p.add_argument("--macro", action="store_true", dest="macro_average")
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="ranked triplets for one image")
+    p = sub.add_parser("predict", help="ranked triplets for one image", **unset)
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image-id", required=True)
-    p.add_argument("--task", default="relation", choices=("predicate", "phrase", "relation"))
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--task", choices=TASKS)
+    p.add_argument("--k", type=int)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)

@@ -135,10 +135,14 @@ def load_dataset(path) -> Dataset:
     root = path if path.is_dir() else path.parent
     doc_path = path / DATASET_FILE if path.is_dir() else path
     try:
-        with open(doc_path, "r", encoding="utf-8") as fh:
+        fh = open(doc_path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise IngestionError(f"dataset file not found or unreadable: {exc}") from None
+    try:
+        with fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise IngestionError(f"dataset file not found or unreadable: {exc}") from None
+        raise IngestionError(f"dataset file unreadable: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{doc_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # not UTF-8, or an integer literal too long to convert

@@ -101,19 +101,13 @@ def run_seed(
 ) -> SeedOutcome:
     full_config = RunConfig(
         model=experiment_model_config(dataset),
-        task="relation",
         undetermined_ratio=3.0,
         schedule=EXPERIMENT_SCHEDULE,
         epochs=epochs,
         seed=seed,
     )
-    ablation_config = RunConfig(
-        model=ablation_model_config(dataset),
-        task="relation",
-        undetermined_ratio=0.0,
-        schedule=EXPERIMENT_SCHEDULE,
-        epochs=epochs,
-        seed=seed,
+    ablation_config = replace(
+        full_config, model=ablation_model_config(dataset), undetermined_ratio=0.0
     )
     full = run_training(dataset, full_config)
     ablation = run_training(dataset, ablation_config)

@@ -185,12 +185,6 @@ class EmbeddingTable:
         self.vectors = vectors
         self.dim = dim
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     @classmethod
     def from_file(cls, path) -> "EmbeddingTable":
         """Parse "token v1 v2 ... vD" lines; dimension fixed by the first line."""

@@ -220,6 +220,9 @@ class DenseLayer:
 # with 8K or 64K than with 16K or 32K.
 ADAM_CHUNK = 16384
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -236,33 +239,18 @@ class AdamState:
     base_lr: float
     decay_rate: float = 1.0
     decay_interval: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.decay_interval <= 0:
+            raise UsageError("decay_interval must be positive")
         self.scratch = np.empty((2, min(ADAM_CHUNK, self.m.size)))
 
     @classmethod
-    def create(
-        cls,
-        params: Arena,
-        base_lr: float,
-        decay_rate: float = 1.0,
-        decay_interval: int = 1,
-    ) -> "AdamState":
-        if decay_interval <= 0:
-            raise UsageError("decay_interval must be positive")
+    def create(cls, params: Arena, base_lr: float, **schedule) -> "AdamState":
+        """Zero moments for ``params``; ``schedule`` may set the decay fields."""
         size = params.flat.size
-        return cls(
-            m=np.zeros(size),
-            v=np.zeros(size),
-            step=0,
-            base_lr=base_lr,
-            decay_rate=decay_rate,
-            decay_interval=decay_interval,
-        )
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0, base_lr=base_lr, **schedule)
 
     def learning_rate(self) -> float:
         return self.base_lr * self.decay_rate ** (self.step // self.decay_interval)
@@ -282,7 +270,7 @@ def adam_step(params: Arena, grads: Arena, state: AdamState) -> None:
         raise DivergenceError(f"non-finite gradient in block {bad!r}")
     lr = state.learning_rate()
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     p, m, v, g = params.flat, state.m, state.v, grads.flat
@@ -299,7 +287,7 @@ def adam_step(params: Arena, grads: Arena, state: AdamState) -> None:
         vc += a
         np.divide(vc, bc2, out=a)
         np.sqrt(a, out=a)
-        a += state.eps
+        a += ADAM_EPS
         np.divide(mc, bc1, out=b)
         b *= lr
         b /= a

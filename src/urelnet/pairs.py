@@ -221,20 +221,20 @@ class _PoolCycler:
     """Draws items without replacement, reshuffling when exhausted."""
 
     def __init__(self, items: Sequence, rng: np.random.Generator):
-        self._items = list(items)
+        self._items = np.asarray(items)
         self._rng = rng
-        self._order = []
-        self._cursor = 0
+        self._order = self._items[:0]  # the current shuffle's undrawn items
 
-    def draw(self, count: int) -> list:
-        out = []
-        while len(out) < count:
-            if self._cursor >= len(self._order):
-                self._order = list(self._rng.permutation(len(self._items)))
-                self._cursor = 0
-            out.append(self._items[self._order[self._cursor]])
-            self._cursor += 1
-        return out
+    def draw(self, count: int) -> list[np.ndarray]:
+        """The next ``count`` items, as slices of successive shuffles."""
+        parts = []
+        while count > 0:
+            if not len(self._order):
+                self._order = self._items[self._rng.permutation(len(self._items))]
+            part, self._order = self._order[:count], self._order[count:]
+            parts.append(part)
+            count -= len(part)
+        return parts
 
 
 class PairSampler:
@@ -246,12 +246,12 @@ class PairSampler:
     """
 
     def __init__(self, determinate_pool: Sequence, undetermined_pool: Sequence, spec: BatchSpec):
-        if spec.determinate_quota > 0 and not determinate_pool:
+        if spec.determinate_quota > 0 and not len(determinate_pool):
             raise InsufficientDataError(
                 "determinate pool is empty but the batch requires "
                 f"{spec.determinate_quota} determinate pairs"
             )
-        if spec.undetermined_quota > 0 and not undetermined_pool:
+        if spec.undetermined_quota > 0 and not len(undetermined_pool):
             raise InsufficientDataError(
                 "undetermined pool is empty but the batch requires "
                 f"{spec.undetermined_quota} undetermined pairs"
@@ -261,7 +261,9 @@ class PairSampler:
         self._determinate = _PoolCycler(determinate_pool, rng)
         self._undetermined = _PoolCycler(undetermined_pool, rng)
 
-    def sample_batch(self) -> list:
-        batch = self._determinate.draw(self.spec.determinate_quota)
-        batch.extend(self._undetermined.draw(self.spec.undetermined_quota))
-        return batch
+    def sample_batch(self) -> np.ndarray:
+        """One batch: its determinate items, then its undetermined ones."""
+        return np.concatenate(
+            self._determinate.draw(self.spec.determinate_quota)
+            + self._undetermined.draw(self.spec.undetermined_quota)
+        )

@@ -38,6 +38,18 @@ from .scene import (
 CATEGORY_GROUPS = 4
 LAYOUT_COUNT = 8
 
+IMAGE_WIDTH, IMAGE_HEIGHT = 640.0, 480.0
+# The chances that a triplet's categories follow its predicate's group
+# affinity, that an annotated pair gets a second predicate, and that a test
+# triplet is a held-out type; the scale of a category's embedding noise.
+AFFINITY_STRENGTH = 0.8
+MULTI_LABEL_RATE = 0.08
+ZERO_SHOT_RATE = 0.15
+EMBEDDING_NOISE = 0.3
+
+# The detection-noise fields, all zero for noise-free detections.
+NOISE_FIELDS = ("box_jitter", "label_flip_rate", "miss_rate", "spurious_rate")
+
 # The largest mean numpy's Poisson sampler accepts, computed as numpy does.
 _POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -46,13 +58,10 @@ _CONFIG_RULES = (
     (("train_scenes", "validation_scenes", "test_scenes", "zero_shot_types", "seed"),
      lambda v: v >= 0, ">= 0"),
     (("predicate_count", "visual_dim", "embedding_dim"), lambda v: v >= 1, ">= 1"),
-    (("image_width", "image_height"), lambda v: 0 < v < math.inf, "positive and finite"),
-    (("box_jitter", "visual_noise", "embedding_noise"),
-     lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("box_jitter", "visual_noise"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
     # Each scene draws its spurious-box count from a Poisson of this mean.
     (("spurious_rate",), lambda v: 0 <= v <= _POISSON_MAX, f"in [0, {_POISSON_MAX:.6g}]"),
-    (("label_flip_rate", "miss_rate", "affinity_strength", "multi_label_rate", "zero_shot_rate"),
-     lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("label_flip_rate", "miss_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
 )
 
 
@@ -67,18 +76,12 @@ class SyntheticConfig:
     max_relations: int = 6
     visual_dim: int = 24
     embedding_dim: int = 16
-    image_width: float = 640.0
-    image_height: float = 480.0
     box_jitter: float = 0.08
     label_flip_rate: float = 0.05
     miss_rate: float = 0.03
     spurious_rate: float = 2.0
-    affinity_strength: float = 0.8
-    multi_label_rate: float = 0.08
     zero_shot_types: int = 5
-    zero_shot_rate: float = 0.15
     visual_noise: float = 0.35
-    embedding_noise: float = 0.3
     seed: int = 7
 
     def __post_init__(self):
@@ -258,7 +261,7 @@ class _Blueprint:
         group_dirs = _unit_rows(rng, CATEGORY_GROUPS, config.embedding_dim)
         self.embeddings = group_dirs[self.groups] + rng.standard_normal(
             (n, config.embedding_dim)
-        ) * config.embedding_noise
+        ) * EMBEDDING_NOISE
         self.held_out = self._sample_held_out(config, rng)
 
     def categories_in_group(self, group: int) -> np.ndarray:
@@ -269,7 +272,7 @@ class _Blueprint:
     ) -> Tuple[int, int, int]:
         predicate = int(rng.integers(config.predicate_count))
         gs, go = self.affinity[predicate]
-        if rng.random() < config.affinity_strength:
+        if rng.random() < AFFINITY_STRENGTH:
             s_cat = int(rng.choice(self.categories_in_group(gs)))
             o_cat = int(rng.choice(self.categories_in_group(go)))
         else:
@@ -295,12 +298,12 @@ def _build_scene(
     blueprint: _Blueprint,
     rng: np.random.Generator,
 ) -> SceneRecord:
-    w, h = config.image_width, config.image_height
+    w, h = IMAGE_WIDTH, IMAGE_HEIGHT
     held_out = set(blueprint.held_out)
     annotations: List[AnnotatedTriplet] = []
     n_rel = int(rng.integers(config.min_relations, config.max_relations + 1))
     for _ in range(n_rel):
-        if split == "test" and held_out and rng.random() < config.zero_shot_rate:
+        if split == "test" and held_out and rng.random() < ZERO_SHOT_RATE:
             s_cat, predicate, o_cat = blueprint.held_out[
                 int(rng.integers(len(blueprint.held_out)))
             ]
@@ -325,7 +328,7 @@ def _build_scene(
         )
         obj = _clamp_box(obj.x_min + dx, obj.y_min + dy, obj.x_max + dx, obj.y_max + dy, w, h)
         annotations.append(AnnotatedTriplet(subject, s_cat, predicate, obj, o_cat))
-        if rng.random() < config.multi_label_rate and config.predicate_count > 1:
+        if rng.random() < MULTI_LABEL_RATE and config.predicate_count > 1:
             other = int(rng.integers(config.predicate_count - 1))
             if other >= predicate:
                 other += 1

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError, UsageError
-from .evaluation import EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
+from .evaluation import TASKS, EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
 from .features import FeatureExtractor, FeatureMatrix, build_triplet_statistics
 from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams, wire_model
 from .nn import AdamState, adam_step
@@ -59,6 +59,8 @@ class RunConfig:
     per_scene_undetermined_cap: Optional[int] = None
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise UsageError(f"task must be one of {TASKS}, got {self.task!r}")
         # Batch and schedule values are checked here too, before any work.
         positive = dict(
             epochs=self.epochs, steps=self.steps, validation_interval=self.validation_interval,
@@ -80,13 +82,13 @@ class RunConfig:
             raise UsageError(f"decay_rate must be in (0, 1], got {decay!r}")
 
 
-def make_run_config(model: ModelConfig, task: str = "relation", **overrides) -> RunConfig:
+def make_run_config(model: ModelConfig, **settings) -> RunConfig:
     """Apply the task presets: the predicate task trains on ground-truth
     pairs only, with zero undetermined weights and no undetermined quota."""
-    if task == "predicate":
+    if settings.get("task") == "predicate":
         model = replace(model, rel_undetermined_weight=0.0, dc_loss_weight=0.0)
-        overrides.setdefault("undetermined_ratio", 0.0)
-    return RunConfig(model=model, task=task, **overrides)
+        settings.setdefault("undetermined_ratio", 0.0)
+    return RunConfig(model=model, **settings)
 
 
 def build_extractor(dataset: Dataset) -> FeatureExtractor:
@@ -167,17 +169,10 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
         undetermined_ratio=run_config.undetermined_ratio,
         rng_seed=run_config.seed,
     )
-    sampler = PairSampler(
-        pool.determinate_indices.tolist(), pool.undetermined_indices.tolist(), spec
-    )
+    sampler = PairSampler(pool.determinate_indices, pool.undetermined_indices, spec)
     model = build_model(run_config.model, np.random.default_rng(run_config.seed))
     params = model.parameters()
-    adam = AdamState.create(
-        params,
-        base_lr=run_config.schedule.base_lr,
-        decay_rate=run_config.schedule.decay_rate,
-        decay_interval=run_config.schedule.decay_interval,
-    )
+    adam = AdamState.create(params, **asdict(run_config.schedule))
     per_epoch = _steps_per_epoch(pool, spec)
     total_steps = run_config.steps if run_config.steps is not None else run_config.epochs * per_epoch
     val_interval = run_config.validation_interval or per_epoch
@@ -203,7 +198,7 @@ def run_training(dataset: Dataset, run_config: RunConfig) -> TrainingResult:
         # numpy raises instead of printing a warning and going on.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for step in range(total_steps):
-                idx = np.array(sampler.sample_batch(), dtype=int)
+                idx = sampler.sample_batch()
                 lr = adam.learning_rate()
                 loss, terms, grads = model.loss_and_gradients(
                     pool.features.rows(idx), pool.labels[idx], pool.determinate[idx]
@@ -271,11 +266,11 @@ def check_model_compatibility(config: ModelConfig, dataset: Dataset) -> None:
 def run_evaluation(
     dataset: Dataset,
     model,
-    tasks: Sequence[str] = ("relation",),
-    n_values: Tuple[int, ...] = (50, 100),
-    k: int = 1,
+    tasks: Sequence[str] = (EvalConfig.task,),
+    n_values: Tuple[int, ...] = EvalConfig.n_values,
+    k: int = EvalConfig.k,
     zero_shot: bool = False,
-    macro_average: bool = False,
+    macro_average: bool = EvalConfig.macro_average,
     split: str = "test",
 ) -> dict:
     """Metrics report over the chosen split; stable keys for CI assertions.

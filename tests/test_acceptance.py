@@ -5,7 +5,6 @@ failure itself). Oracles here are re-implemented from scratch so they stay
 independent of the code paths they verify.
 """
 
-import itertools
 import json
 import math
 import time
@@ -14,11 +13,8 @@ import numpy as np
 import pytest
 
 from urelnet.evaluation import (
-    EvalConfig,
     PredictedTriplet,
     PredictionSet,
-    UniformRandomScorer,
-    evaluate_scenes,
     match_predictions,
     recall_at_n,
 )

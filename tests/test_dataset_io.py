@@ -189,6 +189,11 @@ def test_missing_dataset_file(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
+def test_dataset_path_with_nul_byte_is_not_found(tmp_path):
+    with pytest.raises(IngestionError, match="not found or unreadable"):
+        load_dataset(str(tmp_path / "ds\x00x"))
+
+
 def test_truncated_feature_file(tmp_path):
     target = tmp_path / "ds"
     save_dataset(minimal_dataset(), target)

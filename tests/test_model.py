@@ -1,11 +1,10 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from urelnet.errors import DimensionError, ModeError, StateError
-from urelnet.features import ONE_BOX_STREAMS, STREAMS, FeatureMatrix
+from urelnet.features import ONE_BOX_STREAMS, FeatureMatrix
 from urelnet.model import (
     ALL_MODALS,
     BatchStatus,

@@ -214,32 +214,66 @@ def test_batch_spec_rejects_negative_or_non_finite_ratio(ratio):
 
 
 def test_sampler_composition_and_determinism():
+    # Determinate items are below 100, undetermined ones from 100 up.
     spec = BatchSpec(batch_size=8, undetermined_ratio=3.0, rng_seed=42)
-    det_pool = [f"d{i}" for i in range(10)]
-    und_pool = [f"u{i}" for i in range(30)]
-    a = [PairSampler(det_pool, und_pool, spec).sample_batch() for _ in range(3)]
-    b = [PairSampler(det_pool, und_pool, spec).sample_batch() for _ in range(3)]
-    assert a[0] == b[0]
-    batch = a[0]
-    assert sum(x.startswith("d") for x in batch) == 2
-    assert sum(x.startswith("u") for x in batch) == 6
+    det_pool, und_pool = np.arange(10), np.arange(100, 130)
+    a = PairSampler(det_pool, und_pool, spec)
+    b = PairSampler(det_pool, und_pool, spec)
+    for _ in range(3):
+        batch = a.sample_batch()
+        assert batch.tolist() == b.sample_batch().tolist()
+        assert (batch[:2] < 100).all() and (batch[2:] >= 100).all()
+        assert len(batch) == 8
 
 
 def test_sampler_epoch_without_replacement():
     spec = BatchSpec(batch_size=4, undetermined_ratio=1.0, rng_seed=1)
-    sampler = PairSampler(list(range(10)), [f"u{i}" for i in range(10)], spec)
+    sampler = PairSampler(np.arange(10), np.arange(100, 110), spec)
     drawn = []
     for _ in range(5):  # 5 batches x 2 determinate = exactly one epoch
-        drawn.extend(x for x in sampler.sample_batch() if isinstance(x, int))
+        drawn.extend(x for x in sampler.sample_batch().tolist() if x < 100)
     assert sorted(drawn) == list(range(10))
 
 
 def test_sampler_small_pool_reshuffles():
     spec = BatchSpec(batch_size=4, undetermined_ratio=3.0, rng_seed=5)
-    sampler = PairSampler(["only"], ["u0", "u1"], spec)
+    sampler = PairSampler(np.array([7]), np.array([100, 101]), spec)
     batch = sampler.sample_batch()
-    assert batch.count("only") == 1
+    assert (batch == 7).sum() == 1
     assert len(batch) == 4  # undetermined quota 3 from a pool of 2 reuses items
+
+
+class _ItemCycler:
+    """Oracle: draws one item at a time into a list, reshuffling with
+    ``rng.permutation`` only when the pool runs dry and an item is needed."""
+
+    def __init__(self, items, rng):
+        self.items, self.rng, self.order, self.cursor = list(items), rng, [], 0
+
+    def draw(self, count):
+        out = []
+        while len(out) < count:
+            if self.cursor >= len(self.order):
+                self.order = list(self.rng.permutation(len(self.items)))
+                self.cursor = 0
+            out.append(self.items[self.order[self.cursor]])
+            self.cursor += 1
+        return out
+
+
+@pytest.mark.parametrize(
+    "batch_size, ratio, det_size, und_size",
+    [(8, 3.0, 10, 30), (32, 3.0, 7, 95), (5, 0.0, 3, 0), (6, 1e9, 0, 4), (9, 2.0, 3, 61)],
+)
+def test_sampler_matches_item_by_item_draws(batch_size, ratio, det_size, und_size):
+    spec = BatchSpec(batch_size=batch_size, undetermined_ratio=ratio, rng_seed=11)
+    det_pool, und_pool = np.arange(det_size), np.arange(1000, 1000 + und_size)
+    sampler = PairSampler(det_pool, und_pool, spec)
+    rng = np.random.default_rng(spec.rng_seed)
+    det, und = _ItemCycler(det_pool.tolist(), rng), _ItemCycler(und_pool.tolist(), rng)
+    for _ in range(40):
+        expected = det.draw(spec.determinate_quota) + und.draw(spec.undetermined_quota)
+        assert sampler.sample_batch().tolist() == expected
 
 
 def test_sampler_all_determinate_ratio_zero():

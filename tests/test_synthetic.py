@@ -102,7 +102,7 @@ def test_features_cover_all_references():
 def test_embeddings_cover_vocabulary():
     ds = generate_synthetic(SyntheticConfig(**QUICK, seed=9))
     for name in ds.vocabulary.object_names:
-        assert name in ds.embeddings
+        assert name in ds.embeddings.vectors
 
 
 def test_statistics_buildable_from_train_split():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from urelnet import training
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
-from urelnet.errors import CheckpointError, IngestionError, UndefinedMetricError
+from urelnet.errors import CheckpointError, IngestionError, UndefinedMetricError, UsageError
 from urelnet.features import FeatureMatrix, FeatureStore
 from urelnet.model import ModelConfig, build_model, model_shapes, required_streams
 from urelnet.pairs import (
@@ -230,11 +230,9 @@ def test_pool_batches_equal_the_stacked_per_pair_pool(dataset, case):
         assert pool.features[name].tobytes() == stacked[name].tobytes(), name
     # The batches ``run_training`` draws, each gathered from both layouts.
     spec = BatchSpec(run_config.batch_size, run_config.undetermined_ratio, run_config.seed)
-    sampler = PairSampler(
-        pool.determinate_indices.tolist(), pool.undetermined_indices.tolist(), spec
-    )
+    sampler = PairSampler(pool.determinate_indices, pool.undetermined_indices, spec)
     for _ in range(run_config.steps):
-        idx = np.array(sampler.sample_batch(), dtype=int)
+        idx = sampler.sample_batch()
         batch, expected = pool.features.rows(idx), stacked.rows(idx)
         for name in stacked.streams:
             assert batch[name].tobytes() == expected[name].tobytes(), name
@@ -424,6 +422,18 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_path_with_nul_byte_is_not_found(tmp_path):
+    with pytest.raises(CheckpointError, match="not found or unreadable"):
+        load_checkpoint(str(tmp_path / "ck\x00x"))
+
+
+def test_unknown_task_is_rejected_before_training(dataset):
+    with pytest.raises(UsageError, match="task must be one of .* got 'relaton'"):
+        RunConfig(small_model(dataset), task="relaton", steps=3)
+    with pytest.raises(UsageError, match="relaton"):
+        make_run_config(small_model(dataset), task="relaton")
 
 
 def test_checkpoint_truncated(dataset, tmp_path):
