@@ -1,14 +1,6 @@
 """Visual relationship detection with undetermined-relationship learning."""
 
-from .scene import (
-    AnnotatedTriplet,
-    BoundingBox,
-    DetectedObject,
-    SceneRecord,
-    Vocabulary,
-    iou,
-    union_box,
-)
+from .scene import BoundingBox, SceneRecord, Vocabulary, iou, union_box
 from .pairs import BatchSpec, ObjectPair, PairSampler, PairStatus, generate_for_scene
 from .features import (
     EmbeddingTable,
@@ -26,11 +18,9 @@ from .training import RunConfig, Schedule, run_evaluation, run_training
 from .checkpoint import load_checkpoint, load_model, save_checkpoint
 
 __all__ = [
-    "AnnotatedTriplet",
     "BatchSpec",
     "BoundingBox",
     "Dataset",
-    "DetectedObject",
     "EmbeddingTable",
     "EvalConfig",
     "FeatureExtractor",

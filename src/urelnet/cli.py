@@ -251,8 +251,16 @@ def cmd_gradcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it cannot parse as a ``UsageError``, so it
+    reaches the user as the JSON error object, not as argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="urelnet",
         description="Visual relationship detection with undetermined-relationship learning",
     )
@@ -356,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UrelnetError as exc:
         error = exc

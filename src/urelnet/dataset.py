@@ -11,19 +11,17 @@ keys follow fixed conventions: ``{image_id}|det|{i}`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import DatasetParseError, DatasetValidationError, GeometryError, IngestionError
 from .features import EmbeddingTable, FeatureStore
-from .scene import (
-    AnnotatedTriplet,
-    BoundingBox,
-    DetectedObject,
-    SceneRecord,
-    Vocabulary,
-)
+from .scene import ANNOTATION_COLUMNS, SPLITS, BoundingBox, SceneRecord, Vocabulary
 
 SCHEMA_VERSION = 1
 
@@ -51,6 +49,16 @@ def _require(condition: bool, message: str) -> None:
         raise DatasetValidationError(message)
 
 
+# The JSON fields of a detection and of an annotation, in SceneRecord's column order.
+_DETECTION_KEYS = ("box", "category", "confidence", "feature_key")
+_ANNOTATION_KEYS = ("subject_box", "subject_category", "predicate", "object_box", "object_category")
+_BOX_KEYS = ("subject_box", "object_box")
+
+
+def _count(key: str, vocab: Vocabulary) -> int:
+    """The bound of an annotation's index field ``key``."""
+    return vocab.predicate_count if key == "predicate" else vocab.object_count
+
 # Accepted Python types of each JSON kind; booleans are not integers here.
 _KINDS = {"integer": (int,), "number": (int, float), "string": (str,), "list": (list,)}
 
@@ -72,61 +80,143 @@ def _index(raw: dict, key: str, count: int, where: str) -> int:
     return value
 
 
-def _parse_box(raw: dict, key: str, where: str) -> BoundingBox:
+def _parse_box(raw: dict, key: str, where: str) -> Tuple[float, ...]:
     coords = _field(raw, key, "list", where)
     _require(
         len(coords) == 4 and all(type(v) in _KINDS["number"] for v in coords),
         f"{where}: {key} must be a list of 4 numbers, got {coords!r}",
     )
     try:
-        return BoundingBox(*coords)
+        return BoundingBox(*coords).as_tuple()
     except GeometryError as exc:
         raise DatasetValidationError(f"{where}: {exc}") from None
 
 
-def _parse_detection(raw, vocab: Vocabulary, where: str) -> DetectedObject:
+def _parse_detection(raw, vocab: Vocabulary, where: str) -> tuple:
     _require(isinstance(raw, dict), f"{where}: expected a JSON object, got {type(raw).__name__}")
     box = _parse_box(raw, "box", where)
     category = _index(raw, "category", vocab.object_count, where)
     confidence = _field(raw, "confidence", "number", where)
     feature_key = _field(raw, "feature_key", "string", where)
-    try:
-        return DetectedObject(box, category, confidence, feature_key)
-    except DatasetValidationError as exc:
-        raise DatasetValidationError(f"{where}: {exc}") from None
+    confidence = float(confidence)
+    _require(0.0 < confidence <= 1.0, f"{where}: detection confidence {confidence!r} outside (0, 1]")
+    return box, category, confidence, feature_key
 
 
-def _parse_annotation(raw, vocab: Vocabulary, where: str) -> AnnotatedTriplet:
+def _parse_annotation(raw, vocab: Vocabulary, where: str) -> list:
     _require(isinstance(raw, dict), f"{where}: expected a JSON object, got {type(raw).__name__}")
-    return AnnotatedTriplet(
-        subject_box=_parse_box(raw, "subject_box", where),
-        subject_category=_index(raw, "subject_category", vocab.object_count, where),
-        predicate=_index(raw, "predicate", vocab.predicate_count, where),
-        object_box=_parse_box(raw, "object_box", where),
-        object_category=_index(raw, "object_category", vocab.object_count, where),
-    )
+    return [
+        _parse_box(raw, key, where) if key in _BOX_KEYS else _index(raw, key, _count(key, vocab), where)
+        for key in _ANNOTATION_KEYS
+    ]
 
 
 def _parse_scene(raw, vocab: Vocabulary, index: int) -> SceneRecord:
+    """One scene, field by field: the first bad value raises, named."""
     _require(isinstance(raw, dict), f"scene #{index}: expected a JSON object, got {type(raw).__name__}")
     where = f"scene #{index} ({raw.get('image_id', '?')!r})"
     try:
-        return SceneRecord(
-            image_id=_field(raw, "image_id", "string", where),
-            width=_field(raw, "width", "number", where),
-            height=_field(raw, "height", "number", where),
-            detections=tuple(
-                _parse_detection(det, vocab, f"{where}: detection #{d}")
-                for d, det in enumerate(_field(raw, "detections", "list", where))
-            ),
-            annotations=tuple(
-                _parse_annotation(ann, vocab, f"{where}: annotation #{a}")
-                for a, ann in enumerate(_field(raw, "annotations", "list", where))
-            ),
-            split=_field(raw, "split", "string", where),
-        )
+        image_id = _field(raw, "image_id", "string", where)
+        width = _field(raw, "width", "number", where)
+        height = _field(raw, "height", "number", where)
+        detections = [
+            _parse_detection(det, vocab, f"{where}: detection #{d}")
+            for d, det in enumerate(_field(raw, "detections", "list", where))
+        ]
+        annotations = [
+            _parse_annotation(ann, vocab, f"{where}: annotation #{a}")
+            for a, ann in enumerate(_field(raw, "annotations", "list", where))
+        ]
+        split = _field(raw, "split", "string", where)
+        width, height = float(width), float(height)
     except OverflowError:  # an integer beyond the float range
         raise DatasetValidationError(f"{where}: number too large for a float") from None
+    _require(split in SPLITS, f"scene {image_id!r}: split {split!r} not in {SPLITS}")
+    _require(
+        0 < width < math.inf and 0 < height < math.inf,
+        f"scene {image_id!r}: image size must be positive and finite",
+    )
+    for kind, boxes in (
+        ("detection", [det[0] for det in detections]),
+        ("annotation", [box for ann in annotations for box in (ann[0], ann[3])]),
+    ):
+        for box in boxes:
+            _require(
+                0.0 <= box[0] and 0.0 <= box[1] and box[2] <= width and box[3] <= height,
+                f"scene {image_id!r}: {kind} box {box} outside image bounds {width}x{height}",
+            )
+    columns = [*zip(*detections)] or [()] * 4
+    columns += [*zip(*annotations)] or [()] * 5
+    return SceneRecord(image_id, width, height, split, *columns)
+
+
+def _check(ok) -> None:
+    if not ok:
+        raise ValueError("a column check failed")
+
+
+def _exact(values: Iterable, *kinds: type) -> None:
+    """Every value's type is one of ``kinds``; so a bool is not a number."""
+    _check(set(map(type, values)) <= set(kinds))
+
+
+def _index_column(values: list, count: int) -> np.ndarray:
+    _exact(values, int)
+    column = np.array(values, dtype=np.intp)
+    _check(((0 <= column) & (column < count)).all())
+    return column
+
+
+def _box_column(values: list, owners: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Finite, non-degenerate boxes inside the image of their scene."""
+    _exact(values, list)
+    _check(set(map(len, values)) <= {4})
+    _exact(chain.from_iterable(values), *_KINDS["number"])
+    boxes = np.array(values, dtype=np.float64).reshape(-1, 4)
+    _check(np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all())
+    _check((boxes[:, :2] >= 0.0).all() and (boxes[:, 2:] <= sizes[owners]).all())
+    return boxes
+
+
+def _column_scenes(scenes_raw: list, vocab: Vocabulary) -> List[SceneRecord]:
+    """The scenes of ``scenes_raw``, read as columns: each field is gathered
+    across the document and checked at once, for everything
+    ``_parse_scene`` checks. Raises on the first column that fails a check
+    or does not gather; ``_parse_scene`` then finds the value and names it."""
+    ids, splits = [s["image_id"] for s in scenes_raw], [s["split"] for s in scenes_raw]
+    sizes = [(s["width"], s["height"]) for s in scenes_raw]
+    dets, anns = [s["detections"] for s in scenes_raw], [s["annotations"] for s in scenes_raw]
+    _exact(ids + splits, str)
+    _check(set(splits) <= set(SPLITS))
+    _exact(chain.from_iterable(sizes), *_KINDS["number"])
+    sizes = np.array(sizes, dtype=np.float64).reshape(-1, 2)
+    _check(((0.0 < sizes) & (sizes < math.inf)).all())
+    _exact(dets + anns, list)
+    det_counts, ann_counts = [len(d) for d in dets], [len(a) for a in anns]
+    dets, anns = [*chain.from_iterable(dets)], [*chain.from_iterable(anns)]
+    det_owners = np.repeat(np.arange(len(scenes_raw)), det_counts)
+    ann_owners = np.repeat(np.arange(len(scenes_raw)), ann_counts)
+    boxes = _box_column([d["box"] for d in dets], det_owners, sizes)
+    categories = _index_column([d["category"] for d in dets], vocab.object_count)
+    confidences, keys = [d["confidence"] for d in dets], [d["feature_key"] for d in dets]
+    _exact(confidences, *_KINDS["number"])
+    _exact(keys, str)
+    confidences = np.array(confidences, dtype=np.float64)
+    _check(((0.0 < confidences) & (confidences <= 1.0)).all())
+    annotations = [
+        _box_column([a[key] for a in anns], ann_owners, sizes) if key in _BOX_KEYS
+        else _index_column([a[key] for a in anns], _count(key, vocab))
+        for key in _ANNOTATION_KEYS
+    ]
+    det_ends, ann_ends = np.cumsum([0] + det_counts).tolist(), np.cumsum([0] + ann_counts).tolist()
+    scenes = []
+    for i, (w, h) in enumerate(sizes.tolist()):
+        d, a = slice(det_ends[i], det_ends[i + 1]), slice(ann_ends[i], ann_ends[i + 1])
+        scenes.append(SceneRecord(
+            ids[i], w, h, splits[i], boxes[d], categories[d], confidences[d], keys[d],
+            *(column[a] for column in annotations),
+        ))
+    return scenes
 
 
 def load_dataset(path) -> Dataset:
@@ -166,7 +256,10 @@ def load_dataset(path) -> Dataset:
     vocab = Vocabulary(tuple(objects), tuple(predicates))
     scenes_raw = raw.get("scenes", [])
     _require(isinstance(scenes_raw, list), "scenes must be a JSON list")
-    scenes = [_parse_scene(s, vocab, i) for i, s in enumerate(scenes_raw)]
+    try:
+        scenes = _column_scenes(scenes_raw, vocab)
+    except (KeyError, TypeError, ValueError, OverflowError):  # the scan names the value
+        scenes = [_parse_scene(s, vocab, i) for i, s in enumerate(scenes_raw)]
     ids = [s.image_id for s in scenes]
     _require(len(set(ids)) == len(ids), "duplicate image_id values in dataset")
 
@@ -186,11 +279,10 @@ def load_dataset(path) -> Dataset:
             f"feature_dim {declared_dim} does not match feature file dim {features.dim}"
         )
     for scene in scenes:
-        for d, det in enumerate(scene.detections):
-            if det.feature_key not in features:
+        for d, key in enumerate(scene.feature_keys):
+            if key not in features.index:
                 raise DatasetValidationError(
-                    f"scene {scene.image_id!r}: detection #{d} references "
-                    f"missing feature {det.feature_key!r}"
+                    f"scene {scene.image_id!r}: detection #{d} references missing feature {key!r}"
                 )
     embeddings = None
     if emb_name:
@@ -199,30 +291,16 @@ def load_dataset(path) -> Dataset:
 
 
 def _scene_to_json(scene: SceneRecord) -> dict:
+    detections = (scene.boxes.tolist(), scene.categories.tolist(), scene.confidences.tolist(),
+                  scene.feature_keys)
+    annotations = (getattr(scene, name).tolist() for name, _, _ in ANNOTATION_COLUMNS)
     return {
         "image_id": scene.image_id,
         "width": scene.width,
         "height": scene.height,
         "split": scene.split,
-        "detections": [
-            {
-                "box": list(d.box.as_tuple()),
-                "category": d.category,
-                "confidence": d.confidence,
-                "feature_key": d.feature_key,
-            }
-            for d in scene.detections
-        ],
-        "annotations": [
-            {
-                "subject_box": list(a.subject_box.as_tuple()),
-                "subject_category": a.subject_category,
-                "predicate": a.predicate,
-                "object_box": list(a.object_box.as_tuple()),
-                "object_category": a.object_category,
-            }
-            for a in scene.annotations
-        ],
+        "detections": [dict(zip(_DETECTION_KEYS, row)) for row in zip(*detections)],
+        "annotations": [dict(zip(_ANNOTATION_KEYS, row)) for row in zip(*annotations)],
     }
 
 

@@ -28,7 +28,7 @@ from .errors import DimensionError, DivergenceError, UndefinedMetricError, Usage
 from .features import FeatureExtractor
 from .model import required_streams
 from .pairs import ScenePairs, generate_for_scene, gt_pairs_for_scene
-from .scene import AnnotatedTriplet, BoundingBox, SceneRecord, box_array, iou_pairs, union_rows
+from .scene import BoundingBox, SceneRecord, iou_pairs, union_rows
 
 TASKS = ("predicate", "phrase", "relation")
 
@@ -204,13 +204,9 @@ class GroundTruth:
     object_boxes: np.ndarray  # (G, 4) float64
 
     @classmethod
-    def of(cls, triplets: Sequence[AnnotatedTriplet]) -> "GroundTruth":
-        types = np.array([gt.type_key() for gt in triplets], dtype=np.intp).reshape(-1, 3)
-        return cls(
-            *types.T,
-            box_array(gt.subject_box for gt in triplets),
-            box_array(gt.object_box for gt in triplets),
-        )
+    def of(cls, scene: SceneRecord) -> "GroundTruth":
+        """The scene's annotations, sharing its columns."""
+        return cls(*(getattr(scene, f.name) for f in fields(cls)))
 
     def __len__(self) -> int:
         return len(self.predicates)
@@ -221,9 +217,7 @@ class GroundTruth:
 
 
 def match_predictions(
-    predictions: PredictionSet,
-    ground_truth: GroundTruth | Sequence[AnnotatedTriplet],
-    task: str = "relation",
+    predictions: PredictionSet, gt: GroundTruth, task: str = "relation"
 ) -> List[bool]:
     """Greedy matching in rank order; each ground-truth triplet is consumed
     by at most one prediction (first eligible in annotation order).
@@ -234,7 +228,6 @@ def match_predictions(
     if task not in TASKS:
         raise UsageError(f"task must be one of {TASKS}, got {task!r}")
     p = predictions
-    gt = ground_truth if isinstance(ground_truth, GroundTruth) else GroundTruth.of(ground_truth)
     rows, cols = np.nonzero(
         (p.predicates[:, None] == gt.predicates)
         & (p.subject_categories[:, None] == gt.subject_categories)
@@ -327,10 +320,11 @@ def evaluate_configs(
         limits[key] = max(limits.get(key, 0), max(config.n_values))
     tallies = [RecallTally(config) for config in configs]
     for scene in scenes:
-        gt = GroundTruth.of(scene.annotations)
+        gt = GroundTruth.of(scene)
         if zero_shot:
-            unseen = [t.type_key() not in training_types for t in scene.annotations]
-            zero_shot_gt = gt.take(np.array(unseen, dtype=bool))
+            columns = (gt.subject_categories, gt.predicates, gt.object_categories)
+            types = zip(*(column.tolist() for column in columns))
+            zero_shot_gt = gt.take(np.array([t not in training_types for t in types], dtype=bool))
         ranked: Dict[Tuple[str, int], PredictionSet] = {}
         for tally in tallies:
             config = tally.config

@@ -69,23 +69,11 @@ def spatial_rows(subjects: np.ndarray, objects: np.ndarray) -> np.ndarray:
     scaling; swapping the roles swaps the two halves.
     """
     union = union_rows(subjects, objects)
-    lo, hi = union[:, :2], union[:, 2:]
-    extent = hi - lo
-    degenerate = ~(extent > 0).all(axis=1)
-    if degenerate.any():
-        row = int(np.flatnonzero(degenerate)[0])
-        raise GeometryError(
-            f"degenerate union box {tuple(np.concatenate([lo[row], hi[row]]).tolist())}"
-        )
-    return np.concatenate(
-        [
-            (subjects[:, :2] - lo) / extent,
-            (subjects[:, 2:] - hi) / extent,
-            (objects[:, :2] - lo) / extent,
-            (objects[:, 2:] - hi) / extent,
-        ],
-        axis=1,
-    )
+    extent = union[:, 2:] - union[:, :2]
+    if not (extent > 0).all():
+        row = int(np.flatnonzero(~(extent > 0).all(axis=1))[0])
+        raise GeometryError(f"degenerate union box {tuple(union[row].tolist())}")
+    return np.hstack([subjects - union, objects - union]) / np.tile(extent, 4)
 
 
 @dataclass
@@ -154,27 +142,39 @@ class TripletStatistics:
 def build_triplet_statistics(
     scenes: Iterable[SceneRecord], vocab: Vocabulary
 ) -> TripletStatistics:
-    """Count every training annotation occurrence (duplicates count multiply)."""
-    counts = np.zeros(
-        (vocab.object_count, vocab.predicate_count, vocab.object_count), dtype=np.int64
+    """Count every training annotation occurrence (duplicates count multiply).
+
+    The first fault in scene order is raised: a scene's split, then each of
+    its annotations' subject category, object category and predicate."""
+    scenes = list(scenes)
+    n, m = vocab.object_count, vocab.predicate_count
+    checks = (
+        ("subject category", "subject_categories", n),
+        ("object category", "object_categories", n),
+        ("predicate", "predicates", m),
     )
-    for scene in scenes:
+    columns = {
+        name: np.concatenate([np.empty(0, np.intp)] + [getattr(s, name) for s in scenes])
+        for _, name, _ in checks
+    }
+    bad = np.stack([(columns[name] < 0) | (columns[name] >= count) for _, name, count in checks], 1)
+    owners = np.repeat(np.arange(len(scenes)), [len(s.predicates) for s in scenes])
+    row = int(bad.any(axis=1).argmax()) if bad.any() else None
+    for scene in scenes[: len(scenes) if row is None else owners[row] + 1]:
         if scene.split != "train":
             raise DatasetValidationError(
                 f"scene {scene.image_id!r} has split {scene.split!r}; "
                 "statistics are built from the train split only"
             )
-        for ann in scene.annotations:
-            for what, value, count in (
-                ("subject category", ann.subject_category, vocab.object_count),
-                ("object category", ann.object_category, vocab.object_count),
-                ("predicate", ann.predicate, vocab.predicate_count),
-            ):
-                if not 0 <= value < count:
-                    raise IngestionError(
-                        f"scene {scene.image_id!r}: {what} {value} out of range [0, {count})"
-                    )
-            counts[ann.subject_category, ann.predicate, ann.object_category] += 1
+    if row is not None:
+        what, name, count = checks[int(bad[row].argmax())]
+        raise IngestionError(
+            f"scene {scenes[owners[row]].image_id!r}: {what} {columns[name][row]} "
+            f"out of range [0, {count})"
+        )
+    counts = np.zeros((n, m, n), dtype=np.int64)
+    np.add.at(counts, (columns["subject_categories"], columns["predicates"],
+                       columns["object_categories"]), 1)
     return TripletStatistics(counts)
 
 
@@ -277,7 +277,7 @@ class FeatureStore:
     def lookup(self, keys: Iterable[str]) -> np.ndarray:
         """Row numbers of ``keys`` in ``table``."""
         try:
-            return np.array([self.index[key] for key in keys], dtype=np.intp)
+            return np.array(list(map(self.index.__getitem__, keys)), dtype=np.intp)
         except KeyError as exc:
             key = exc.args[0]
             raise IngestionError(f"missing visual feature vector for key {key!r}") from None
@@ -288,14 +288,21 @@ class FeatureStore:
         every feature value finite. The file is read once, in blocks, to
         check it, and then mapped."""
         try:
-            with open(index_path, "r", encoding="utf-8") as fh:
+            fh = open(index_path, "r", encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise IngestionError(f"feature index file not found or unreadable: {exc}") from None
+        try:
+            with fh:
                 index = json.load(fh)
             dim = index["dim"]
             if type(dim) is not int or dim <= 0:
                 raise ValueError(f"dim must be a positive integer, got {dim!r}")
             keys = index["keys"]
-            count = len(keys)
-            bad = [k for k, row in keys.items() if type(row) is not int or not 0 <= row < count]
+            count, rows = len(keys), list(keys.values())
+            bad = []
+            if not (set(map(type, rows)) <= {int} and 0 <= min(rows, default=0)
+                    and max(rows, default=-1) < count):
+                bad = [k for k, row in keys.items() if type(row) is not int or not 0 <= row < count]
         except OSError as exc:
             raise IngestionError(f"feature index file not found or unreadable: {exc}") from None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -521,8 +528,7 @@ class FeatureExtractor:
     def _object_source(self, modality: str, pairs: ScenePairs, scene):
         """The table and (D,) row numbers of every object for a one-box stream."""
         if modality == "visual":
-            keys = [o.feature_key for o in pairs.objects]
-            return self.store.table, self._rows(keys, scene, "object")
+            return self.store.table, self._rows(pairs.feature_keys, scene, "object")
         # An object that no pair reads was not range-checked; its row is never read.
         return self._external_table, np.clip(pairs.categories, 0, len(self._external_table) - 1)
 

@@ -1,12 +1,13 @@
 """Determinate / undetermined pair generation and batch sampling.
 
 Every ordered pair of objects is compared against the scene's annotations
-by one builder: it tabulates the objects' boxes, categories and confidences
-as arrays, then fills two (objects x annotations) role matrices, "object i
-can be annotation k's subject" and "... its object"; pair (i, j) matches
-annotation k iff both hold. A role needs the annotation's category and a
-box test: for detections the paper's IoU above 0.5 (strict), all IoUs of a
-scene at once; for ground-truth objects, the annotation's own box. A pair
+by one builder: it reads the objects' boxes and categories and the
+scene's annotation columns as arrays, then fills two (objects x
+annotations) role matrices, "object i can be annotation k's subject" and
+"... its object"; pair (i, j) matches annotation k iff both hold. A role
+needs the annotation's category and a box test: for detections the
+paper's IoU above 0.5 (strict), all IoUs of a scene at once; for
+ground-truth objects, the annotation's own box. A pair
 is determinate iff it matches some annotation and accumulates the
 predicates of every one it matches (multi-hot labels); everything else is
 undetermined with all-zero labels. A scene's pairs are one ``ScenePairs``.
@@ -18,20 +19,12 @@ import enum
 import math
 from collections import abc
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InsufficientDataError, UsageError
-from .scene import (
-    AnnotatedTriplet,
-    DetectedObject,
-    SceneRecord,
-    box_array,
-    iou_rows,
-    pair_indices,
-)
+from .scene import SceneRecord, iou_rows, pair_indices
 
 # Generator threshold is strict (> 0.5); evaluation uses inclusive >= 0.5.
 GENERATOR_IOU_THRESHOLD = 0.5
@@ -54,8 +47,6 @@ class ObjectPair:
 
     subject_index: int
     object_index: int
-    subject: DetectedObject
-    object: DetectedObject
     status: PairStatus
     predicate_labels: np.ndarray
     matched_annotations: tuple = ()
@@ -68,13 +59,13 @@ class ObjectPair:
 
 @dataclass(frozen=True, eq=False)
 class ScenePairs(abc.Sequence):
-    """A scene's candidate pairs: row p pairs ``objects[subject_indices[p]]``
-    with ``objects[object_indices[p]]`` and matches annotation k iff
-    ``hits[p, k]``. ``boxes``, ``categories`` and ``confidences`` tabulate
-    the objects. ``pairs[p]`` is row p as an ``ObjectPair``; only perfbench
-    and tests read rows."""
+    """A scene's candidate pairs: row p pairs object ``subject_indices[p]``
+    with object ``object_indices[p]`` and matches annotation k iff
+    ``hits[p, k]``. ``feature_keys``, ``boxes``, ``categories`` and
+    ``confidences`` tabulate the objects. ``pairs[p]`` is row p as an
+    ``ObjectPair``; only perfbench and tests read rows."""
 
-    objects: Tuple[DetectedObject, ...]
+    feature_keys: Tuple[str | None, ...]  # (D,)
     boxes: np.ndarray  # (D, 4) float64
     categories: np.ndarray  # (D,) intp
     confidences: np.ndarray  # (D,) float64
@@ -95,48 +86,44 @@ class ScenePairs(abc.Sequence):
         i, j = int(self.subject_indices[row]), int(self.object_indices[row])
         matched = tuple(np.flatnonzero(self.hits[row]).tolist())
         status = PairStatus.DETERMINATE if matched else PairStatus.UNDETERMINED
-        objects, key = (self.objects[i], self.objects[j]), self.union_keys[row]
-        return ObjectPair(i, j, *objects, status, self.labels[row], matched, key)
+        return ObjectPair(i, j, status, self.labels[row], matched, self.union_keys[row])
 
     def take(self, rows) -> "ScenePairs":
         """The pairs at ``rows``, in that order (repeats allowed)."""
-        table = (self.objects, self.boxes, self.categories, self.confidences)
+        table = (self.feature_keys, self.boxes, self.categories, self.confidences)
         arrays = (self.subject_indices, self.object_indices, self.hits, self.labels)
         keys = tuple(self.union_keys[r] for r in rows)
         return ScenePairs(*table, *(a[rows] for a in arrays), keys)
 
 
 def _build_pairs(
-    objects: Sequence[DetectedObject],
-    annotations: Sequence[AnnotatedTriplet],
+    table: tuple,
+    scene: SceneRecord,
     predicate_count: int,
-    union_key: Callable[[int, int], str | None],
+    kind: str,
     box_test: Callable[[np.ndarray, np.ndarray], np.ndarray],
     annotated_only: bool = False,
 ) -> ScenePairs:
-    """Label every ordered pair (i, j) of ``objects``, in ``pair_indices``
-    order. Object i can take an annotation's subject (object) role iff it
-    has that role's category and ``box_test`` holds for the two boxes;
-    (i, j) matches annotation k iff i can be its subject and j its object.
-    ``annotated_only`` keeps the determinate pairs."""
-    boxes = box_array(o.box for o in objects)
-    categories = np.array([o.category for o in objects], dtype=np.intp)
-    confidences = np.array([o.confidence for o in objects], dtype=np.float64)
-    ends = [(a.subject_box, a.subject_category) for a in annotations]
-    ends += [(a.object_box, a.object_category) for a in annotations]
-    same_category = categories[:, None] == np.array([c for _, c in ends], dtype=np.intp)
-    roles = same_category & box_test(boxes, box_array(box for box, _ in ends))
-    can_be_subject, can_be_object = np.hsplit(roles, 2)
-    subjects, objs = pair_indices(len(objects))
+    """Label every ordered pair (i, j) of the objects that ``table`` (feature
+    keys, boxes, categories, confidences) tabulates against ``scene``'s
+    annotations, in ``pair_indices`` order. Object i can take an
+    annotation's subject (object) role iff it has that role's category and
+    ``box_test`` holds for the two boxes; (i, j) matches annotation k iff i
+    can be its subject and j its object. ``annotated_only`` keeps the
+    determinate pairs."""
+    _, boxes, categories, _ = table
+    role_boxes = np.concatenate([scene.subject_boxes, scene.object_boxes])
+    role_categories = np.concatenate([scene.subject_categories, scene.object_categories])
+    roles = (categories[:, None] == role_categories) & box_test(boxes, role_boxes)
+    annotations = len(scene.predicates)
+    can_be_subject, can_be_object = roles[:, :annotations], roles[:, annotations:]
+    subjects, objs = pair_indices(len(boxes))
     hits = can_be_subject[subjects] & can_be_object[objs]  # (pairs, annotations)
     rows, ks = np.nonzero(hits)
-    predicates = np.array([a.predicate for a in annotations], dtype=np.intp)
     labels = np.zeros((len(subjects), predicate_count), dtype=np.float64)
-    labels[rows, predicates[ks]] = 1.0
-    keys = tuple(map(union_key, subjects.tolist(), objs.tolist()))
-    pairs = ScenePairs(
-        tuple(objects), boxes, categories, confidences, subjects, objs, hits, labels, keys
-    )
+    labels[rows, scene.predicates[ks]] = 1.0
+    keys = union_keys(scene.image_id, kind, subjects.tolist(), objs.tolist())
+    pairs = ScenePairs(*table, subjects, objs, hits, labels, keys)
     return pairs.take(np.flatnonzero(pairs.determinate)) if annotated_only else pairs
 
 
@@ -150,12 +137,12 @@ def _same_boxes(boxes: np.ndarray, role_boxes: np.ndarray) -> np.ndarray:
     return (boxes[:, None, :] == role_boxes[None, :, :]).all(axis=2)
 
 
-def detection_union_key(image_id: str, i: int, j: int) -> str:
-    return f"{image_id}|union|det|{i}|{j}"
-
-
-def gt_union_key(image_id: str, i: int, j: int) -> str:
-    return f"{image_id}|union|gt|{i}|{j}"
+def union_keys(image_id: str, kind: str, subjects, objects) -> Tuple[str, ...]:
+    """The feature keys of the union boxes of pairs (``subjects[p]``,
+    ``objects[p]``) of ``kind`` objects: "det" for detections, "gt" for
+    ground-truth objects."""
+    prefix = f"{image_id}|union|{kind}|"
+    return tuple([f"{prefix}{i}|{j}" for i, j in zip(subjects, objects)])
 
 
 def gt_feature_key(image_id: str, i: int) -> str:
@@ -164,10 +151,8 @@ def gt_feature_key(image_id: str, i: int) -> str:
 
 def generate_for_scene(scene: SceneRecord, predicate_count: int) -> ScenePairs:
     """Every ordered detection pair, in enumeration order."""
-    return _build_pairs(
-        scene.detections, scene.annotations, predicate_count,
-        partial(detection_union_key, scene.image_id), _detection_overlaps,
-    )
+    table = (scene.feature_keys, scene.boxes, scene.categories, scene.confidences)
+    return _build_pairs(table, scene, predicate_count, "det", _detection_overlaps)
 
 
 def gt_pairs_for_scene(
@@ -181,12 +166,10 @@ def gt_pairs_for_scene(
     backed by at least one annotation are kept, all of them determinate;
     otherwise every ordered pair is returned.
     """
-    objects = [
-        DetectedObject(box, cat, 1.0, feature_key=gt_feature_key(scene.image_id, i))
-        for i, (box, cat) in enumerate(scene.gt_objects())
-    ]
+    boxes, categories = scene.gt_objects()
+    keys = tuple(gt_feature_key(scene.image_id, i) for i in range(len(boxes)))
     return _build_pairs(
-        objects, scene.annotations, predicate_count, partial(gt_union_key, scene.image_id),
+        (keys, boxes, categories, np.ones(len(boxes))), scene, predicate_count, "gt",
         _same_boxes, annotated_only=annotated_only,
     )
 

@@ -1,20 +1,22 @@
-"""Scene data model: boxes, detections, annotations, vocabularies.
+"""Scene data model: boxes, scenes as columns, vocabularies.
 
 Boxes are axis-aligned with continuous corner coordinates; area is
 ``(x_max - x_min) * (y_max - y_min)`` with no +1 pixel convention.
-Degenerate boxes are rejected at construction rather than clamped.
-All types are immutable after construction and safe to share.
+A ``BoundingBox`` rejects a degenerate box at construction rather than
+clamping it. A scene holds its detections and annotations as columns, one
+row each. All types are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
-from .errors import DatasetValidationError, GeometryError
+from .errors import DatasetValidationError, DimensionError, GeometryError
 
 SPLITS = ("train", "validation", "test")
 
@@ -64,11 +66,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    """(n, 4) float64 rows of (x_min, y_min, x_max, y_max)."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) IoU of every row of ``a`` (n, 4) with every row of ``b`` (m, 4),
     in the operation order of ``iou``, so every entry equals it bit for bit."""
@@ -102,110 +99,85 @@ def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
     )
 
 
+@lru_cache(maxsize=64)
 def pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Subject and object indices of all n * (n - 1) ordered pairs (i, j),
-    i != j, in lexicographic order; (i, j) and (j, i) swap the roles."""
-    return np.nonzero(~np.eye(n, dtype=bool))
+    i != j, in lexicographic order; (i, j) and (j, i) swap the roles.
+    Read-only, and shared by every caller with the same n."""
+    indices = np.nonzero(~np.eye(n, dtype=bool))
+    for column in indices:
+        column.flags.writeable = False
+    return indices
 
 
-@dataclass(frozen=True)
-class DetectedObject:
-    """Detector output: box, category index, and detection confidence.
-
-    ``feature_key`` references this box's visual feature vector in the
-    dataset's feature store (None when features are resolved elsewhere).
-    """
-
-    box: BoundingBox
-    category: int
-    confidence: float
-    feature_key: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "confidence", float(self.confidence))
-        if self.category < 0:
-            raise DatasetValidationError(f"negative category index {self.category}")
-        if not (0.0 < self.confidence <= 1.0) or not math.isfinite(self.confidence):
-            raise DatasetValidationError(
-                f"detection confidence {self.confidence!r} outside (0, 1]"
-            )
+# SceneRecord's columns: (name, dtype, row width or None for one value).
+DETECTION_COLUMNS = (("boxes", np.float64, 4), ("categories", np.intp, None),
+                     ("confidences", np.float64, None))
+ANNOTATION_COLUMNS = (("subject_boxes", np.float64, 4), ("subject_categories", np.intp, None),
+                      ("predicates", np.intp, None), ("object_boxes", np.float64, 4),
+                      ("object_categories", np.intp, None))
 
 
-@dataclass(frozen=True)
-class AnnotatedTriplet:
-    """Human-annotated relation: subject box/category, predicate, object box/category."""
-
-    subject_box: BoundingBox
-    subject_category: int
-    predicate: int
-    object_box: BoundingBox
-    object_category: int
-
-    def __post_init__(self):
-        if self.subject_category < 0 or self.object_category < 0 or self.predicate < 0:
-            raise DatasetValidationError("negative index in annotation")
-
-    def type_key(self) -> Tuple[int, int, int]:
-        """Category-level triplet type (subject, predicate, object)."""
-        return (self.subject_category, self.predicate, self.object_category)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneRecord:
-    """One image's detections and annotations plus its dataset split."""
+    """One image's detections and annotations, as columns, plus its split.
+
+    Detection d is row d of ``boxes`` (x_min, y_min, x_max, y_max),
+    ``categories``, ``confidences`` and ``feature_keys``, which name its
+    visual vector in the feature store (None when features are resolved
+    elsewhere). Annotation a is row a of the five annotation columns.
+    Construction only converts the columns, read-only, and checks that they
+    fit; ``dataset.load_dataset`` checks the values of the scenes it reads.
+    """
 
     image_id: str
     width: float
     height: float
-    detections: Tuple[DetectedObject, ...]
-    annotations: Tuple[AnnotatedTriplet, ...]
     split: str
+    boxes: np.ndarray = ()
+    categories: np.ndarray = ()
+    confidences: np.ndarray = ()
+    feature_keys: Tuple[str | None, ...] | None = None
+    subject_boxes: np.ndarray = ()
+    subject_categories: np.ndarray = ()
+    predicates: np.ndarray = ()
+    object_boxes: np.ndarray = ()
+    object_categories: np.ndarray = ()
 
     def __post_init__(self):
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "height", float(self.height))
-        if self.split not in SPLITS:
-            raise DatasetValidationError(
-                f"scene {self.image_id!r}: split {self.split!r} not in {SPLITS}"
-            )
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise DatasetValidationError(
-                f"scene {self.image_id!r}: image size must be positive and finite"
-            )
-        for kind, boxes in (
-            ("detection", [d.box for d in self.detections]),
-            ("annotation", [b for a in self.annotations for b in (a.subject_box, a.object_box)]),
-        ):
-            for box in boxes:
-                if not (
-                    0.0 <= box.x_min
-                    and 0.0 <= box.y_min
-                    and box.x_max <= self.width
-                    and box.y_max <= self.height
-                ):
-                    raise DatasetValidationError(
-                        f"scene {self.image_id!r}: {kind} box {box.as_tuple()} "
-                        f"outside image bounds {self.width}x{self.height}"
-                    )
+        for name, dtype, width in DETECTION_COLUMNS + ANNOTATION_COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column = column.reshape(-1, width) if width else column.reshape(-1)  # a view
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        keys = (None,) * len(self.boxes) if self.feature_keys is None else tuple(self.feature_keys)
+        object.__setattr__(self, "feature_keys", keys)
+        rows = [len(getattr(self, name)) for name, _, _ in DETECTION_COLUMNS + ANNOTATION_COLUMNS]
+        if len({len(keys), *rows[:3]}) > 1 or len(set(rows[3:])) > 1:
+            raise DimensionError(f"scene {self.image_id!r}: its columns differ in length")
 
-    def gt_objects(self) -> List[Tuple[BoundingBox, int]]:
-        return unique_objects(self.annotations)
+    def gt_objects(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The (G, 4) boxes and (G,) categories of ``unique_objects``."""
+        return unique_objects(
+            self.subject_boxes, self.subject_categories, self.object_boxes, self.object_categories
+        )
 
 
-def unique_objects(annotations: Iterable[AnnotatedTriplet]) -> List[Tuple[BoundingBox, int]]:
-    """Unique (box, category) ground-truth objects in first-appearance order.
+def unique_objects(subject_boxes, subject_categories, object_boxes, object_categories):
+    """Unique (box, category) ground-truth objects in first-appearance order,
+    as (G, 4) boxes and (G,) categories.
 
     Order scans annotations, subject then object; it fixes the ground-truth
-    feature-key numbering, so it must stay stable.
+    feature-key numbering, so it must stay stable. Boxes compare as floats,
+    so -0.0 and 0.0 are one coordinate; an object keeps its first row.
     """
-    seen = {}
-    for ann in annotations:
-        for box, cat in (
-            (ann.subject_box, ann.subject_category),
-            (ann.object_box, ann.object_category),
-        ):
-            seen.setdefault((box.as_tuple(), cat), (box, cat))
-    return list(seen.values())
+    boxes = np.stack([subject_boxes, object_boxes], axis=1).reshape(-1, 4)
+    categories = np.stack([subject_categories, object_categories], axis=1).reshape(-1)
+    same = (boxes[:, None] == boxes[None]).all(axis=2) & (categories[:, None] == categories)
+    first = ~np.tril(same, -1).any(axis=1)  # no earlier end is the same object
+    return boxes[first], categories[first]
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import UsageError
 from .features import EmbeddingTable, FeatureStore
-from .pairs import detection_union_key, gt_feature_key, gt_union_key
-from .scene import (
-    AnnotatedTriplet,
-    BoundingBox,
-    DetectedObject,
-    SceneRecord,
-    Vocabulary,
-    box_array,
-    pair_indices,
-    union_rows,
-    unique_objects,
-)
+from .pairs import gt_feature_key, union_keys
+from .scene import SceneRecord, Vocabulary, pair_indices, union_rows, unique_objects
 
 CATEGORY_GROUPS = 4
 LAYOUT_COUNT = 8
@@ -46,6 +36,8 @@ AFFINITY_STRENGTH = 0.8
 MULTI_LABEL_RATE = 0.08
 ZERO_SHOT_RATE = 0.15
 EMBEDDING_NOISE = 0.3
+
+Box = Tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
 
 # The detection-noise fields, all zero for noise-free detections.
 NOISE_FIELDS = ("box_jitter", "label_flip_rate", "miss_rate", "spurious_rate")
@@ -185,7 +177,7 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def _clamp_box(x1: float, y1: float, x2: float, y2: float, w: float, h: float) -> BoundingBox:
+def _clamp_box(x1: float, y1: float, x2: float, y2: float, w: float, h: float) -> Box:
     """Shift a box into [0, w] x [0, h], preserving its extent where possible."""
     if x1 < 0:
         x2 -= x1
@@ -206,44 +198,42 @@ def _clamp_box(x1: float, y1: float, x2: float, y2: float, w: float, h: float) -
     if y2 - y1 < 2.0:
         y2 = min(h, y1 + 2.0)
         y1 = y2 - 2.0
-    return BoundingBox(x1, y1, x2, y2)
+    return (float(x1), float(y1), float(x2), float(y2))
 
 
-def _layout_object_box(
-    layout: int, subject: BoundingBox, rng: np.random.Generator
-) -> BoundingBox:
+def _layout_object_box(layout: int, subject: Box, rng: np.random.Generator) -> Box:
     """Object box in the layout's characteristic position relative to the subject."""
-    w, h = subject.width, subject.height
-    x1, y1, x2, y2 = subject.as_tuple()
+    x1, y1, x2, y2 = subject
+    w, h = x2 - x1, y2 - y1
     ow = w * rng.uniform(0.7, 1.3)
     oh = h * rng.uniform(0.7, 1.3)
     gx = rng.uniform(4.0, 0.3 * w)
     gy = rng.uniform(4.0, 0.3 * h)
     dx = rng.uniform(-0.2, 0.2) * w
     if layout == 0:    # object directly below
-        return BoundingBox(x1 + dx, y2 + gy, x1 + dx + ow, y2 + gy + oh)
+        return (x1 + dx, y2 + gy, x1 + dx + ow, y2 + gy + oh)
     if layout == 1:    # object directly above
-        return BoundingBox(x1 + dx, y1 - gy - oh, x1 + dx + ow, y1 - gy)
+        return (x1 + dx, y1 - gy - oh, x1 + dx + ow, y1 - gy)
     if layout == 2:    # object to the right
-        return BoundingBox(x2 + gx, y1 + dx, x2 + gx + ow, y1 + dx + oh)
+        return (x2 + gx, y1 + dx, x2 + gx + ow, y1 + dx + oh)
     if layout == 3:    # object to the left
-        return BoundingBox(x1 - gx - ow, y1 + dx, x1 - gx, y1 + dx + oh)
+        return (x1 - gx - ow, y1 + dx, x1 - gx, y1 + dx + oh)
     if layout == 4:    # object surrounds the subject
         mx = w * rng.uniform(0.15, 0.35)
         my = h * rng.uniform(0.15, 0.35)
-        return BoundingBox(x1 - mx, y1 - my, x2 + mx, y2 + my)
+        return (x1 - mx, y1 - my, x2 + mx, y2 + my)
     if layout == 5:    # object inside the subject
         mx = w * rng.uniform(0.15, 0.3)
         my = h * rng.uniform(0.15, 0.3)
-        return BoundingBox(x1 + mx, y1 + my, x2 - mx, y2 - my)
+        return (x1 + mx, y1 + my, x2 - mx, y2 - my)
     if layout == 6:    # diagonal overlap
         sx = 0.5 * w * (1 if rng.random() < 0.5 else -1)
         sy = 0.5 * h * (1 if rng.random() < 0.5 else -1)
-        return BoundingBox(x1 + sx, y1 + sy, x2 + sx, y2 + sy)
+        return (x1 + sx, y1 + sy, x2 + sx, y2 + sy)
     # layout 7: close beside, similar size
     ow = w * rng.uniform(0.9, 1.1)
     oh = h * rng.uniform(0.9, 1.1)
-    return BoundingBox(x2 + 3.0, y1, x2 + 3.0 + ow, y1 + oh)
+    return (x2 + 3.0, y1, x2 + 3.0 + ow, y1 + oh)
 
 
 class _Blueprint:
@@ -297,10 +287,10 @@ def _build_scene(
     config: SyntheticConfig,
     blueprint: _Blueprint,
     rng: np.random.Generator,
-) -> SceneRecord:
+) -> Tuple[SceneRecord, List[int]]:
     w, h = IMAGE_WIDTH, IMAGE_HEIGHT
     held_out = set(blueprint.held_out)
-    annotations: List[AnnotatedTriplet] = []
+    annotations: List[tuple] = []  # (subject box, category, predicate, object box, category)
     n_rel = int(rng.integers(config.min_relations, config.max_relations + 1))
     for _ in range(n_rel):
         if split == "test" and held_out and rng.random() < ZERO_SHOT_RATE:
@@ -313,39 +303,35 @@ def _build_scene(
             while split != "test" and (s_cat, predicate, o_cat) in held_out and tries < 50:
                 s_cat, predicate, o_cat = blueprint.sample_type(config, rng)
                 tries += 1
-        sw = rng.uniform(40.0, 120.0)
-        sh = rng.uniform(40.0, 120.0)
-        subject = BoundingBox(0.0, 0.0, sw, sh)
+        subject = (0.0, 0.0, rng.uniform(40.0, 120.0), rng.uniform(40.0, 120.0))
         obj = _layout_object_box(int(blueprint.layouts[predicate]), subject, rng)
-        lo_x = min(subject.x_min, obj.x_min)
-        lo_y = min(subject.y_min, obj.y_min)
-        hi_x = max(subject.x_max, obj.x_max)
-        hi_y = max(subject.y_max, obj.y_max)
+        lo_x, lo_y = min(subject[0], obj[0]), min(subject[1], obj[1])
+        hi_x, hi_y = max(subject[2], obj[2]), max(subject[3], obj[3])
         dx = rng.uniform(-lo_x, w - hi_x) if w - hi_x > -lo_x else -lo_x
         dy = rng.uniform(-lo_y, h - hi_y) if h - hi_y > -lo_y else -lo_y
-        subject = _clamp_box(
-            subject.x_min + dx, subject.y_min + dy, subject.x_max + dx, subject.y_max + dy, w, h
-        )
-        obj = _clamp_box(obj.x_min + dx, obj.y_min + dy, obj.x_max + dx, obj.y_max + dy, w, h)
-        annotations.append(AnnotatedTriplet(subject, s_cat, predicate, obj, o_cat))
+        subject = _clamp_box(subject[0] + dx, subject[1] + dy, subject[2] + dx, subject[3] + dy, w, h)
+        obj = _clamp_box(obj[0] + dx, obj[1] + dy, obj[2] + dx, obj[3] + dy, w, h)
+        annotations.append((subject, s_cat, predicate, obj, o_cat))
         if rng.random() < MULTI_LABEL_RATE and config.predicate_count > 1:
             other = int(rng.integers(config.predicate_count - 1))
             if other >= predicate:
                 other += 1
-            annotations.append(AnnotatedTriplet(subject, s_cat, other, obj, o_cat))
+            annotations.append((subject, s_cat, other, obj, o_cat))
+    columns = [np.array(column) for column in zip(*annotations)]
 
     # Noisy detections: jittered ground-truth objects plus spurious boxes.
-    detections: List[Tuple[DetectedObject, int]] = []  # (detection, true category)
-    for box, cat in unique_objects(annotations):
+    detections: List[tuple] = []  # (box, category, confidence, true category)
+    gt_boxes, gt_categories = unique_objects(columns[0], columns[1], columns[3], columns[4])
+    for (x1, y1, x2, y2), cat in zip(gt_boxes.tolist(), gt_categories.tolist()):
         if rng.random() < config.miss_rate:
             continue
         j = config.box_jitter
-        bw, bh = box.width, box.height
+        bw, bh = x2 - x1, y2 - y1
         noisy = _clamp_box(
-            box.x_min + rng.uniform(-j, j) * bw,
-            box.y_min + rng.uniform(-j, j) * bh,
-            box.x_max + rng.uniform(-j, j) * bw,
-            box.y_max + rng.uniform(-j, j) * bh,
+            x1 + rng.uniform(-j, j) * bw,
+            y1 + rng.uniform(-j, j) * bh,
+            x2 + rng.uniform(-j, j) * bw,
+            y2 + rng.uniform(-j, j) * bh,
             w,
             h,
         )
@@ -354,35 +340,19 @@ def _build_scene(
             label = int(rng.integers(config.object_count - 1))
             if label >= cat:
                 label += 1
-        confidence = float(rng.uniform(0.55, 0.98))
-        detections.append((DetectedObject(noisy, label, confidence), cat))
+        detections.append((noisy, label, float(rng.uniform(0.55, 0.98)), cat))
     for _ in range(int(rng.poisson(config.spurious_rate))):
         bw = rng.uniform(30.0, 100.0)
         bh = rng.uniform(30.0, 100.0)
         bx = rng.uniform(0.0, w - bw)
         by = rng.uniform(0.0, h - bh)
         cat = int(rng.integers(config.object_count))
-        detections.append(
-            (
-                DetectedObject(
-                    BoundingBox(bx, by, bx + bw, by + bh), cat, float(rng.uniform(0.25, 0.8))
-                ),
-                cat,
-            )
-        )
-    final = tuple(
-        DetectedObject(d.box, d.category, d.confidence, feature_key=f"{image_id}|det|{i}")
-        for i, (d, _) in enumerate(detections)
-    )
-    scene = SceneRecord(
-        image_id=image_id,
-        width=w,
-        height=h,
-        detections=final,
-        annotations=tuple(annotations),
-        split=split,
-    )
-    return scene, [true for _, true in detections]
+        box = (float(bx), float(by), float(bx + bw), float(by + bh))
+        detections.append((box, cat, float(rng.uniform(0.25, 0.8)), cat))
+    boxes, categories, confidences, true_categories = [*zip(*detections)] or [()] * 4
+    keys = [f"{image_id}|det|{i}" for i in range(len(detections))]
+    scene = SceneRecord(image_id, w, h, split, boxes, categories, confidences, keys, *columns)
+    return scene, list(true_categories)
 
 
 def _scene_features(scene: SceneRecord, true_categories: Sequence[int]) -> Iterator[tuple]:
@@ -390,19 +360,16 @@ def _scene_features(scene: SceneRecord, true_categories: Sequence[int]) -> Itera
     vectors. Objects take their true category's prototype (label flips keep
     it); union boxes have none, their vectors are content-free noise."""
     image_id = scene.image_id
-    for i, det in enumerate(scene.detections):
-        yield det.feature_key, f"{image_id}|{_box_tag(det.box.as_tuple())}", true_categories[i]
-    gt_objects = scene.gt_objects()
-    for i, (box, cat) in enumerate(gt_objects):
-        yield gt_feature_key(image_id, i), f"{image_id}|{_box_tag(box.as_tuple())}", cat
-    for boxes, key_fn in (
-        (box_array(d.box for d in scene.detections), detection_union_key),
-        (box_array(b for b, _ in gt_objects), gt_union_key),
-    ):
+    for key, box, category in zip(scene.feature_keys, scene.boxes.tolist(), true_categories):
+        yield key, f"{image_id}|{_box_tag(box)}", category
+    gt_boxes, gt_categories = scene.gt_objects()
+    for i, (box, cat) in enumerate(zip(gt_boxes.tolist(), gt_categories.tolist())):
+        yield gt_feature_key(image_id, i), f"{image_id}|{_box_tag(box)}", cat
+    for boxes, kind in ((scene.boxes, "det"), (gt_boxes, "gt")):
         subjects, objects = pair_indices(len(boxes))
         unions = union_rows(boxes[subjects], boxes[objects])
-        for i, j, u in zip(subjects.tolist(), objects.tolist(), unions.tolist()):
-            yield key_fn(image_id, i, j), f"{image_id}|union|{_box_tag(u)}", None
+        for key, u in zip(union_keys(image_id, kind, subjects.tolist(), objects.tolist()), unions.tolist()):
+            yield key, f"{image_id}|union|{_box_tag(u)}", None
 
 
 def _feature_store(built: list, config: SyntheticConfig, blueprint: _Blueprint) -> FeatureStore:

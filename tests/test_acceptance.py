@@ -28,9 +28,11 @@ from urelnet.model import (
 )
 from urelnet.nn import gradient_check
 from urelnet.pairs import generate_for_scene
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord
+from urelnet.scene import BoundingBox, SceneRecord
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import RunConfig, Schedule, run_evaluation, run_training, write_log
+
+from scene_rows import Ann, ground_truth
 
 TOY_DIMS = dict(
     predicate_count=4, object_count=5, visual_dim=12, embedding_dim=6,
@@ -135,13 +137,9 @@ def test_acceptance_2_generator_oracle_equivalence():
             annotations.append((sbox, cat, int(rng.integers(m)), obox, ocat))
 
         scene = SceneRecord(
-            f"scene{index}", 200.0, 200.0,
-            tuple(DetectedObject(BoundingBox(*b), c, 0.9) for b, c in detections),
-            tuple(
-                AnnotatedTriplet(BoundingBox(*s), sc, p, BoundingBox(*o), oc)
-                for s, sc, p, o, oc in annotations
-            ),
-            "test",
+            f"scene{index}", 200.0, 200.0, "test",
+            [b for b, _ in detections], [c for _, c in detections], [0.9] * len(detections),
+            None, *(list(column) for column in zip(*annotations)) if annotations else (),
         )
         pairs = generate_for_scene(scene, m)
         want = [
@@ -298,7 +296,7 @@ def _b(x1, y1, x2, y2):
 
 
 def _gt(sbox, sc, p, obox, oc):
-    return AnnotatedTriplet(sbox, sc, p, obox, oc)
+    return Ann(sbox, sc, p, obox, oc)
 
 
 def _p(sbox, sc, p, obox, oc, score, idx=0):
@@ -365,14 +363,14 @@ def test_acceptance_5_metric_correctness():
     ]
     assert len(fixtures) >= 10
     for i, (task, preds, gts, n, expected) in enumerate(fixtures):
-        hits = match_predictions(_ranking(preds), gts, task)
+        hits = match_predictions(_ranking(preds), ground_truth(gts), task)
         got = recall_at_n([hits], [len(gts)], n)
         assert got == pytest.approx(expected, abs=1e-12), f"fixture {i} ({task})"
 
     # Few ground-truth objects -> fewer than 50 outputs -> R50 equals R100.
     hits = match_predictions(
         _ranking([_p(s1, 1, 0, o1, 2, 0.9), _p(o1, 2, 1, s1, 1, 0.8, 1)]),
-        [_gt(s1, 1, 0, o1, 2), _gt(o1, 2, 1, s1, 1)],
+        ground_truth([_gt(s1, 1, 0, o1, 2), _gt(o1, 2, 1, s1, 1)]),
         "relation",
     )
     assert recall_at_n([hits], [2], 50) == recall_at_n([hits], [2], 100) == 1.0

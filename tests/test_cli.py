@@ -578,3 +578,33 @@ def test_unwritable_output_paths_are_output_errors(workspace, capsys, tmp_path, 
     error = _single_error_line(capsys)
     assert error["category"] == "output-error"
     assert str(taken) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out", "y", "--objects", "abc"],
+         "urelnet synth: argument --objects: invalid int value: 'abc'"),
+        (["train", "--dataset", "D", "--out-dir", "R", "--task", "bogus"],
+         "urelnet train: argument --task: invalid choice: 'bogus'"),
+        (["predict", "--dataset", "D", "--checkpoint", "C"],
+         "urelnet predict: the following arguments are required: --image-id"),
+    ],
+    ids=["bad-type", "bad-choice", "missing-flag"],
+)
+def test_argparse_rejections_are_one_json_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    # argparse's own rejections follow the error contract: exit 1, one JSON
+    # line on stderr, nothing written.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    error = _single_error_line(capsys)
+    assert error["category"] == "usage-error"
+    assert error["message"].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--help"])
+    assert exit_info.value.code == 0
+    assert "--objects" in capsys.readouterr().out

@@ -16,7 +16,9 @@ from urelnet.errors import (
     IngestionError,
 )
 from urelnet.features import EmbeddingTable, FeatureStore
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord, Vocabulary
+from urelnet.scene import ANNOTATION_COLUMNS, DETECTION_COLUMNS, BoundingBox, Vocabulary
+
+from scene_rows import Ann, Det, make_scene
 
 
 def minimal_dataset():
@@ -24,12 +26,10 @@ def minimal_dataset():
     sbox = BoundingBox(10, 10, 50, 50)
     obox = BoundingBox(5, 60, 95, 95)
     detections = (
-        DetectedObject(sbox, 0, 0.9, feature_key="img0|det|0"),
-        DetectedObject(obox, 1, 0.8, feature_key="img0|det|1"),
+        Det(sbox, 0, 0.9, feature_key="img0|det|0"),
+        Det(obox, 1, 0.8, feature_key="img0|det|1"),
     )
-    scene = SceneRecord(
-        "img0", 100.0, 100.0, detections, (AnnotatedTriplet(sbox, 0, 0, obox, 1),), "train"
-    )
+    scene = make_scene("img0", detections, [Ann(sbox, 0, 0, obox, 1)])
     keys = ("img0|det|0", "img0|det|1", "img0|union|det|0|1", "img0|union|det|1|0",
             "img0|gt|0", "img0|gt|1", "img0|union|gt|0|1", "img0|union|gt|1|0")
     store = FeatureStore(
@@ -40,6 +40,18 @@ def minimal_dataset():
     return Dataset(vocabulary=vocab, scenes=[scene], features=store, embeddings=embeddings)
 
 
+COLUMNS = [name for name, _, _ in DETECTION_COLUMNS + ANNOTATION_COLUMNS]
+
+
+def assert_same_columns(a, b):
+    """Two scenes hold the same values, of the same dtypes, in every column."""
+    assert (a.image_id, a.width, a.height, a.split) == (b.image_id, b.width, b.height, b.split)
+    assert a.feature_keys == b.feature_keys
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
 def test_minimal_roundtrip(tmp_path):
     original = minimal_dataset()
     save_dataset(original, tmp_path / "ds")
@@ -48,8 +60,7 @@ def test_minimal_roundtrip(tmp_path):
     assert len(loaded.scenes) == 1
     scene = loaded.scenes[0]
     assert scene.image_id == "img0"
-    assert scene.detections == original.scenes[0].detections
-    assert scene.annotations == original.scenes[0].annotations
+    assert_same_columns(scene, original.scenes[0])
     for key, row in original.features.index.items():
         np.testing.assert_array_equal(
             loaded.features.table[loaded.features.index[key]], original.features.table[row]
@@ -174,7 +185,8 @@ def test_non_utf8_dataset_json_is_parse_error(tmp_path):
 @pytest.mark.parametrize(
     "key, name",
     [("features_file", "."), ("features_index_file", "."), ("embeddings_file", "."),
-     ("features_file", "a\x00b"), ("embeddings_file", "a\x00b")],
+     ("features_file", "a\x00b"), ("features_index_file", "a\x00b"),
+     ("embeddings_file", "a\x00b")],
 )
 def test_unreadable_named_file_is_ingestion_error(tmp_path, key, name):
     def mutate(doc):

@@ -20,15 +20,10 @@ from urelnet.evaluation import (
     recall_at_n,
 )
 from urelnet.pairs import generate_for_scene
-from urelnet.scene import (
-    AnnotatedTriplet,
-    BoundingBox,
-    DetectedObject,
-    SceneRecord,
-    box_array,
-    iou,
-    union_box,
-)
+from urelnet.evaluation import GroundTruth
+from urelnet.scene import BoundingBox, iou, union_box
+
+from scene_rows import Ann, Det, annotations_of, ground_truth, make_scene
 
 M = 3
 
@@ -38,11 +33,23 @@ def box(x1, y1, x2, y2):
 
 
 def det(b, category, confidence=0.9):
-    return DetectedObject(b, category, confidence)
+    return Det(b, category, confidence)
 
 
 def scene_with_detections(detections, annotations=(), image_id="img"):
-    return SceneRecord(image_id, 400.0, 400.0, tuple(detections), tuple(annotations), "test")
+    return make_scene(image_id, detections, annotations, "test", width=400.0, height=400.0)
+
+
+def _boxes(boxes):
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def pair_rows(pairs):
+    """Each pair's (index, subject box, subject category, object box, object category)."""
+    boxes = [BoundingBox(*b) for b in pairs.boxes.tolist()]
+    categories = pairs.categories.tolist()
+    for idx, (i, j) in enumerate(zip(pairs.subject_indices.tolist(), pairs.object_indices.tolist())):
+        yield idx, boxes[i], categories[i], boxes[j], categories[j]
 
 
 def pred(sbox, scat, predicate, obox, ocat, score, pair_index=0):
@@ -57,10 +64,10 @@ def prediction_set(image_id, triplets):
 
     return PredictionSet(
         image_id,
-        box_array(t.subject_box for t in triplets),
+        _boxes(t.subject_box for t in triplets),
         column("subject_category", np.intp),
         column("predicate", np.intp),
-        box_array(t.object_box for t in triplets),
+        _boxes(t.object_box for t in triplets),
         column("object_category", np.intp),
         column("score", np.float64),
         column("pair_index", np.intp),
@@ -189,16 +196,16 @@ def test_predict_scene_k2_ties_across_pairs_and_predicates():
 
 
 def test_exact_prediction_hits_all_tasks():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     predictions = prediction_set(
         "img", [pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.9)]
     )
     for task in ("predicate", "phrase", "relation"):
-        assert match_predictions(predictions, [gt], task) == [True]
+        assert match_predictions(predictions, ground_truth([gt]), task) == [True]
 
 
 def test_one_gt_consumed_once():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     predictions = prediction_set(
         "img",
         [
@@ -206,45 +213,45 @@ def test_one_gt_consumed_once():
             pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.8, 1),
         ],
     )
-    assert match_predictions(predictions, [gt], "relation") == [True, False]
+    assert match_predictions(predictions, ground_truth([gt]), "relation") == [True, False]
 
 
 def test_relation_iou_boundary_inclusive():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     # [0,0,10,5] vs [0,0,10,10]: IoU exactly 0.5
     half_subject = box(0, 0, 10, 5)
     half_object = box(20, 0, 30, 5)
     predictions = prediction_set("img", [pred(half_subject, 1, 2, half_object, 0, 0.9)])
-    assert match_predictions(predictions, [gt], "relation") == [True]
+    assert match_predictions(predictions, ground_truth([gt]), "relation") == [True]
     # Just below 0.5 misses.
     below = box(0, 0, 10, 4.99)
     predictions = prediction_set("img", [pred(below, 1, 2, half_object, 0, 0.9)])
-    assert match_predictions(predictions, [gt], "relation") == [False]
+    assert match_predictions(predictions, ground_truth([gt]), "relation") == [False]
 
 
 def test_phrase_uses_union_iou():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     # Individually shifted boxes whose union still overlaps the GT union >= 0.5.
     predictions = prediction_set(
         "img", [pred(box(0, 0, 4, 10), 1, 2, box(26, 0, 30, 10), 0, 0.9)]
     )
-    assert match_predictions(predictions, [gt], "phrase") == [True]
-    assert match_predictions(predictions, [gt], "relation") == [False]
+    assert match_predictions(predictions, ground_truth([gt]), "phrase") == [True]
+    assert match_predictions(predictions, ground_truth([gt]), "relation") == [False]
 
 
 def test_predicate_task_ignores_boxes():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     predictions = prediction_set(
         "img", [pred(box(100, 100, 110, 110), 1, 2, box(200, 200, 210, 210), 0, 0.9)]
     )
-    assert match_predictions(predictions, [gt], "predicate") == [True]
+    assert match_predictions(predictions, ground_truth([gt]), "predicate") == [True]
 
 
 def test_category_mismatch_never_hits():
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     predictions = prediction_set("img", [pred(gt.subject_box, 0, 2, gt.object_box, 0, 0.9)])
     for task in ("predicate", "phrase", "relation"):
-        assert match_predictions(predictions, [gt], task) == [False]
+        assert match_predictions(predictions, ground_truth([gt]), task) == [False]
 
 
 @pytest.mark.parametrize("task", ["bogus", ""])
@@ -252,10 +259,10 @@ def test_match_predictions_rejects_unknown_task(task):
     from urelnet.errors import UsageError
 
     # An exact match would hit under every known task.
-    gt = AnnotatedTriplet(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
+    gt = Ann(box(0, 0, 10, 10), 1, 2, box(20, 0, 30, 10), 0)
     predictions = prediction_set("img", [pred(gt.subject_box, 1, 2, gt.object_box, 0, 0.9)])
     with pytest.raises(UsageError) as info:
-        match_predictions(predictions, [gt], task)
+        match_predictions(predictions, ground_truth([gt]), task)
     with pytest.raises(UsageError) as config_info:
         EvalConfig(task=task)
     assert info.value.category == "usage-error"
@@ -266,11 +273,11 @@ def test_greedy_consumes_first_eligible_gt():
     # One prediction could match either GT; greedy takes annotation order,
     # which can cost a later prediction its only match.
     shared = box(0, 0, 10, 10)
-    gt_a = AnnotatedTriplet(shared, 1, 2, box(20, 0, 30, 10), 0)
-    gt_b = AnnotatedTriplet(shared, 1, 2, box(20.1, 0, 30.1, 10), 0)
+    gt_a = Ann(shared, 1, 2, box(20, 0, 30, 10), 0)
+    gt_b = Ann(shared, 1, 2, box(20.1, 0, 30.1, 10), 0)
     p_broad = pred(shared, 1, 2, box(20, 0, 30, 10), 0, 0.9, 0)   # matches both
     p_narrow = pred(shared, 1, 2, box(20, 0, 30, 10), 0, 0.8, 1)  # also matches both
-    hits = match_predictions(prediction_set("img", [p_broad, p_narrow]), [gt_a, gt_b], "relation")
+    hits = match_predictions(prediction_set("img", [p_broad, p_narrow]), ground_truth([gt_a, gt_b]), "relation")
     assert hits == [True, True]  # a consumed first, then b
 
 
@@ -286,10 +293,10 @@ def test_matcher_equals_scalar_oracle_at_iou_exactly_half():
     ]
     triplets = [triplets[i] for i in np.random.default_rng(8).permutation(len(triplets))]
     gts = [
-        AnnotatedTriplet(s, 1, 2, o, 0),
-        AnnotatedTriplet(s, 1, 2, o, 0),
-        AnnotatedTriplet(box(0, 0, 10, 5), 1, 2, o, 0),
-        AnnotatedTriplet(s, 1, 0, box(20, 5, 30, 10), 0),
+        Ann(s, 1, 2, o, 0),
+        Ann(s, 1, 2, o, 0),
+        Ann(box(0, 0, 10, 5), 1, 2, o, 0),
+        Ann(s, 1, 0, box(20, 5, 30, 10), 0),
     ]
     relation_half = [t for t in triplets
                      if iou(t.subject_box, s) == 0.5 and iou(t.object_box, o) == 0.5]
@@ -298,13 +305,13 @@ def test_matcher_equals_scalar_oracle_at_iou_exactly_half():
     assert relation_half and phrase_half
     predictions = prediction_set("img", triplets)
     for task in TASKS:
-        hits = match_predictions(predictions, gts, task)
+        hits = match_predictions(predictions, ground_truth(gts), task)
         assert hits == reference_match(triplets, gts, task), task
     # Ranked alone against one ground truth, the first prediction exactly at
     # the boundary takes it: the threshold is inclusive.
     for task, chosen in (("relation", relation_half), ("phrase", phrase_half)):
         ranked = [t for t in chosen if t.predicate == 2]
-        hits = match_predictions(prediction_set("img", ranked), gts[:1], task)
+        hits = match_predictions(prediction_set("img", ranked), ground_truth(gts[:1]), task)
         expected = [True] + [False] * (len(ranked) - 1)
         assert hits == reference_match(ranked, gts[:1], task) == expected
 
@@ -375,7 +382,7 @@ def test_greedy_equals_max_matching_when_unambiguous():
         gts = []
         for g in range(n_gt):
             x = 50.0 * g
-            gts.append(AnnotatedTriplet(box(x, 0, x + 10, 10), g, g % M, box(x, 20, x + 10, 30), g))
+            gts.append(Ann(box(x, 0, x + 10, 10), g, g % M, box(x, 20, x + 10, 30), g))
         preds = []
         scores = rng.permutation(10)[: int(rng.integers(1, 6))]
         for i, s in enumerate(scores):
@@ -391,17 +398,17 @@ def test_greedy_equals_max_matching_when_unambiguous():
             )
         preds.sort(key=lambda t: -t.score)
         pset = prediction_set("img", preds)
-        greedy_hits = sum(match_predictions(pset, gts, "relation"))
+        greedy_hits = sum(match_predictions(pset, ground_truth(gts), "relation"))
         assert greedy_hits == brute_force_max_matching(pset, gts, "relation")
 
 
 def test_tie_permutation_stable_after_canonical_sort():
     detections = [det(box(i * 20, 0, i * 20 + 10, 10), 0) for i in range(3)]
-    annotations = (AnnotatedTriplet(detections[0].box, 0, 0, detections[1].box, 0),)
+    annotations = (Ann(detections[0].box, 0, 0, detections[1].box, 0),)
     scene = scene_with_detections(detections, annotations)
     scores = np.full((6, M), 0.25)  # all tied; k=1 keeps predicate 0 per pair
     result = predict_scene(scene, FixedScorer(scores), k=1, predicate_count=M)
-    hits_a = match_predictions(result, list(annotations), "relation")
+    hits_a = match_predictions(result, ground_truth(annotations), "relation")
     assert sum(hits_a) == 1
     # Shuffling tied entries and re-applying the canonical sort restores the
     # same ranking, so the hit count cannot depend on input order.
@@ -410,7 +417,7 @@ def test_tie_permutation_stable_after_canonical_sort():
         shuffled = [result.triplets[i] for i in rng.permutation(len(result.triplets))]
         shuffled.sort(key=lambda t: (-t.score, t.pair_index, t.predicate))
         hits_b = match_predictions(
-            prediction_set(scene.image_id, shuffled), list(annotations), "relation"
+            prediction_set(scene.image_id, shuffled), ground_truth(annotations), "relation"
         )
         assert sum(hits_b) == sum(hits_a)
         assert shuffled == result.triplets
@@ -422,11 +429,11 @@ def test_zero_shot_filter(monkeypatch):
     from urelnet import evaluation
 
     gt = (
-        AnnotatedTriplet(box(0, 0, 10, 10), 0, 0, box(20, 0, 30, 10), 1),
-        AnnotatedTriplet(box(0, 0, 10, 10), 0, 1, box(20, 0, 30, 10), 1),
-        AnnotatedTriplet(box(0, 0, 10, 10), 2, 0, box(20, 0, 30, 10), 1),
+        Ann(box(0, 0, 10, 10), 0, 0, box(20, 0, 30, 10), 1),
+        Ann(box(0, 0, 10, 10), 0, 1, box(20, 0, 30, 10), 1),
+        Ann(box(0, 0, 10, 10), 2, 0, box(20, 0, 30, 10), 1),
     )
-    scene = SceneRecord("img", 100.0, 100.0, (), gt, "test")
+    scene = make_scene("img", (), gt, "test")
     matched = []
     match = evaluation.match_predictions
 
@@ -450,13 +457,13 @@ def test_perfect_oracle_predicate_recall_is_one():
     class OracleScorer:
         def __call__(self, pairs, scene):
             scores = np.full((len(pairs), M), 1e-6)
-            for idx, pair in enumerate(pairs):
-                for ann in scene.annotations:
+            for idx, sbox, scat, obox, ocat in pair_rows(pairs):
+                for ann in annotations_of(scene):
                     if (
-                        ann.subject_box == pair.subject.box
-                        and ann.subject_category == pair.subject.category
-                        and ann.object_box == pair.object.box
-                        and ann.object_category == pair.object.category
+                        ann.subject_box == sbox
+                        and ann.subject_category == scat
+                        and ann.object_box == obox
+                        and ann.object_category == ocat
                     ):
                         scores[idx, ann.predicate] = 1.0
             return scores
@@ -466,16 +473,16 @@ def test_perfect_oracle_predicate_recall_is_one():
     for s in range(5):
         boxes = [box(60.0 * i, 0, 60.0 * i + 10, 10) for i in range(3)]
         annotations = [
-            AnnotatedTriplet(boxes[0], 0, int(rng.integers(M)), boxes[1], 1),
-            AnnotatedTriplet(boxes[1], 1, int(rng.integers(M)), boxes[2], 0),
+            Ann(boxes[0], 0, int(rng.integers(M)), boxes[1], 1),
+            Ann(boxes[1], 1, int(rng.integers(M)), boxes[2], 0),
         ]
         scenes.append(scene_with_detections([], annotations, image_id=f"s{s}"))
     hits, counts = [], []
     oracle = OracleScorer()
     for scene in scenes:
         result = predict_scene(scene, oracle, task="predicate", k=1, predicate_count=M)
-        hits.append(match_predictions(result, list(scene.annotations), "predicate"))
-        counts.append(len(scene.annotations))
+        hits.append(match_predictions(result, GroundTruth.of(scene), "predicate"))
+        counts.append(len(scene.predicates))
     assert recall_at_n(hits, counts, 50) == 1.0
 
 
@@ -514,7 +521,7 @@ def random_eval_scene(rng, index):
     for _ in range(int(rng.integers(1, 5))):
         i, j = rng.choice(len(objects), size=2, replace=False)
         (sbox, scat), (obox, ocat) = objects[i], objects[j]
-        annotations.append(AnnotatedTriplet(sbox, scat, int(rng.integers(M)), obox, ocat))
+        annotations.append(Ann(sbox, scat, int(rng.integers(M)), obox, ocat))
     detections = []
     for b, category in objects:
         if rng.random() < 0.15:
@@ -546,13 +553,10 @@ def reference_ranking(scene, scorer, task, k):
         return []
     scores = np.asarray(scorer(pairs, scene), dtype=float)
     triplets = []
-    for idx, pair in enumerate(pairs):
+    for idx, sbox, scat, obox, ocat in pair_rows(pairs):
         row = scores[idx]
         for predicate in np.argsort(-row, kind="stable")[:k]:
-            triplets.append(
-                pred(pair.subject.box, pair.subject.category, int(predicate),
-                     pair.object.box, pair.object.category, float(row[predicate]), idx)
-            )
+            triplets.append(pred(sbox, scat, int(predicate), obox, ocat, float(row[predicate]), idx))
     triplets.sort(key=lambda t: (-t.score, t.pair_index, t.predicate))
     return triplets
 
@@ -561,7 +565,7 @@ def reference_recalls(scenes, scorer, config, training_types):
     """One full ranking and greedy match per scene for this config alone."""
     image_hits, gt_counts = [], []
     for scene in scenes:
-        gt = [g for g in scene.annotations
+        gt = [g for g in annotations_of(scene)
               if not config.zero_shot_only or g.type_key() not in training_types]
         ranking = reference_ranking(scene, scorer, config.task, config.k)
         image_hits.append(reference_match(ranking, gt, config.task))
@@ -612,7 +616,7 @@ def test_evaluator_matches_reference_on_random_scenes():
 def test_evaluator_scores_each_scene_once_per_source():
     rng = np.random.default_rng(5)
     scenes = [random_eval_scene(rng, i) for i in range(6)]
-    scenes = [s for s in scenes if len(s.detections) >= 2]
+    scenes = [s for s in scenes if len(s.boxes) >= 2]
     calls = []
 
     def counting_scorer(pairs, scene):
@@ -679,9 +683,9 @@ def test_model_scorer_transforms_each_detection_once(im_mode, monkeypatch):
         seen.append((names[layer], x.shape[0]))
         return forward(layer, x)
 
-    scene = max(dataset.split("test"), key=lambda s: len(s.detections))
+    scene = max(dataset.split("test"), key=lambda s: len(s.boxes))
     pairs = candidate_pairs(scene, "relation", config.predicate_count)
-    d, p = len(scene.detections), len(pairs)
+    d, p = len(scene.boxes), len(pairs)
     assert p == d * (d - 1) > d
     monkeypatch.setattr(DenseLayer, "forward", recording)
     scores = scorer(pairs, scene)
@@ -708,7 +712,6 @@ def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):
     # zero-shot rows by mask; hits equal the scalar oracle's, and IoU is
     # computed only for (prediction, ground truth) entries whose types agree.
     from urelnet import evaluation
-    from urelnet.evaluation import GroundTruth
 
     ious = []
     iou_pairs = evaluation.iou_pairs
@@ -723,10 +726,10 @@ def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):
     type_matches = hits = 0
     for index in range(40):
         scene = random_eval_scene(rng, index)
-        truth = GroundTruth.of(scene.annotations)
-        unseen = np.array([g.type_key() not in EVAL_TRAINING_TYPES for g in scene.annotations])
-        subsets = ((list(scene.annotations), truth),
-                   ([g for g in scene.annotations if g.type_key() not in EVAL_TRAINING_TYPES],
+        truth, annotations = GroundTruth.of(scene), annotations_of(scene)
+        unseen = np.array([g.type_key() not in EVAL_TRAINING_TYPES for g in annotations])
+        subsets = ((annotations, truth),
+                   ([g for g in annotations if g.type_key() not in EVAL_TRAINING_TYPES],
                     truth.take(unseen)))
         for task in TASKS:
             ranking = predict_scene(scene, scorer, task=task, k=2, predicate_count=M)
@@ -734,7 +737,7 @@ def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):
                 expected = reference_match(ranking.triplets, listed, task)
                 del ious[:]
                 assert match_predictions(ranking, table, task) == expected
-                assert match_predictions(ranking, listed, task) == expected
+                assert match_predictions(ranking, ground_truth(listed), task) == expected
                 agree = sum(
                     (t.subject_category, t.predicate, t.object_category) == g.type_key()
                     for t in ranking.triplets for g in listed

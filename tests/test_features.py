@@ -22,15 +22,10 @@ from urelnet.features import (
     external_linguistic,
     spatial_rows,
 )
-from urelnet.pairs import ScenePairs, detection_union_key, generate_for_scene
-from urelnet.scene import (
-    AnnotatedTriplet,
-    BoundingBox,
-    DetectedObject,
-    SceneRecord,
-    Vocabulary,
-    box_array,
-)
+from urelnet.pairs import ScenePairs, generate_for_scene, union_keys
+from urelnet.scene import BoundingBox, Vocabulary
+
+from scene_rows import Ann, Det, make_scene
 
 coord = st.integers(min_value=-8000, max_value=8000).map(lambda v: v / 16.0)
 extent = st.integers(min_value=8, max_value=4800).map(lambda v: v / 16.0)
@@ -45,7 +40,7 @@ def boxes(draw):
 
 def spatial_features(subject, obj):
     """``spatial_rows`` of one (subject, object) pair of boxes."""
-    return spatial_rows(box_array([subject]), box_array([obj]))[0]
+    return spatial_rows(np.array([subject.as_tuple()]), np.array([obj.as_tuple()]))[0]
 
 
 def test_spatial_hand_example():
@@ -132,11 +127,11 @@ def test_spatial_entry_ranges(a, b):
 
 
 def _scene(annotations, split="train", image_id="s0"):
-    return SceneRecord(image_id, 1000.0, 1000.0, (), tuple(annotations), split)
+    return make_scene(image_id, (), annotations, split, width=1000.0, height=1000.0)
 
 
 def _ann(scat, pred, ocat):
-    return AnnotatedTriplet(
+    return Ann(
         BoundingBox(0, 0, 10, 10), scat, pred, BoundingBox(20, 20, 30, 30), ocat
     )
 
@@ -308,13 +303,11 @@ def _pair_scene_fixture():
     vocab = Vocabulary(("person", "horse"), ("ride", "on", "near"))
     sbox, obox = BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10)
     detections = (
-        DetectedObject(sbox, 0, 0.9, feature_key="img|det|0"),
-        DetectedObject(obox, 1, 0.8, feature_key="img|det|1"),
+        Det(sbox, 0, 0.9, feature_key="img|det|0"),
+        Det(obox, 1, 0.8, feature_key="img|det|1"),
     )
-    ann = AnnotatedTriplet(sbox, 0, 0, obox, 1)
-    scene = SceneRecord("img", 100.0, 100.0, detections, (ann,), "train")
-    keys = ["img|det|0", "img|det|1", detection_union_key("img", 0, 1),
-            detection_union_key("img", 1, 0)]
+    scene = make_scene("img", detections, [Ann(sbox, 0, 0, obox, 1)])
+    keys = ["img|det|0", "img|det|1", *union_keys("img", "det", [0, 1], [1, 0])]
     store = _store(keys, np.random.default_rng(3).standard_normal((4, 4)))
     emb = EmbeddingTable({"person": np.array([1.0, 0.0]), "horse": np.array([0.0, 1.0])}, 2)
     stats = build_triplet_statistics([scene], vocab)
@@ -598,7 +591,7 @@ def test_matrix_linguistic_streams_are_the_per_category_vectors():
     chosen = pairs.take([0, 1, 0])  # the pair, the flipped pair, the pair again
     matrix = FeatureExtractor(store, stats, emb, vocab).matrix(chosen, scene)
     for row, p in enumerate(chosen):
-        s, o = p.subject.category, p.object.category
+        s, o = chosen.categories[p.subject_index], chosen.categories[p.object_index]
         assert matrix["internal"][row].tobytes() == _per_pair_internal(stats, s, o).tobytes()
         for role, category in (("subject", s), ("object", o)):
             np.testing.assert_array_equal(
@@ -629,14 +622,15 @@ def test_matrix_out_of_range_category_errors(stream, role):
     vocab, scene, store, emb, stats, pairs = _pair_scene_fixture()
     # Object 2 is a copy of the pair's subject (object) with category 5; row 1
     # pairs it in that role, so the good pair (0, 1) comes first.
-    bad = dataclasses.replace(getattr(pairs[0], role), category=5)
+    copied = getattr(pairs[0], f"{role}_index")
     subjects, objects = ([0, 2], [1, 1]) if role == "subject" else ([0, 0], [1, 2])
     key = pairs.union_keys[0]
-    table = pairs.objects + (bad,)
     pairs = ScenePairs(
-        table, box_array(o.box for o in table), np.array([o.category for o in table]),
-        np.array([o.confidence for o in table]), np.array(subjects), np.array(objects),
-        np.zeros((2, 1), dtype=bool), np.zeros((2, vocab.predicate_count)), (key, key),
+        pairs.feature_keys + (pairs.feature_keys[copied],),
+        np.vstack([pairs.boxes, pairs.boxes[copied]]), np.append(pairs.categories, 5),
+        np.append(pairs.confidences, pairs.confidences[copied]), np.array(subjects),
+        np.array(objects), np.zeros((2, 1), dtype=bool), np.zeros((2, vocab.predicate_count)),
+        (key, key),
     )
     extractor = FeatureExtractor(store, stats, emb, vocab)
     with pytest.raises(IngestionError, match=f"{role} category 5 out of range"):
@@ -658,7 +652,7 @@ def _synthetic_scene_pairs():
     from urelnet.training import build_extractor
 
     dataset = generate_synthetic(SyntheticConfig(train_scenes=6, test_scenes=0, seed=5))
-    scene = max(dataset.split("train"), key=lambda s: len(s.detections))
+    scene = max(dataset.split("train"), key=lambda s: len(s.boxes))
     pairs = generate_for_scene(scene, dataset.vocabulary.predicate_count)
     return build_extractor(dataset), scene, pairs
 
@@ -677,14 +671,15 @@ def test_matrix_of_taken_rows_equals_stacked_single_rows():
 @pytest.mark.parametrize("stream", ["visual_subject", "visual_object", "visual_union"])
 def test_matrix_looks_up_object_vectors_once_per_object(stream, monkeypatch):
     extractor, scene, pairs = _synthetic_scene_pairs()
-    d = len(scene.detections)
+    d = len(scene.boxes)
     if stream == "visual_union":
         keys = list(pairs.union_keys)  # one key resolved per pair
         expected_resolved = keys
     else:  # one key resolved per object, gathered to every pair
         role = stream[len("visual_") :]
-        keys = [getattr(pairs[p], role).feature_key for p in range(len(pairs))]
-        expected_resolved = [det.feature_key for det in scene.detections]
+        indices = getattr(pairs, f"{role}_indices").tolist()
+        keys = [scene.feature_keys[i] for i in indices]
+        expected_resolved = list(scene.feature_keys)
     resolved = []
     lookup = FeatureStore.lookup
 

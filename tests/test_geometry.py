@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from urelnet.errors import GeometryError
 from urelnet.scene import (
     BoundingBox,
-    box_array,
     iou,
     iou_rows,
     pair_indices,
@@ -27,6 +26,11 @@ def boxes(draw):
     x1 = draw(coord)
     y1 = draw(coord)
     return BoundingBox(x1, y1, x1 + draw(extent), y1 + draw(extent))
+
+
+def box_array(boxes):
+    """(n, 4) rows of the ``BoundingBox``es ``boxes``."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def test_iou_hand_example():

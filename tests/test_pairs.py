@@ -9,17 +9,19 @@ from urelnet.pairs import (
     generate_for_scene,
     gt_pairs_for_scene,
 )
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord
+from urelnet.scene import BoundingBox
+
+from scene_rows import Ann, Det, annotations_of, detections_of, make_scene
 
 M = 4
 
 
 def det(x1, y1, x2, y2, category, confidence=0.9):
-    return DetectedObject(BoundingBox(x1, y1, x2, y2), category, confidence)
+    return Det(BoundingBox(x1, y1, x2, y2), category, confidence)
 
 
 def ann(sbox, scat, pred, obox, ocat):
-    return AnnotatedTriplet(BoundingBox(*sbox), scat, pred, BoundingBox(*obox), ocat)
+    return Ann(BoundingBox(*sbox), scat, pred, BoundingBox(*obox), ocat)
 
 
 def shifted(box, dx):
@@ -27,14 +29,7 @@ def shifted(box, dx):
 
 
 def _scene(detections, annotations, image_id="img0", split="train"):
-    return SceneRecord(
-        image_id=image_id,
-        width=200.0,
-        height=200.0,
-        detections=tuple(detections),
-        annotations=tuple(annotations),
-        split=split,
-    )
+    return make_scene(image_id, detections, annotations, split, width=200.0, height=200.0)
 
 
 def classify(subject, obj, annotations):
@@ -73,7 +68,7 @@ def test_classify_iou_threshold_is_strict():
     # Exactly 0.5 must NOT match.
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
     # box [0,0,10,5] vs [0,0,10,10]: inter 50, union 100 -> 0.5 exactly
-    subject = DetectedObject(BoundingBox(0, 0, 10, 5), 1, 0.9)
+    subject = Det(BoundingBox(0, 0, 10, 5), 1, 0.9)
     obj = det(20, 0, 30, 10, 3)
     assert classify(subject, obj, [a])[0] is False
 
@@ -108,12 +103,12 @@ def random_scene(rng, n_det, n_ann, n_cat=4):
         return BoundingBox(x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40))
 
     detections = [
-        DetectedObject(rand_box(), int(rng.integers(n_cat)), float(rng.uniform(0.1, 1.0)))
+        Det(rand_box(), int(rng.integers(n_cat)), float(rng.uniform(0.1, 1.0)))
         for _ in range(n_det)
     ]
     annotations = [
-        AnnotatedTriplet(rand_box(), int(rng.integers(n_cat)), int(rng.integers(M)),
-                         rand_box(), int(rng.integers(n_cat)))
+        Ann(rand_box(), int(rng.integers(n_cat)), int(rng.integers(M)),
+            rand_box(), int(rng.integers(n_cat)))
         for _ in range(n_ann)
     ]
     return detections, annotations
@@ -130,7 +125,7 @@ def test_classifier_matches_brute_force_oracle():
         for k in range(len(annotations)):
             if rng.random() < 0.5 and len(detections) >= 2:
                 i, j = rng.choice(len(detections), size=2, replace=False)
-                annotations[k] = AnnotatedTriplet(
+                annotations[k] = Ann(
                     detections[i].box, detections[i].category, int(rng.integers(M)),
                     detections[j].box, detections[j].category,
                 )
@@ -152,8 +147,8 @@ def test_monotone_in_iou():
     a = ann((0, 0, 10, 10), 1, 2, (20, 0, 30, 10), 3)
     was_determinate = False
     for dx in [6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.0]:
-        subject = DetectedObject(shifted(a.subject_box, dx), 1, 0.9)
-        obj = DetectedObject(shifted(a.object_box, dx), 3, 0.9)
+        subject = Det(shifted(a.subject_box, dx), 1, 0.9)
+        obj = Det(shifted(a.object_box, dx), 3, 0.9)
         determinate = classify(subject, obj, [a])[0]
         if was_determinate:
             assert determinate
@@ -187,7 +182,7 @@ def test_gt_pairs_annotated_only():
     pairs = gt_pairs_for_scene(scene, M, annotated_only=True)
     assert len(pairs) == 1
     assert pairs[0].status is PairStatus.DETERMINATE
-    assert pairs[0].subject.confidence == 1.0
+    assert pairs.confidences[pairs[0].subject_index] == 1.0
     assert pairs[0].predicate_labels.tolist() == [0, 0, 1, 0]
     both = gt_pairs_for_scene(scene, M, annotated_only=False)
     assert len(both) == 2  # both orderings of the two gt objects
@@ -292,7 +287,7 @@ def test_sampler_empty_pool_error():
 
 def _pair_tuples(pairs):
     return [
-        (p.subject_index, p.object_index, p.subject, p.object, p.status.value,
+        (p.subject_index, p.object_index, p.status.value,
          p.predicate_labels.dtype.str, p.predicate_labels.tolist(), p.matched_annotations,
          p.union_feature_key)
         for p in pairs
@@ -315,7 +310,7 @@ def _oracle_pairs(objects, annotations, matches, union_key, annotated_only=False
             if annotated_only and not matched:
                 continue
             status = "determinate" if matched else "undetermined"
-            out.append((i, j, s, o, status, "<f8", labels, tuple(matched), union_key(i, j)))
+            out.append((i, j, status, "<f8", labels, tuple(matched), union_key(i, j)))
     return out
 
 
@@ -347,8 +342,8 @@ def _grid_scene(rng, index):
 
     pool = [rand_box() for _ in range(4)]
     annotations = [
-        AnnotatedTriplet(pool[int(rng.integers(4))], int(rng.integers(3)), int(rng.integers(M)),
-                         pool[int(rng.integers(4))], int(rng.integers(3)))
+        Ann(pool[int(rng.integers(4))], int(rng.integers(3)), int(rng.integers(M)),
+            pool[int(rng.integers(4))], int(rng.integers(3)))
         for _ in range(int(rng.integers(0, 5)) if index % 5 else 0)
     ]
     if annotations and rng.random() < 0.3:
@@ -368,8 +363,8 @@ def _grid_scene(rng, index):
             box = BoundingBox(box.x_min + 1, box.y_min, box.x_max + 1, box.y_max)
         elif kind < 0.6:
             box = rand_box()
-        detections.append(DetectedObject(box, category, 0.9))
-    return SceneRecord(f"img{index}", 100.0, 100.0, tuple(detections), tuple(annotations), "train")
+        detections.append(Det(box, category, 0.9))
+    return make_scene(f"img{index}", detections, annotations)
 
 
 def _assert_arrays_match(pairs, oracle, annotation_count):
@@ -377,11 +372,19 @@ def _assert_arrays_match(pairs, oracle, annotation_count):
     assert pairs.subject_indices.tolist() == [t[0] for t in oracle]
     assert pairs.object_indices.tolist() == [t[1] for t in oracle]
     assert pairs.labels.dtype == np.float64
-    assert pairs.labels.reshape(len(oracle), M).tolist() == [t[6] for t in oracle]
-    assert pairs.determinate.tolist() == [t[4] == "determinate" for t in oracle]
+    assert pairs.labels.reshape(len(oracle), M).tolist() == [t[4] for t in oracle]
+    assert pairs.determinate.tolist() == [t[2] == "determinate" for t in oracle]
     assert pairs.hits.shape == (len(oracle), annotation_count)
-    assert [tuple(np.flatnonzero(row).tolist()) for row in pairs.hits] == [t[7] for t in oracle]
-    assert list(pairs.union_keys) == [t[8] for t in oracle]
+    assert [tuple(np.flatnonzero(row).tolist()) for row in pairs.hits] == [t[5] for t in oracle]
+    assert list(pairs.union_keys) == [t[6] for t in oracle]
+
+
+def _assert_objects_match(pairs, objects):
+    """The record's object table holds ``objects``, row for row."""
+    assert pairs.boxes.tolist() == [list(o.box.as_tuple()) for o in objects]
+    assert pairs.categories.tolist() == [o.category for o in objects]
+    assert pairs.confidences.tolist() == [o.confidence for o in objects]
+    assert list(pairs.feature_keys) == [o.feature_key for o in objects]
 
 
 def test_batched_pair_builders_match_brute_force_oracle():
@@ -391,7 +394,7 @@ def test_batched_pair_builders_match_brute_force_oracle():
     seen = {"no annotations": 0, "one detection": 0, "duplicate annotation": 0, "iou 0.5": 0}
     for index in range(400):
         scene = _grid_scene(rng, index)
-        dets, anns = scene.detections, scene.annotations
+        dets, anns = detections_of(scene), annotations_of(scene)
         seen["no annotations"] += not anns
         seen["one detection"] += len(dets) == 1
         seen["duplicate annotation"] += len(set(anns)) < len(anns)
@@ -405,9 +408,10 @@ def test_batched_pair_builders_match_brute_force_oracle():
         )
         assert _pair_tuples(pairs) == oracle
         _assert_arrays_match(pairs, oracle, len(anns))
+        _assert_objects_match(pairs, dets)
         gt = [
-            DetectedObject(box, cat, 1.0, feature_key=f"{scene.image_id}|gt|{i}")
-            for i, (box, cat) in enumerate(scene.gt_objects())
+            Det(BoundingBox(*box), cat, 1.0, f"{scene.image_id}|gt|{i}")
+            for i, (box, cat) in enumerate(zip(*(c.tolist() for c in scene.gt_objects())))
         ]
         for annotated_only in (False, True):
             pairs = gt_pairs_for_scene(scene, M, annotated_only)
@@ -417,4 +421,5 @@ def test_batched_pair_builders_match_brute_force_oracle():
             )
             assert _pair_tuples(pairs) == oracle
             _assert_arrays_match(pairs, oracle, len(anns))
+            _assert_objects_match(pairs, gt)
     assert all(count > 0 for count in seen.values()), seen

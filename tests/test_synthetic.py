@@ -7,14 +7,8 @@ import pytest
 from urelnet import synthetic
 from urelnet.dataset import save_dataset
 from urelnet.features import build_triplet_statistics
-from urelnet.pairs import (
-    PairStatus,
-    detection_union_key,
-    generate_for_scene,
-    gt_feature_key,
-    gt_union_key,
-)
-from urelnet.scene import union_box
+from urelnet.pairs import PairStatus, generate_for_scene, gt_feature_key, union_keys
+from urelnet.scene import BoundingBox, union_box
 from urelnet.synthetic import SyntheticConfig, generate_synthetic, held_out_types
 
 QUICK = dict(train_scenes=15, validation_scenes=3, test_scenes=6)
@@ -25,9 +19,12 @@ def test_scenes_validate_and_counts():
     assert len(ds.split("train")) == 15
     assert len(ds.split("validation")) == 3
     assert len(ds.split("test")) == 6
-    for scene in ds.scenes:  # SceneRecord construction already validates bounds
-        assert scene.detections
-        assert scene.annotations
+    for scene in ds.scenes:
+        assert len(scene.boxes) and len(scene.predicates)
+        for boxes in (scene.boxes, scene.subject_boxes, scene.object_boxes):
+            assert (boxes[:, :2] >= 0).all() and (boxes[:, 2:] > boxes[:, :2]).all()
+            assert (boxes[:, 2:] <= [scene.width, scene.height]).all()
+        assert ((scene.confidences > 0) & (scene.confidences <= 1)).all()
 
 
 def test_zero_noise_recovers_every_annotated_pair():
@@ -44,7 +41,7 @@ def test_zero_noise_recovers_every_annotated_pair():
     for scene in ds.scenes:
         pairs = generate_for_scene(scene, m)
         matched = {k for p in pairs for k in p.matched_annotations}
-        assert matched == set(range(len(scene.annotations)))
+        assert matched == set(range(len(scene.predicates)))
 
 
 def test_noise_produces_undetermined_pool():
@@ -68,7 +65,7 @@ def test_same_seed_is_byte_identical(tmp_path):
 def test_different_seeds_differ():
     a = generate_synthetic(SyntheticConfig(**QUICK, seed=5))
     b = generate_synthetic(SyntheticConfig(**QUICK, seed=6))
-    assert a.scenes[0].annotations != b.scenes[0].annotations
+    assert a.scenes[0].subject_boxes.tobytes() != b.scenes[0].subject_boxes.tobytes()
 
 
 def test_held_out_types_absent_from_train_present_in_test():
@@ -77,24 +74,29 @@ def test_held_out_types_absent_from_train_present_in_test():
     held = set(held_out_types(config))
     assert len(held) == 4
     train_types = {
-        ann.type_key() for s in ds.split("train") for ann in s.annotations
+        key for s in ds.split("train") for key in _types(s)
     }
-    test_types = {ann.type_key() for s in ds.split("test") for ann in s.annotations}
+    test_types = {key for s in ds.split("test") for key in _types(s)}
     assert not (held & train_types)
     assert held & test_types
+
+
+def _types(scene):
+    columns = (scene.subject_categories, scene.predicates, scene.object_categories)
+    return set(zip(*(column.tolist() for column in columns)))
 
 
 def test_features_cover_all_references():
     ds = generate_synthetic(SyntheticConfig(**QUICK, seed=8))
     for scene in ds.scenes:
-        for det in scene.detections:
-            assert det.feature_key in ds.features
-        n = len(scene.detections)
+        for key in scene.feature_keys:
+            assert key in ds.features
+        n = len(scene.boxes)
         for i in range(n):
             for j in range(n):
                 if i != j:
                     assert f"{scene.image_id}|union|det|{i}|{j}" in ds.features
-        g = len(scene.gt_objects())
+        g = len(scene.gt_objects()[0])
         for i in range(g):
             assert f"{scene.image_id}|gt|{i}" in ds.features
 
@@ -108,7 +110,7 @@ def test_embeddings_cover_vocabulary():
 def test_statistics_buildable_from_train_split():
     ds = generate_synthetic(SyntheticConfig(**QUICK, seed=10))
     stats = build_triplet_statistics(ds.split("train"), ds.vocabulary)
-    assert stats.total == sum(len(s.annotations) for s in ds.split("train"))
+    assert stats.total == sum(len(s.predicates) for s in ds.split("train"))
 
 
 def _per_key_noise(seed, tag, dim, scale):
@@ -139,22 +141,20 @@ def _features_the_old_way(config):
                 tag = f"{image_id}|{kind}" + "{:.4f},{:.4f},{:.4f},{:.4f}".format(*box.as_tuple())
                 return _per_key_noise(config.seed, tag, config.visual_dim, config.visual_noise)
 
-            for d, det in enumerate(scene.detections):
-                vectors[det.feature_key] = (
-                    blueprint.prototypes[true_categories[d]] + noise("", det.box)
-                )
-            gt_objects = scene.gt_objects()
-            for g, (box, cat) in enumerate(gt_objects):
+            det_boxes = [BoundingBox(*box) for box in scene.boxes.tolist()]
+            for d, (key, box) in enumerate(zip(scene.feature_keys, det_boxes)):
+                vectors[key] = blueprint.prototypes[true_categories[d]] + noise("", box)
+            gt_boxes, gt_categories = (column.tolist() for column in scene.gt_objects())
+            gt_boxes = [BoundingBox(*box) for box in gt_boxes]
+            for g, (box, cat) in enumerate(zip(gt_boxes, gt_categories)):
                 vectors[gt_feature_key(image_id, g)] = blueprint.prototypes[cat] + noise("", box)
-            for boxes, key_fn in (
-                ([det.box for det in scene.detections], detection_union_key),
-                ([box for box, _ in gt_objects], gt_union_key),
-            ):
+            for boxes, kind in ((det_boxes, "det"), (gt_boxes, "gt")):
                 for i in range(len(boxes)):
                     for j in range(len(boxes)):
                         if i != j:
                             u = union_box(boxes[i], boxes[j])
-                            vectors[key_fn(image_id, i, j)] = noise("union|", u)
+                            (key,) = union_keys(image_id, kind, [i], [j])
+                            vectors[key] = noise("union|", u)
     keys = sorted(vectors)
     data = np.stack([vectors[k] for k in keys]).astype("<f8").tobytes()
     index = {

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from urelnet import evaluation, nn, pairs
-from urelnet.scene import AnnotatedTriplet, BoundingBox, DetectedObject, SceneRecord
+from urelnet.scene import SceneRecord
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,10 +56,11 @@ def test_views_perfbench_reads_outside_the_tables_exist():
     # layers.py read ``PredictionSet.triplets`` and each triplet's ``score``;
     # gemm_probe.py builds layers with ``DenseLayer.create`` and layers.py
     # reads their dims and activation.
-    subject, obj = BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10)
-    detections = (DetectedObject(subject, 0, 0.9), DetectedObject(obj, 1, 0.8))
-    annotation = AnnotatedTriplet(subject, 0, 1, obj, 1)
-    scene = SceneRecord("img", 100.0, 100.0, detections, (annotation,), "test")
+    subject, obj = (0, 0, 10, 10), (20, 0, 30, 10)
+    scene = SceneRecord(
+        "img", 100.0, 100.0, "test", [subject, obj], [0, 1], [0.9, 0.8], None,
+        [subject], [0], [1], [obj], [1],
+    )
     scene_pairs = pairs.generate_for_scene(scene, 2)
     assert [p.determinate for p in scene_pairs] == [True, False]
     ranked = evaluation.predict_scene(scene, evaluation.UniformRandomScorer(2), predicate_count=2)

@@ -16,9 +16,9 @@ from urelnet.model import ModelConfig, build_model, model_shapes, required_strea
 from urelnet.pairs import (
     BatchSpec,
     PairSampler,
-    detection_union_key,
     generate_for_scene,
     gt_pairs_for_scene,
+    union_keys,
 )
 from urelnet.synthetic import SyntheticConfig, generate_synthetic
 from urelnet.training import (
@@ -147,7 +147,6 @@ def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
     # The pool holds row numbers into the shared tables; reading a stream
     # gives one row per pair, the bytes of a lookup per pair and stream.
     from urelnet.features import external_linguistic, spatial_rows
-    from urelnet.scene import box_array
 
     run_config = quick_run(dataset, model=small_model(dataset, im_mode=True))
     extractor = build_extractor(dataset)
@@ -172,15 +171,15 @@ def test_pool_holds_per_pair_rows_equal_to_direct_lookups(dataset):
     for scene in dataset.split("train"):
         pairs = generate_for_scene(scene, vocab.predicate_count)
         for pair in pairs:
-            for role, obj in (("subject", pair.subject), ("object", pair.object)):
-                expected[f"visual_{role}"].append(store.table[store.index[obj.feature_key]])
-                name = vocab.object_names[obj.category]
+            i, j = pair.subject_index, pair.object_index
+            for role, obj in (("subject", i), ("object", j)):
+                expected[f"visual_{role}"].append(store.table[store.index[scene.feature_keys[obj]]])
+                name = vocab.object_names[scene.categories[obj]]
                 expected[f"external_{role}"].append(external_linguistic(dataset.embeddings, name))
             expected["visual_union"].append(store.table[store.index[pair.union_feature_key]])
-            boxes = box_array([pair.subject.box]), box_array([pair.object.box])
-            expected["spatial"].append(spatial_rows(*boxes)[0])
+            expected["spatial"].append(spatial_rows(scene.boxes[[i]], scene.boxes[[j]])[0])
             expected["internal"].append(
-                extractor.stats.internal_table[pair.subject.category, pair.object.category]
+                extractor.stats.internal_table[scene.categories[i], scene.categories[j]]
             )
     for name, rows in expected.items():
         assert pool.features[name].tobytes() == np.stack(rows).tobytes(), name
@@ -250,17 +249,18 @@ def _faulty_dataset(fault):
     at = ds.scenes.index(scene)
     n = ds.vocabulary.object_count
     if fault == "union key":
-        key = detection_union_key(scene.image_id, 0, 1)
+        (key,) = union_keys(scene.image_id, "det", [0], [1])
         index = {k: row for k, row in ds.features.index.items() if k != key}
         ds.features = FeatureStore(ds.features.table, index)
         return ds, run_config, f"missing visual feature vector for key {key!r}"
     if fault == "embeddings":
         ds.embeddings = None
         return ds, run_config, "external linguistic features requested but no embedding table loaded"
-    change = {"feature key": dict(feature_key=None), "category": dict(category=n)}[fault]
-    detections = list(scene.detections)
-    detections[1] = replace(detections[1], **change)
-    ds.scenes[at] = replace(scene, detections=tuple(detections))
+    if fault == "feature key":
+        change = dict(feature_keys=scene.feature_keys[:1] + (None,) + scene.feature_keys[2:])
+    else:
+        change = dict(categories=np.where(np.arange(len(scene.categories)) == 1, n, scene.categories))
+    ds.scenes[at] = replace(scene, **change)
     if fault == "feature key":
         return ds, run_config, f"scene {scene.image_id!r}: object 1 has no feature key"
     return ds, run_config, f"subject category {n} out of range [0, {n})"
