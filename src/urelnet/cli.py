@@ -24,8 +24,15 @@ from .dataset import load_dataset, save_dataset
 from .errors import OutOfMemoryError, OutputError, UrelnetError, UsageError
 from .evaluation import TASKS, ModelScorer, predict_scene
 from .features import FeatureExtractor, build_triplet_statistics
-from .model import DC_FEEDS, FUSION_MODES, ModelConfig, make_gradient_check_problem, required_streams
-from .nn import gradient_check
+from .model import (
+    DC_FEEDS,
+    FUSION_MODES,
+    ModelConfig,
+    make_gradient_check_problem,
+    model_shapes,
+    required_streams,
+)
+from .nn import MAX_ARRAY_VALUES, gradient_check
 from .pairs import generate_for_scene
 from .scene import SPLITS
 from .synthetic import NOISE_FIELDS, SyntheticConfig, generate_synthetic
@@ -141,6 +148,9 @@ def cmd_train(args) -> int:
         model_config, schedule=replace(schedule, **_given(args, Schedule)), **_given(args, RunConfig)
     )
     FeatureExtractor.check_embeddings(required_streams(run_config.model), dataset.embeddings)
+    parameters = sum(math.prod(shape) for shape in model_shapes(run_config.model).values())
+    if parameters > MAX_ARRAY_VALUES:
+        raise OutOfMemoryError(f"the model's {parameters} parameters do not fit in one array")
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,6 +222,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not 0 < value < math.inf:
             raise UsageError(f"{flag} must be positive and finite, got {value!r}")
@@ -363,6 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The starts of numpy's messages for a requested size beyond any array's.
+_UNADDRESSABLE = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                  "array is too big")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -371,6 +388,11 @@ def main(argv=None) -> int:
         error = exc
     except MemoryError as exc:  # numpy's message names the size it could not allocate
         error = OutOfMemoryError(str(exc) or "memory allocation failed")
+    except ValueError as exc:
+        # numpy refuses a size that no array can have with a ValueError.
+        if not str(exc).startswith(_UNADDRESSABLE):
+            raise
+        error = OutOfMemoryError(str(exc))
     print(
         json.dumps({"error": {"category": error.category, "message": str(error)}}),
         file=sys.stderr,

@@ -385,10 +385,11 @@ class FeatureMatrix:
     """Batched feature streams, one row per pair.
 
     A stream named in ``index`` is held as a table, and pair p reads row
-    ``index[name][p]`` of it. For inference the table holds one row per
-    object, so the model can transform each object's row once; the training
-    pool indexes the dataset's and the extractor's tables directly. Indexing
-    by name and ``rows`` always hand out one row per pair.
+    ``index[name][p]`` of it. For inference a one-box stream's table holds
+    one row per object, so the model can transform each object's row once;
+    the other indexed streams, and every stream of the training pool, index
+    the dataset's and the extractor's tables directly. Indexing by name and
+    ``rows`` always hand out one row per pair.
     """
 
     streams: Dict[str, np.ndarray]
@@ -427,20 +428,31 @@ class FeatureMatrix:
     @classmethod
     def concatenate(cls, matrices: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
         """The pairs of ``matrices``, in order. Every matrix must index the
-        same streams into the same tables, which the result indexes too; the
-        other streams' rows are stacked."""
+        same streams. A stream whose matrices all index one shared table
+        keeps it; distinct tables are stacked, once per set of tables, and
+        each matrix's row numbers are offset into the stack. The other
+        streams' rows are stacked. One matrix is returned as it is."""
         first = matrices[0]
-        if any(
-            m.index.keys() != first.index.keys()
-            or any(m.streams[name] is not first.streams[name] for name in first.index)
-            for m in matrices
-        ):
-            raise DimensionError("the matrices do not index one set of shared tables")
-        index = {name: np.concatenate([m.index[name] for m in matrices]) for name in first.index}
-        streams = {
-            name: table if name in index else np.concatenate([m.streams[name] for m in matrices])
-            for name, table in first.streams.items()
-        }
+        if any(m.streams.keys() != first.streams.keys() or m.index.keys() != first.index.keys()
+               for m in matrices):
+            raise DimensionError("the matrices do not index the same streams")
+        if len(matrices) == 1:
+            return first
+        streams, index, stacked = {}, {}, {}
+        for name in first.streams:
+            tables = [m.streams[name] for m in matrices]
+            if name not in first.index:
+                streams[name] = np.concatenate(tables)
+            elif all(table is tables[0] for table in tables):
+                streams[name] = tables[0]
+                index[name] = np.concatenate([m.index[name] for m in matrices])
+            else:
+                key = tuple(map(id, tables))
+                if key not in stacked:
+                    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
+                    stacked[key] = np.concatenate(tables), offsets
+                streams[name], offsets = stacked[key]
+                index[name] = np.concatenate([m.index[name] + o for m, o in zip(matrices, offsets)])
         return cls(streams, index)
 
 
@@ -542,10 +554,14 @@ class FeatureExtractor:
     def matrix(
         self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str] | None = None
     ) -> FeatureMatrix:
-        """Stacked rows for the requested streams (all of them by default).
+        """The requested streams (all of them by default), for inference.
 
-        The one-box streams hold one row per object, indexed by the pairs'
-        subject or object indices; subject and object share those rows.
+        The one-box streams hold one row per object, gathered here and
+        indexed by the pairs' subject or object indices; subject and object
+        share those rows. The union visual and internal streams keep one row
+        number per pair into the shared tables, so a matrix of many scenes
+        copies their rows once, when the model reads them; spatial holds its
+        own rows.
         """
         names = list(streams) if streams is not None else list(STREAMS)
         rows: Dict[str, np.ndarray] = {}
@@ -554,7 +570,9 @@ class FeatureExtractor:
         for name, (table, at) in self._sources(names, pairs, scene).items():
             role = ONE_BOX_STREAMS.get(name)
             if role is None:
-                rows[name] = table if at is None else table[at]
+                rows[name] = table
+                if at is not None:
+                    index[name] = at
                 continue
             modality = name[: -len(role) - 1]
             if modality not in gathered:

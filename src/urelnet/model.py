@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ModeError, StateError, UsageError
 from .features import SPATIAL_DIM, FeatureMatrix
-from .nn import Arena, DenseLayer, glorot_uniform, sigmoid, sigmoid_ce
+from .nn import MAX_ARRAY_VALUES, Arena, DenseLayer, glorot_uniform, sigmoid, sigmoid_ce
 
 MODAL_VISUAL = "visual"
 MODAL_SPATIAL = "spatial"
@@ -88,6 +88,8 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
                 raise UsageError(f"{name} must be a positive integer")
+            if value > MAX_ARRAY_VALUES:
+                raise UsageError(f"{name} must be <= {MAX_ARRAY_VALUES}, got {value}")
         for name in ("dc_undetermined_weight", "rel_undetermined_weight", "dc_loss_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise UsageError(f"{name} must be finite and >= 0")
@@ -259,9 +261,14 @@ class RelationNetwork:
 
         Transforming mode transforms each stream, concatenates within each
         modality, transforms again, and concatenates the modality outputs.
-        A stream held as one row per object is transformed once per object
-        and the result gathered to the pairs; such a forward cannot be
-        backpropagated. Concatenating mode concatenates raw streams first
+        An indexed stream held in fewer rows than there are pairs, one row
+        per object, is transformed once per object (``_transform``). A
+        modality with such a stream runs its fuse layer block by block
+        (``DenseLayer.forward_blocks``): the pre-activation is the sum, in
+        ``spec`` order, of each stream's product with its column block of
+        the fuse weight, a per-object stream's taken on its object rows and
+        gathered to the pairs; then the bias and relu. Such a forward cannot
+        be backpropagated. Concatenating mode concatenates raw streams first
         and applies two dense layers with the same stage widths.
         """
         self._cache["per_object"] = []
@@ -269,19 +276,30 @@ class RelationNetwork:
             parts = []
             for modality, streams in self.spec:
                 transformed = [self._transform(s, features) for s in streams]
-                parts.append(self.layers[f"fuse.{modality}"].forward(np.concatenate(transformed, axis=1)))
+                fuse = self.layers[f"fuse.{modality}"]
+                if any(at is not None for _, at in transformed):
+                    parts.append(fuse.forward_blocks(transformed))
+                    # Such a forward is never backpropagated: the transform
+                    # layers' batches are freed now, not when it ends.
+                    for s in streams:
+                        self.layers[f"transform.{s}"].release()
+                else:
+                    parts.append(fuse.forward(np.concatenate([t for t, _ in transformed], axis=1)))
             return np.concatenate(parts, axis=1)
         raw = np.concatenate([features[s] for s in self.streams], axis=1)
         return self.layers["concat.stage2"].forward(self.layers["concat.stage1"].forward(raw))
 
-    def _transform(self, name: str, features: FeatureMatrix) -> np.ndarray:
-        """``transform.<name>`` on the stream's per-pair rows, computed once per
-        object row when the stream is held per object."""
+    def _transform(self, name: str, features: FeatureMatrix) -> Tuple[np.ndarray, np.ndarray | None]:
+        """``transform.<name>`` of the stream's rows, with the row numbers
+        that gather them to the pairs. An indexed stream whose table has
+        fewer rows than there are pairs (one row per object) is transformed
+        once per table row; every other stream once per pair, with None."""
         layer = self.layers[f"transform.{name}"]
-        if name not in features.index:
-            return layer.forward(features[name])
+        at = features.index.get(name)
+        if at is None or len(features.streams[name]) >= len(at):
+            return layer.forward(features[name]), None
         self._cache["per_object"].append(name)
-        return layer.forward(features.streams[name])[features.index[name]]
+        return layer.forward(features.streams[name]), at
 
     def dc_forward(self, fused: np.ndarray) -> np.ndarray:
         """Determinate confidence in (0, 1), shape (B,)."""
@@ -408,8 +426,17 @@ class RelationNetwork:
     def relation_scores(
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray
     ) -> np.ndarray:
+        """Scores of a forward whose state is then dropped: scores are not
+        backpropagated, and a kept batch would live until the next one."""
         dc_probs, rel_probs = self.forward(features)
+        self.release()
         return score_relations(rel_probs, dc_probs, subject_confs, object_confs)
+
+    def release(self) -> None:
+        """Drop what the last forward kept for backward."""
+        self._cache.clear()
+        for layer in self.layers.values():
+            layer.release()
 
 
 @dataclass(frozen=True)
@@ -554,6 +581,8 @@ class InferringModel:
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray
     ) -> np.ndarray:
         outputs = self.forward(features)
+        for net in self.networks.values():
+            net.release()
         dc_u, rel_u = outputs["union"]
         combined = score_relations(rel_u, dc_u, subject_confs, object_confs)
         for role in ("subject", "object"):

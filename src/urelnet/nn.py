@@ -21,13 +21,18 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, StateError, UsageError
 
 PROB_CLAMP = 1e-7
+
+# The most float64 values one array can hold: numpy refuses a larger size
+# outright (a ValueError), where a smaller one that does not fit in memory
+# fails to allocate (a MemoryError).
+MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -39,12 +44,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each branch
+    # reads the same value its own exp would give, and neither overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_ce(p, y):
@@ -199,6 +202,34 @@ class DenseLayer:
         self._input = x
         self._pre = z
         return relu(z) if self.activation == "relu" else z
+
+    def forward_blocks(self, blocks: Sequence[Tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+        """The forward pass of the rows that lay ``blocks`` side by side,
+        taken block by block: activation(sum_k x_k W_k^T + b), where W_k is
+        the weight's columns for block k's width. A block ``(x_k, at_k)``
+        with row numbers enters the sum as ``(x_k W_k^T)[at_k]``, so each row
+        of x_k is multiplied once however many output rows read it; with
+        None, x_k holds the output rows themselves. The sum runs in block
+        order. Nothing is kept, so the pass cannot be backpropagated."""
+        z = None
+        start = 0
+        for x, at in blocks:
+            stop = start + x.shape[1]
+            part = x @ self.weight[:, start:stop].T
+            if at is not None:
+                part = part[at]
+            if z is None:
+                z = part
+            else:
+                z += part
+            start = stop
+        z += self.bias
+        self.release()
+        return relu(z) if self.activation == "relu" else z
+
+    def release(self) -> None:
+        """Drop what the last forward kept for backward."""
+        self._input = self._pre = None
 
     def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Write this batch's parameter gradients into grad_weight/grad_bias

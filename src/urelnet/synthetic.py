@@ -22,6 +22,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import UsageError
 from .features import EmbeddingTable, FeatureStore
+from .nn import MAX_ARRAY_VALUES
 from .pairs import gt_feature_key, union_keys
 from .scene import SceneRecord, Vocabulary, pair_indices, union_rows, unique_objects
 
@@ -50,6 +51,8 @@ _CONFIG_RULES = (
     (("train_scenes", "validation_scenes", "test_scenes", "zero_shot_types", "seed"),
      lambda v: v >= 0, ">= 0"),
     (("predicate_count", "visual_dim", "embedding_dim"), lambda v: v >= 1, ">= 1"),
+    (("object_count", "predicate_count", "visual_dim", "embedding_dim"),
+     lambda v: v <= MAX_ARRAY_VALUES, f"<= {MAX_ARRAY_VALUES}"),
     (("box_jitter", "visual_noise"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
     # Each scene draws its spurious-box count from a Poisson of this mean.
     (("spurious_rate",), lambda v: 0 <= v <= _POISSON_MAX, f"in [0, {_POISSON_MAX:.6g}]"),

@@ -69,6 +69,8 @@ class RunConfig:
         for name, value in positive.items():
             if value is not None and value <= 0:
                 raise UsageError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         cap = self.per_scene_undetermined_cap
         if cap is not None and cap < 0:
             raise UsageError(f"per_scene_undetermined_cap must be >= 0, got {cap}")

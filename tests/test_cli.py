@@ -26,6 +26,9 @@ SMALL_TRAIN = [
     "--seed", "2",
 ]
 
+# An integer flag value beyond any array size, and beyond a 64-bit integer.
+HUGE = "99999999999999999999"
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -259,13 +262,18 @@ def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_
         (["--miss-rate", "-0.1"], "miss_rate"),
         (["--zero-shot-types", "-1"], "zero_shot_types"),
         (["--seed", "-1"], "seed"),
+        (["--visual-dim", HUGE], "visual_dim"),
+        (["--embedding-dim", HUGE], "embedding_dim"),
+        (["--objects", HUGE], "object_count"),
+        (["--predicates", HUGE], "predicate_count"),
     ],
     ids=["objects-2", "predicates-zero", "min-relations-zero", "relations-reversed",
          "train-negative", "val-negative", "test-negative", "visual-dim-zero",
          "embedding-dim-negative", "spurious-rate-negative", "spurious-rate-inf",
          "spurious-rate-above-poisson-limit",
          "box-jitter-nan", "label-flip-rate-above-one", "miss-rate-negative",
-         "zero-shot-types-negative", "seed-negative"],
+         "zero-shot-types-negative", "seed-negative", "visual-dim-huge", "embedding-dim-huge",
+         "objects-huge", "predicates-huge"],
 )
 def test_bad_synth_arguments_are_usage_errors(capsys, tmp_path, bad, field):
     out = tmp_path / "ds"
@@ -293,7 +301,7 @@ def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch,
     def no_scoring(*args, **kwargs):
         raise AssertionError("a scene was scored before the arguments were checked")
 
-    monkeypatch.setattr(evaluation, "predict_scene", no_scoring)
+    monkeypatch.setattr(evaluation, "score_group", no_scoring)
     code = main([
         "evaluate", "--dataset", str(workspace / "ds"),
         "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
@@ -328,13 +336,18 @@ def test_bad_evaluate_arguments_are_usage_errors(workspace, capsys, monkeypatch,
         ["--decay-rate", "0"],
         ["--decay-rate", "1.5"],
         ["--decay-rate", "nan"],
+        ["--seed", "-5"],
+        ["--transform-dim", HUGE],
+        ["--dc-hidden-dim", HUGE],
+        ["--rel-hidden-dim", HUGE],
     ],
     ids=["modals", "one-modal-bogus", "transform-dim-zero", "batch-size-zero",
          "negative-ratio", "decay-interval-zero", "steps-negative", "steps-zero",
          "epochs-zero", "undetermined-cap-negative", "validation-interval-negative",
          "loss-weight-nan", "ratio-nan", "ratio-inf", "ratio-negative-inf",
          "base-lr-negative", "base-lr-zero", "base-lr-inf", "base-lr-nan",
-         "decay-rate-negative", "decay-rate-zero", "decay-rate-above-one", "decay-rate-nan"],
+         "decay-rate-negative", "decay-rate-zero", "decay-rate-above-one", "decay-rate-nan",
+         "seed-negative", "transform-dim-huge", "dc-hidden-dim-huge", "rel-hidden-dim-huge"],
 )
 def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     run = tmp_path / "run"
@@ -342,6 +355,21 @@ def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
     assert code == 1
     assert _single_error_line(capsys)["category"] == "usage-error"
     assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["synth", "--objects", str(2**60 - 1)], ["train", "--transform-dim", str(2**60 - 1)]],
+    ids=["synth-objects", "train-transform-dim"],
+)
+def test_sizes_no_array_can_hold_are_out_of_memory(workspace, capsys, tmp_path, command):
+    # Each value passes its own bound, but the arrays it sizes are larger
+    # than numpy can address, which numpy reports as a ValueError.
+    out = tmp_path / "out"
+    flags = ["--dataset", str(workspace / "ds"), "--out-dir"] if command[0] == "train" else ["--out"]
+    assert main(command + flags + [str(out)]) == 1
+    assert _single_error_line(capsys)["category"] == "out-of-memory"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("modals", ["", "visual,"])
@@ -444,9 +472,9 @@ def test_bad_predict_arguments_are_usage_errors(workspace, capsys, bad):
     "bad",
     [["--instances", "0"], ["--instances", "-2"], ["--step", "0"], ["--step=-1e-6"],
      ["--step", "nan"], ["--step", "inf"], ["--tolerance", "0"], ["--tolerance", "nan"],
-     ["--tolerance", "inf"]],
+     ["--tolerance", "inf"], ["--seed", "-1"]],
     ids=["instances-zero", "instances-negative", "step-zero", "step-negative", "step-nan",
-         "step-inf", "tolerance-zero", "tolerance-nan", "tolerance-inf"],
+         "step-inf", "tolerance-zero", "tolerance-nan", "tolerance-inf", "seed-negative"],
 )
 def test_bad_gradcheck_arguments_are_usage_errors(capsys, bad):
     assert main(["gradcheck", "--instances", "1"] + bad) == 1

@@ -17,6 +17,7 @@ from urelnet.evaluation import (
     evaluate_scenes,
     match_predictions,
     predict_scene,
+    rank_pairs,
     recall_at_n,
 )
 from urelnet.pairs import generate_for_scene
@@ -109,13 +110,21 @@ def reference_match(triplets, ground_truth, task):
     return hits
 
 
-class FixedScorer:
+class PerSceneScorer:
+    """A scorer of groups from ``score(pairs, scene)``: each scene's rows,
+    stacked in group order."""
+
+    def __call__(self, group):
+        return np.concatenate([self.score(pairs, scene) for pairs, scene in group])
+
+
+class FixedScorer(PerSceneScorer):
     """Returns a pre-built (pairs x M) score matrix."""
 
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=float)
 
-    def __call__(self, pairs, scene):
+    def score(self, pairs, scene):
         return self.scores[: len(pairs)]
 
 
@@ -184,7 +193,7 @@ def test_predict_scene_k2_ties_across_pairs_and_predicates():
     assert ranked == [
         (0, 1, 0.7), (0, 2, 0.7), (1, 0, 0.7), (1, 1, 0.7), (2, 0, 0.7), (2, 2, 0.7)
     ]
-    cut = predict_scene(scene, FixedScorer(scores), k=2, predicate_count=M, _limit=5)
+    cut = rank_pairs(scene, generate_for_scene(scene, M), scores, 2, limit=5)
     assert cut.triplets == result.triplets[:5]
     # Rows wide enough for a non-stable sort to pick other tied predicates
     # at the k-th place.
@@ -454,8 +463,8 @@ def test_zero_shot_filter(monkeypatch):
 
 def test_perfect_oracle_predicate_recall_is_one():
     # Oracle: score 1 for annotated (pair, predicate), epsilon otherwise.
-    class OracleScorer:
-        def __call__(self, pairs, scene):
+    class OracleScorer(PerSceneScorer):
+        def score(self, pairs, scene):
             scores = np.full((len(pairs), M), 1e-6)
             for idx, sbox, scat, obox, ocat in pair_rows(pairs):
                 for ann in annotations_of(scene):
@@ -501,7 +510,14 @@ def test_uniform_random_scorer_deterministic():
     scene = scene_with_detections(detections)
     pairs = generate_for_scene(scene, M)
     scorer = UniformRandomScorer(M, seed=3)
-    np.testing.assert_array_equal(scorer(pairs, scene), scorer(pairs, scene))
+    np.testing.assert_array_equal(scorer([(pairs, scene)]), scorer([(pairs, scene)]))
+    # In a group, each image keeps its own draws.
+    other = scene_with_detections(detections[:2], image_id="other")
+    other_pairs = generate_for_scene(other, M)
+    group = scorer([(other_pairs, other), (pairs, scene)])
+    alone = [scorer([(other_pairs, other)]), scorer([(pairs, scene)])]
+    assert group.tobytes() == np.concatenate(alone).tobytes()
+    assert not np.array_equal(alone[0], alone[1][: len(other_pairs)])
 
 
 # ----------------------------------------------------------------------
@@ -537,10 +553,10 @@ def random_eval_scene(rng, index):
     return scene_with_detections(detections, annotations, image_id=f"rand-{index}")
 
 
-class TiedScorer:
+class TiedScorer(PerSceneScorer):
     """Scores from {0, 0.5, 1}, so ties are everywhere; fixed per image and pair count."""
 
-    def __call__(self, pairs, scene):
+    def score(self, pairs, scene):
         seed = zlib.crc32(scene.image_id.encode("utf-8"))
         rng = np.random.default_rng((seed, len(pairs)))
         return rng.integers(0, 3, size=(len(pairs), M)) / 2.0
@@ -551,7 +567,7 @@ def reference_ranking(scene, scorer, task, k):
     pairs = candidate_pairs(scene, task, M)
     if not pairs:
         return []
-    scores = np.asarray(scorer(pairs, scene), dtype=float)
+    scores = np.asarray(scorer([(pairs, scene)]), dtype=float)
     triplets = []
     for idx, sbox, scat, obox, ocat in pair_rows(pairs):
         row = scores[idx]
@@ -619,9 +635,9 @@ def test_evaluator_scores_each_scene_once_per_source():
     scenes = [s for s in scenes if len(s.boxes) >= 2]
     calls = []
 
-    def counting_scorer(pairs, scene):
-        calls.append(scene.image_id)
-        return np.zeros((len(pairs), M))
+    def counting_scorer(group):
+        calls.extend(scene.image_id for _, scene in group)
+        return np.zeros((sum(len(pairs) for pairs, _ in group), M))
 
     configs = [
         EvalConfig(task=task, zero_shot_only=zero_shot)
@@ -677,34 +693,113 @@ def test_model_scorer_transforms_each_detection_once(im_mode, monkeypatch):
     names = {layer: f"{role}.{name}" for role, net in networks.items()
              for name, layer in net.layers.items()}
     seen = []
-    forward = DenseLayer.forward
+    forward, forward_blocks = DenseLayer.forward, DenseLayer.forward_blocks
 
     def recording(layer, x):
         seen.append((names[layer], x.shape[0]))
         return forward(layer, x)
+
+    def recording_blocks(layer, blocks):
+        seen.append((names[layer], tuple(x.shape[0] for x, _ in blocks)))
+        return forward_blocks(layer, blocks)
 
     scene = max(dataset.split("test"), key=lambda s: len(s.boxes))
     pairs = candidate_pairs(scene, "relation", config.predicate_count)
     d, p = len(scene.boxes), len(pairs)
     assert p == d * (d - 1) > d
     monkeypatch.setattr(DenseLayer, "forward", recording)
-    scores = scorer(pairs, scene)
+    monkeypatch.setattr(DenseLayer, "forward_blocks", recording_blocks)
+    scores = scorer([(pairs, scene)])
     monkeypatch.setattr(DenseLayer, "forward", forward)
+    monkeypatch.setattr(DenseLayer, "forward_blocks", forward_blocks)
     rows = dict(seen)
     assert len(rows) == len(seen)  # every layer ran once
+    once = ("visual_subject", "visual_object", "external_subject", "external_object")
     for role, net in networks.items():
         for stream in net.streams:
-            once = stream in ("visual_subject", "visual_object", "external_subject", "external_object")
-            assert rows[f"{role}.transform.{stream}"] == (d if once else p), (role, stream)
-        assert all(rows[f"{role}.{name}"] == p for name in net.layers if not name.startswith("transform."))
+            assert rows[f"{role}.transform.{stream}"] == (d if stream in once else p), (role, stream)
+        # A fuse layer with a per-detection stream multiplies that stream's
+        # block on the D detection rows, the others on the P pair rows.
+        for modality, streams in net.spec:
+            blocks = tuple(d if stream in once else p for stream in streams)
+            expected = blocks if d in blocks else p
+            assert rows[f"{role}.fuse.{modality}"] == expected, (role, modality)
+        blockwise = [m for m, _ in net.spec if isinstance(rows[f"{role}.fuse.{m}"], tuple)]
+        assert blockwise == ["visual", "linguistic"], role
+        assert all(rows[f"{role}.{name}"] == p for name in net.layers
+                   if not name.startswith(("transform.", "fuse.")))
     # The per-pair path gives the same scores to a relative 1e-12.
     matrix = extractor.matrix(pairs, scene, streams=scorer.streams)
     per_pair = FeatureMatrix({name: matrix[name] for name in matrix.streams})
+    assert matrix.index and not per_pair.index
     confs = pairs.confidences
     expected = model.relation_scores(
         per_pair, confs[pairs.subject_indices], confs[pairs.object_indices]
     )
     np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_grouped_scores_match_the_per_pair_path(im_mode):
+    # Consecutive scenes scored as one matrix, in groups of several sizes,
+    # give each scene the scores of its own per-pair forward to 1e-12.
+    from urelnet.evaluation import ModelScorer
+    from urelnet.features import FeatureMatrix
+    from urelnet.model import ModelConfig, build_model
+    from urelnet.synthetic import SyntheticConfig, generate_synthetic
+    from urelnet.training import build_extractor
+
+    dataset = generate_synthetic(SyntheticConfig(train_scenes=4, test_scenes=6, seed=9))
+    config = ModelConfig(
+        predicate_count=dataset.vocabulary.predicate_count,
+        object_count=dataset.vocabulary.object_count,
+        visual_dim=dataset.features.dim, embedding_dim=dataset.embeddings.dim,
+        transform_dim=10, dc_hidden_dim=6, rel_hidden_dim=10, im_mode=im_mode,
+    )
+    model = build_model(config, np.random.default_rng(1))
+    extractor = build_extractor(dataset)
+    scorer = ModelScorer(model, extractor)
+    items = []
+    for scene in dataset.split("test"):
+        pairs = candidate_pairs(scene, "relation", config.predicate_count)
+        matrix = extractor.matrix(pairs, scene, streams=scorer.streams)
+        confs = pairs.confidences
+        expected = model.relation_scores(
+            FeatureMatrix({name: matrix[name] for name in matrix.streams}),
+            confs[pairs.subject_indices], confs[pairs.object_indices],
+        )
+        items.append(((pairs, scene), expected))
+    for size in (1, 2, 4, len(items)):
+        for start in range(0, len(items), size):
+            chunk = items[start : start + size]
+            scores = scorer([item for item, _ in chunk])
+            expected = np.concatenate([rows for _, rows in chunk])
+            assert scores.shape == expected.shape
+            np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("failure", ["nan", "overflow"])
+def test_divergence_in_a_group_names_the_first_diverging_image(failure):
+    from urelnet import evaluation
+    from urelnet.errors import DivergenceError
+
+    detections = [det(box(i * 20, 0, i * 20 + 10, 10), 0) for i in range(3)]
+    scenes = [scene_with_detections(detections, image_id=f"img{i}") for i in range(4)]
+
+    class Diverging(PerSceneScorer):
+        def score(self, pairs, scene):
+            rows = np.full((len(pairs), M), 0.5)
+            if scene.image_id in ("img2", "img3"):
+                if failure == "nan":
+                    rows[-1, 0] = np.nan
+                else:
+                    rows[-1, 0] = np.float64(1e308) * 10
+            return rows
+
+    group = [(candidate_pairs(scene, "relation", M), scene) for scene in scenes]
+    with pytest.raises(DivergenceError, match="for image 'img2'"):
+        evaluation.score_group(group, Diverging(), M)
+    assert len(evaluation.score_group(group[:2], Diverging(), M)) == 2
 
 
 def test_ground_truth_table_and_row_mask_match_the_oracle(monkeypatch):

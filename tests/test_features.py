@@ -705,11 +705,27 @@ def test_concatenate_merges_row_numbers_over_one_shared_table():
     assert merged.index["t"].tolist() == [5, 0, 3]
     assert merged["s"].tolist() == [[1.0], [1.0], [0.0]]
     assert merged.rows([2, 0])["t"].tolist() == [[6.0, 7.0], [10.0, 11.0]]
-    other_table = FeatureMatrix({"t": table.copy(), "s": np.ones((1, 1))}, {"t": np.array([1])})
     per_pair = FeatureMatrix({"t": table[:1], "s": np.ones((1, 1))})
-    for matrices in ([a, other_table], [a, per_pair], [per_pair, a]):
-        with pytest.raises(DimensionError, match="do not index one set of shared tables"):
+    for matrices in ([a, per_pair], [per_pair, a]):
+        with pytest.raises(DimensionError, match="do not index the same streams"):
             FeatureMatrix.concatenate(matrices)
+
+
+def test_concatenate_stacks_distinct_tables_once_and_offsets_their_row_numbers():
+    # Two scenes' per-object tables, each shared by a subject and an object stream.
+    tables = [np.arange(6.0).reshape(3, 2), np.arange(10.0, 14.0).reshape(2, 2)]
+    a = FeatureMatrix({"u": tables[0], "v": tables[0], "s": np.ones((2, 1))},
+                      {"u": np.array([2, 0]), "v": np.array([1, 1])})
+    b = FeatureMatrix({"u": tables[1], "v": tables[1], "s": np.zeros((3, 1))},
+                      {"u": np.array([1, 0, 1]), "v": np.array([0, 1, 0])})
+    merged = FeatureMatrix.concatenate([a, b])
+    assert merged.streams["u"] is merged.streams["v"]
+    assert merged.streams["u"].tolist() == np.concatenate(tables).tolist()
+    assert merged.index["u"].tolist() == [2, 0, 4, 3, 4]
+    assert merged.index["v"].tolist() == [1, 1, 3, 4, 3]
+    for name in ("u", "v", "s"):
+        assert merged[name].tolist() == np.concatenate([a[name], b[name]]).tolist()
+    assert FeatureMatrix.concatenate([a]) is a
 
 
 def test_table_matrix_reads_the_rows_matrix_gathers():

@@ -46,6 +46,41 @@ def test_backward_before_forward_is_state_error():
         layer.backward(np.zeros((1, 2)))
 
 
+def _masked_sigmoid(x):
+    """The two-branch formula with a boolean-mask scatter, as sigmoid once was."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_masked_formula_byte_for_byte():
+    edges = [0.0, -0.0, math.inf, -math.inf, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324,
+             2.2250738585072014e-308, -2.2250738585072014e-308, 709.8, -709.8, 36.7, -36.7]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, rng.standard_normal(50_000) * 40, rng.standard_normal(50_000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+        matrix = x[: 300 * 26].reshape(300, 26)
+        assert sigmoid(matrix).tobytes() == _masked_sigmoid(matrix).tobytes()
+    assert sigmoid(2.0).shape == ()
+
+
+def test_forward_blocks_equals_forward_on_the_gathered_concatenation():
+    rng = np.random.default_rng(3)
+    layer = DenseLayer(rng.standard_normal((5, 7)), rng.standard_normal(5), "relu")
+    objects, pairs = rng.standard_normal((3, 4)), rng.standard_normal((6, 3))
+    at = np.array([2, 0, 1, 1, 2, 0])
+    whole = layer.forward(np.concatenate([objects[at], pairs], axis=1))
+    blocked = layer.forward_blocks([(objects, at), (pairs, None)])
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-15)
+    with pytest.raises(StateError):  # nothing was kept for backward
+        layer.backward(np.ones((6, 5)))
+
+
 def test_sigmoid_ce_values():
     assert sigmoid_ce(0.5, 1) == pytest.approx(math.log(2), abs=1e-12)
     assert sigmoid_ce(0.5, 0) == pytest.approx(math.log(2), abs=1e-12)

@@ -648,9 +648,9 @@ def test_run_evaluation_scores_once_per_source_and_matches_per_task_loop(dataset
     calls = []
     original = ModelScorer.__call__
 
-    def counting(self, pairs, scene):
-        calls.append(scene.image_id)
-        return original(self, pairs, scene)
+    def counting(self, group):
+        calls.extend(scene.image_id for _, scene in group)
+        return original(self, group)
 
     monkeypatch.setattr(evaluation.ModelScorer, "__call__", counting)
     tasks = ("predicate", "phrase", "relation")
@@ -669,3 +669,30 @@ def test_run_evaluation_scores_once_per_source_and_matches_per_task_loop(dataset
             training_types=extractor.stats.triplet_types(),
         )
         assert report["tasks"][task]["zero_shot"] == zero_shot
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_run_evaluation_report_is_the_same_in_groups_of_one_scene(dataset, monkeypatch, im_mode):
+    # The default pair budget scores several scenes in one forward pass; a
+    # budget of one pair scores every scene alone. The reports are equal.
+    from urelnet import evaluation
+
+    model = run_training(
+        dataset, quick_run(dataset, model=small_model(dataset, im_mode=im_mode), steps=10)
+    ).model
+    group_sizes = []
+    original = evaluation.ModelScorer.__call__
+
+    def recording(self, group):
+        group_sizes.append(len(group))
+        return original(self, group)
+
+    monkeypatch.setattr(evaluation.ModelScorer, "__call__", recording)
+    options = dict(tasks=("predicate", "phrase", "relation"), n_values=(5, 50), zero_shot=True)
+    grouped = run_evaluation(dataset, model, **options)
+    assert max(group_sizes) == len(dataset.split("test")) > 1
+    del group_sizes[:]
+    monkeypatch.setattr(evaluation, "PAIR_BUDGET", 1)
+    alone = run_evaluation(dataset, model, **options)
+    assert set(group_sizes) == {1}
+    assert json.dumps(alone, sort_keys=True) == json.dumps(grouped, sort_keys=True)
