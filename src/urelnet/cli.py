@@ -9,10 +9,11 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass, replace
 from inspect import signature
 from pathlib import Path
@@ -27,10 +28,12 @@ from .features import FeatureExtractor, build_triplet_statistics
 from .model import (
     DC_FEEDS,
     FUSION_MODES,
+    BatchStatus,
     ModelConfig,
     make_gradient_check_problem,
     model_shapes,
     required_streams,
+    sliced_loss,
 )
 from .nn import MAX_ARRAY_VALUES, gradient_check
 from .pairs import generate_for_scene
@@ -152,9 +155,18 @@ def cmd_train(args) -> int:
     if parameters > MAX_ARRAY_VALUES:
         raise OutOfMemoryError(f"the model's {parameters} parameters do not fit in one array")
     out_dir = Path(args.out_dir)
+    # The directories this command makes, deepest first: a run that fails
+    # removes them again (they are still empty), so it leaves no --out-dir.
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_training(dataset, run_config)
+    try:
+        result = run_training(dataset, run_config)
+    except BaseException:
+        with suppress(OSError):
+            for directory in made:
+                directory.rmdir()
+        raise
     checkpoint_path = out_dir / "checkpoint.bin"
     with _writing(out_dir):
         save_checkpoint(checkpoint_path, result.model.config, result.model.parameters())
@@ -242,9 +254,10 @@ def cmd_gradcheck(args) -> int:
             im_mode=args.im,
         )
         model, features, labels, mask = make_gradient_check_problem(config, rng)
-        _, _, grads = model.loss_and_gradients(features, labels, mask)
+        status = BatchStatus.of(mask)
+        _, _, grads = model.loss_and_gradients(features, labels, status)
         report = gradient_check(
-            lambda: model.loss(features, labels, mask),
+            sliced_loss(model, features, labels, status),
             model.parameters(),
             grads,
             tolerance=args.tolerance,

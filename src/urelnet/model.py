@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, ModeError, StateError, UsageError
 from .features import SPATIAL_DIM, FeatureMatrix
-from .nn import MAX_ARRAY_VALUES, Arena, DenseLayer, glorot_uniform, sigmoid, sigmoid_ce
+from .nn import MAX_ARRAY_VALUES, Arena, DenseLayer, glorot_uniform, relu, sigmoid, sigmoid_ce
 
 MODAL_VISUAL = "visual"
 MODAL_SPATIAL = "spatial"
@@ -39,6 +41,9 @@ DC_FEEDS = ("probability", "hidden")
 NETWORK_ROLES = ("union", "subject", "object")
 
 LOSS_TERMS = ("rel_determinate", "rel_undetermined", "dc_determinate", "dc_undetermined")
+
+# No outputs kept: a plain forward runs every layer.
+_NOTHING_KEPT: Mapping[str, np.ndarray] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,34 @@ def layer_plan(config: ModelConfig, role: str = "union") -> List[Tuple[str, int,
     return plan
 
 
+def layer_feeds(config: ModelConfig, role: str = "union") -> Dict[str, Tuple[str, ...]]:
+    """What each output of one network feeds, listed in the order forward
+    computes them.
+
+    The outputs are the layers of ``layer_plan`` and three that forward
+    forms from them: ``fused``, the fusion stage's output, and ``dc_probs``
+    and ``rel_probs``, the two heads' sigmoids. The relation head reads the
+    confidence signal ``dc_feed`` names: ``dc_probs`` or ``dc.hidden``.
+    """
+    feeds: Dict[str, Tuple[str, ...]] = {}
+    if config.fusion_mode == "transforming":
+        for modality, streams in stream_spec(config, role):
+            feeds.update((f"transform.{s}", (f"fuse.{modality}",)) for s in streams)
+            feeds[f"fuse.{modality}"] = ("fused",)
+    else:
+        feeds["concat.stage1"] = ("concat.stage2",)
+        feeds["concat.stage2"] = ("fused",)
+    hidden_feed = config.dc_feed == "hidden"
+    feeds["fused"] = ("dc.hidden", "rel.hidden")
+    feeds["dc.hidden"] = ("dc.out", "rel.hidden") if hidden_feed else ("dc.out",)
+    feeds["dc.out"] = ("dc_probs",)
+    feeds["dc_probs"] = () if hidden_feed else ("rel.hidden",)
+    feeds["rel.hidden"] = ("rel.out",)
+    feeds["rel.out"] = ("rel_probs",)
+    feeds["rel_probs"] = ()
+    return feeds
+
+
 def model_shapes(config: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Block name -> shape of every parameter of the model ``config``
     describes: the union network's blocks, or in IM mode each network's
@@ -252,11 +285,21 @@ class RelationNetwork:
             )
             for name, _, _, activation in layer_plan(config, role)
         }
+        # Each output with every output computed from it (``layer_feeds``):
+        # what a forward from a reference runs when that layer changed.
+        feeds = layer_feeds(config, role)
+        self.downstream: Dict[str, frozenset] = {}
+        for name in reversed(feeds):
+            self.downstream[name] = frozenset([name]).union(
+                *(self.downstream[fed] for fed in feeds[name])
+            )
         self._cache: dict = {}
 
     # -- forward -----------------------------------------------------------
 
-    def fuse_features(self, features: FeatureMatrix) -> np.ndarray:
+    def fuse_features(
+        self, features: FeatureMatrix, kept: Mapping[str, np.ndarray] = _NOTHING_KEPT
+    ) -> np.ndarray:
         """Fused feature vector of dimension (#modalities * transform_dim).
 
         Transforming mode transforms each stream, concatenates within each
@@ -269,31 +312,44 @@ class RelationNetwork:
         the fuse weight, a per-object stream's taken on its object rows and
         gathered to the pairs; then the bias and relu. Such a forward cannot
         be backpropagated. Concatenating mode concatenates raw streams first
-        and applies two dense layers with the same stage widths.
+        and applies two dense layers with the same stage widths. A layer
+        whose output is in ``kept`` is not run: its output is read.
         """
         self._cache["per_object"] = []
         if self.config.fusion_mode == "transforming":
             parts = []
             for modality, streams in self.spec:
-                transformed = [self._transform(s, features) for s in streams]
-                fuse = self.layers[f"fuse.{modality}"]
-                if any(at is not None for _, at in transformed):
-                    parts.append(fuse.forward_blocks(transformed))
-                    # Such a forward is never backpropagated: the transform
-                    # layers' batches are freed now, not when it ends.
-                    for s in streams:
-                        self.layers[f"transform.{s}"].release()
-                else:
-                    parts.append(fuse.forward(np.concatenate([t for t, _ in transformed], axis=1)))
+                part = kept.get(f"fuse.{modality}")
+                if part is None:
+                    transformed = [self._transform(s, features, kept) for s in streams]
+                    fuse = self.layers[f"fuse.{modality}"]
+                    if any(at is not None for _, at in transformed):
+                        part = fuse.forward_blocks(transformed)
+                        # Such a forward is never backpropagated: the transform
+                        # layers' batches are freed now, not when it ends.
+                        for s in streams:
+                            self.layers[f"transform.{s}"].release()
+                    else:
+                        part = fuse.forward(np.concatenate([t for t, _ in transformed], axis=1))
+                parts.append(part)
             return np.concatenate(parts, axis=1)
-        raw = np.concatenate([features[s] for s in self.streams], axis=1)
-        return self.layers["concat.stage2"].forward(self.layers["concat.stage1"].forward(raw))
+        stage1 = kept.get("concat.stage1")
+        if stage1 is None:
+            raw = np.concatenate([features[s] for s in self.streams], axis=1)
+            stage1 = self.layers["concat.stage1"].forward(raw)
+        return self.layers["concat.stage2"].forward(stage1)
 
-    def _transform(self, name: str, features: FeatureMatrix) -> Tuple[np.ndarray, np.ndarray | None]:
+    def _transform(
+        self, name: str, features: FeatureMatrix, kept: Mapping[str, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray | None]:
         """``transform.<name>`` of the stream's rows, with the row numbers
         that gather them to the pairs. An indexed stream whose table has
         fewer rows than there are pairs (one row per object) is transformed
-        once per table row; every other stream once per pair, with None."""
+        once per table row; every other stream once per pair, with None. A
+        kept output is read, with None."""
+        kept_output = kept.get(f"transform.{name}")
+        if kept_output is not None:
+            return kept_output, None
         layer = self.layers[f"transform.{name}"]
         at = features.index.get(name)
         if at is None or len(features.streams[name]) >= len(at):
@@ -301,44 +357,109 @@ class RelationNetwork:
         self._cache["per_object"].append(name)
         return layer.forward(features.streams[name]), at
 
-    def dc_forward(self, fused: np.ndarray) -> np.ndarray:
-        """Determinate confidence in (0, 1), shape (B,)."""
-        hidden = self.layers["dc.hidden"].forward(fused)
-        logits = self.layers["dc.out"].forward(hidden)[:, 0]
-        probs = sigmoid(logits)
+    def dc_forward(
+        self, fused: np.ndarray, kept: Mapping[str, np.ndarray] = _NOTHING_KEPT
+    ) -> np.ndarray:
+        """Determinate confidence in (0, 1), shape (B,). Kept outputs are read."""
+        hidden = kept.get("dc.hidden")
+        if hidden is None:
+            hidden = self.layers["dc.hidden"].forward(fused)
+        probs = kept.get("dc_probs")
+        if probs is None:
+            probs = sigmoid(self.layers["dc.out"].forward(hidden)[:, 0])
         self._cache["dc_hidden"] = hidden
         self._cache["dc_probs"] = probs
         return probs
 
-    def rel_forward(self, fused: np.ndarray, dc_signal: np.ndarray) -> np.ndarray:
-        """Predicate probabilities (B, M); independent sigmoids, no softmax."""
-        rel_in = np.concatenate([fused, dc_signal], axis=1)
-        logits = self.layers["rel.out"].forward(self.layers["rel.hidden"].forward(rel_in))
-        return sigmoid(logits)
+    def rel_forward(
+        self, fused: np.ndarray, dc_signal: np.ndarray,
+        kept: Mapping[str, np.ndarray] = _NOTHING_KEPT,
+    ) -> np.ndarray:
+        """Predicate probabilities (B, M); independent sigmoids, no softmax.
+        Kept outputs are read."""
+        probs = kept.get("rel_probs")
+        if probs is not None:
+            return probs
+        hidden = kept.get("rel.hidden")
+        if hidden is None:
+            rel_in = np.concatenate([fused, dc_signal], axis=1)
+            hidden = self.layers["rel.hidden"].forward(rel_in)
+        return sigmoid(self.layers["rel.out"].forward(hidden))
 
-    def forward(self, features: FeatureMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    def forward(
+        self, features: FeatureMatrix, reference: Mapping[str, np.ndarray] | None = None,
+        changed: str | None = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Returns (dc_probs (B,), rel_probs (B, M)); caches for backward.
 
         Stream shapes are checked here, once per call; the layers do not
         check their inputs.
+
+        Given a ``reference`` taken on the same features (``reference``),
+        only layer ``changed`` and the layers downstream of it
+        (``downstream``) run, and every other output is read from the
+        reference; with ``changed`` None, no layer runs. Each layer that
+        runs gets the bits of input a plain forward would give it, so the
+        result is that of a plain forward on parameters that differ from
+        the reference's in layer ``changed`` alone. Such a forward keeps
+        nothing for backward, and does not check the streams again: the
+        reference's forward did.
         """
-        count = features.count
-        for s, dim in self.stream_dims.items():
-            shape = features.shape(s)
-            if shape != (count, dim):
-                raise DimensionError(
-                    f"feature stream {s!r} has shape {shape}, expected ({count}, {dim})"
-                )
-        fused = self.fuse_features(features)
-        dc_probs = self.dc_forward(fused)
+        if reference is None:
+            count = features.count
+            for s, dim in self.stream_dims.items():
+                shape = features.shape(s)
+                if shape != (count, dim):
+                    raise DimensionError(
+                        f"feature stream {s!r} has shape {shape}, expected ({count}, {dim})"
+                    )
+            kept = _NOTHING_KEPT
+        else:
+            self._cache.clear()
+            stale = self.downstream[changed] if changed is not None else frozenset()
+            if not stale:
+                return reference["dc_probs"], reference["rel_probs"]
+            kept = {name: output for name, output in reference.items() if name not in stale}
+        fused = kept.get("fused")
+        if fused is None:
+            fused = self.fuse_features(features, kept)
+        dc_probs = self.dc_forward(fused, kept)
         if self.config.dc_feed == "probability":
             signal = dc_probs[:, None]
         else:
             signal = self._cache["dc_hidden"]
-        rel_probs = self.rel_forward(fused, signal)
-        self._cache["fused"] = fused
-        self._cache["rel_probs"] = rel_probs
+        rel_probs = self.rel_forward(fused, signal, kept)
+        if reference is None:
+            self._cache["fused"] = fused
+            self._cache["rel_probs"] = rel_probs
+        else:
+            self._cache.clear()
         return dc_probs, rel_probs
+
+    def reference(self, features: FeatureMatrix) -> Dict[str, np.ndarray]:
+        """Every output of one plain forward on ``features``, by its
+        ``layer_feeds`` name, read-only: what ``forward(features, reference,
+        changed)`` reads for the layers it does not run. The forward's state
+        is then dropped."""
+        dc_probs, rel_probs = self.forward(features)
+        self._check_per_pair("a reference")
+        outputs = {
+            name: relu(layer._pre) if layer.activation == "relu" else layer._pre
+            for name, layer in self.layers.items()
+        }
+        outputs.update(fused=self._cache["fused"], dc_probs=dc_probs, rel_probs=rel_probs)
+        self.release()
+        for output in outputs.values():
+            output.flags.writeable = False
+        return outputs
+
+    def _check_per_pair(self, use: str) -> None:
+        """Raise unless the last forward ran every layer on one row per pair."""
+        if self._cache["per_object"]:
+            raise StateError(
+                f"{use} needs a forward with one row per pair; the last one "
+                f"transformed {self._cache['per_object']} once per object"
+            )
 
     # -- backward ----------------------------------------------------------
 
@@ -349,12 +470,8 @@ class RelationNetwork:
         so its gradient is routed back into the confidence subnetwork.
         """
         if "fused" not in self._cache:
-            raise StateError("backward called before forward")
-        if self._cache["per_object"]:
-            raise StateError(
-                f"backward after a forward that transformed {self._cache['per_object']} "
-                "once per object; backward needs one row per pair"
-            )
+            raise StateError("backward called before a plain forward")
+        self._check_per_pair("backward")
         fused = self._cache["fused"]
         dc_probs = self._cache["dc_probs"]
         expected = (fused.shape[0], self.config.predicate_count)
@@ -417,10 +534,12 @@ class RelationNetwork:
         return loss, breakdown, grads
 
     def loss(
-        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask,
+        reference: Mapping[str, np.ndarray] | None = None, changed: str | None = None,
     ) -> float:
-        """The joint loss alone: forward, no backward."""
-        dc_probs, rel_probs = self.forward(features)
+        """The joint loss alone: forward, from ``reference`` with layer
+        ``changed`` if one is given (``forward``), and no backward."""
+        dc_probs, rel_probs = self.forward(features, reference, changed)
         return joint_loss(dc_probs, rel_probs, labels, determinate_mask, self.config)[0]
 
     def relation_scores(
@@ -477,15 +596,17 @@ def joint_loss(
     status = BatchStatus.of(determinate_mask)
     det, und, n_det, n_und = status.det, status.und, status.n_det, status.n_und
     labels = np.asarray(labels, dtype=np.float64)
+    # Each mean is a sum over the status's rows divided by their count, the
+    # operations numpy's mean makes.
     breakdown = {
         "rel_determinate": (
-            float(sigmoid_ce(rel_probs[det], labels[det]).sum(axis=1).mean()) if n_det else 0.0
+            float(sigmoid_ce(rel_probs[det], labels[det]).sum(axis=1).sum() / n_det) if n_det else 0.0
         ),
         "rel_undetermined": (
-            float(sigmoid_ce(rel_probs[und], 0.0).sum(axis=1).mean()) if n_und else 0.0
+            float(sigmoid_ce(rel_probs[und], 0.0).sum(axis=1).sum() / n_und) if n_und else 0.0
         ),
-        "dc_determinate": float(sigmoid_ce(dc_probs[det], 1.0).mean()) if n_det else 0.0,
-        "dc_undetermined": float(sigmoid_ce(dc_probs[und], 0.0).mean()) if n_und else 0.0,
+        "dc_determinate": float(sigmoid_ce(dc_probs[det], 1.0).sum() / n_det) if n_det else 0.0,
+        "dc_undetermined": float(sigmoid_ce(dc_probs[und], 0.0).sum() / n_und) if n_und else 0.0,
     }
     total = (
         breakdown["rel_determinate"]
@@ -567,14 +688,29 @@ class InferringModel:
                 breakdown[f"{role}.{term}"] = value
         return total, breakdown, self.grads
 
+    def reference(self, features: FeatureMatrix) -> Dict[str, Dict[str, np.ndarray]]:
+        """Each network's ``RelationNetwork.reference``, by role."""
+        return {role: net.reference(features) for role, net in self.networks.items()}
+
     def loss(
-        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask: np.ndarray
+        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask,
+        reference: Mapping[str, Mapping[str, np.ndarray]] | None = None,
+        changed: str | None = None,
     ) -> float:
-        """The summed joint loss alone, in the order of ``loss_and_gradients``."""
+        """The summed joint loss alone, in the order of ``loss_and_gradients``.
+
+        With a ``reference`` (``reference``), each network runs forward from
+        its own; ``changed`` names a layer as ``<role>.<layer>``, which only
+        the network of that role runs, with the layers downstream of it.
+        """
         status = BatchStatus.of(determinate_mask)
+        changed_role, _, changed_layer = (changed or "").partition(".")
         total = 0.0
-        for net in self.networks.values():
-            total += net.loss(features, labels, status)
+        for role, net in self.networks.items():
+            own = reference[role] if reference is not None else None
+            total += net.loss(
+                features, labels, status, own, changed_layer if role == changed_role else None
+            )
         return total
 
     def relation_scores(
@@ -617,6 +753,27 @@ def build_model(config: ModelConfig, rng: np.random.Generator):
     for layer in _layers(model):
         glorot_uniform(rng, layer.weight)
     return model
+
+
+def sliced_loss(
+    model, features: FeatureMatrix, labels: np.ndarray, determinate_mask
+) -> Callable[[str], float]:
+    """``model.loss`` on one batch as the ``loss_fn(name)`` that
+    ``nn.gradient_check`` calls, where ``name`` is the one parameter block
+    that may differ from the parameters the model holds now.
+
+    One plain forward takes the reference first. Each call then runs only
+    the block's layer and the layers downstream of it (``forward``), and
+    returns the bits that ``model.loss`` returns with the block changed in
+    place. The batch's status is built once, for every call.
+    """
+    status = BatchStatus.of(determinate_mask)
+    reference = model.reference(features)
+
+    def loss(block: str) -> float:
+        return model.loss(features, labels, status, reference, block.rpartition(".")[0])
+
+    return loss
 
 
 def _layers(model) -> List[DenseLayer]:

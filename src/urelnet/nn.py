@@ -47,7 +47,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each branch
     # reads the same value its own exp would give, and neither overflows.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid_ce(p, y):
@@ -55,9 +56,12 @@ def sigmoid_ce(p, y):
 
     The clamp only protects the loss value; training uses the fused
     sigmoid-CE gradient (p - y) on pre-activations, which the clamp does
-    not distort.
+    not distort. A constant label of 1 or 0 takes one log: the other term
+    is zero times a finite log, so the bits are those of the general form.
     """
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_CLAMP), 1.0 - PROB_CLAMP)
+    if isinstance(y, (int, float)) and y in (0, 1):
+        return -np.log(p) if y else -np.log1p(-p)
     y = np.asarray(y, dtype=np.float64)
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
@@ -198,7 +202,8 @@ class DenseLayer:
         Input widths are checked once per call at the model boundary
         (RelationNetwork.forward), not here.
         """
-        z = x @ self.weight.T + self.bias
+        z = x @ self.weight.T
+        z += self.bias
         self._input = x
         self._pre = z
         return relu(z) if self.activation == "relu" else z
@@ -327,12 +332,16 @@ def adam_step(params: Arena, grads: Arena, state: AdamState) -> None:
 
 
 def finite_difference_gradients(
-    loss_fn: Callable[[], float], params: Dict[str, np.ndarray], step: float = 1e-5
+    loss_fn: Callable[[str], float], params: Mapping[str, np.ndarray], step: float = 1e-5
 ) -> Dict[str, np.ndarray]:
     """Central finite differences of loss_fn w.r.t. every parameter entry.
 
-    loss_fn must read the parameter arrays in place; they are perturbed and
-    restored one coordinate at a time. Only usable at toy sizes.
+    The parameter arrays are perturbed in place and restored one coordinate
+    at a time, and each loss is ``loss_fn(name)``: ``name`` is the block
+    holding the perturbed coordinate, and every other block is as it was
+    when the check began. A loss that reads every parameter in place may
+    ignore the name; ``model.sliced_loss`` runs only the layers that the
+    named block feeds. Only usable at toy sizes.
     """
     grads = {}
     for name, p in params.items():
@@ -342,9 +351,9 @@ def finite_difference_gradients(
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + step
-            hi = loss_fn()
+            hi = loss_fn(name)
             p[idx] = orig - step
-            lo = loss_fn()
+            lo = loss_fn(name)
             p[idx] = orig
             g[idx] = (hi - lo) / (2.0 * step)
             it.iternext()
@@ -387,13 +396,16 @@ class GradientCheckReport:
 
 
 def gradient_check(
-    loss_fn: Callable[[], float],
-    params: Dict[str, np.ndarray],
-    analytic: Dict[str, np.ndarray],
+    loss_fn: Callable[[str], float],
+    params: Mapping[str, np.ndarray],
+    analytic: Mapping[str, np.ndarray],
     tolerance: float = 1e-4,
     step: float = 1e-5,
 ) -> GradientCheckReport:
     """Compare analytic gradients with central finite differences.
+
+    ``loss_fn(name)`` is the loss with block ``name`` perturbed in place,
+    as in ``finite_difference_gradients``.
 
     A step so large that the loss overflows gives non-finite differences;
     they fail the comparison without a floating-point warning.

@@ -208,16 +208,19 @@ class _PoolCycler:
         self._rng = rng
         self._order = self._items[:0]  # the current shuffle's undrawn items
 
-    def draw(self, count: int) -> list[np.ndarray]:
-        """The next ``count`` items, as slices of successive shuffles."""
-        parts = []
-        while count > 0:
+    def draw(self, count: int) -> np.ndarray:
+        """The next ``count`` items, filled from successive shuffles into an
+        array allocated first, so a count no array can hold fails before
+        any shuffle."""
+        drawn = np.empty(count, dtype=self._items.dtype)
+        filled = 0
+        while filled < count:
             if not len(self._order):
                 self._order = self._items[self._rng.permutation(len(self._items))]
-            part, self._order = self._order[:count], self._order[count:]
-            parts.append(part)
-            count -= len(part)
-        return parts
+            part, self._order = self._order[: count - filled], self._order[count - filled :]
+            drawn[filled : filled + len(part)] = part
+            filled += len(part)
+        return drawn
 
 
 class PairSampler:
@@ -246,7 +249,9 @@ class PairSampler:
 
     def sample_batch(self) -> np.ndarray:
         """One batch: its determinate items, then its undetermined ones."""
-        return np.concatenate(
-            self._determinate.draw(self.spec.determinate_quota)
-            + self._undetermined.draw(self.spec.undetermined_quota)
+        parts = (
+            self._determinate.draw(self.spec.determinate_quota),
+            self._undetermined.draw(self.spec.undetermined_quota),
         )
+        # A quota of 0 adds nothing, not even the dtype of its (maybe empty) pool.
+        return np.concatenate([part for part in parts if len(part)])

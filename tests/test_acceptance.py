@@ -25,6 +25,7 @@ from urelnet.model import (
     ModelConfig,
     joint_loss,
     make_gradient_check_problem,
+    sliced_loss,
 )
 from urelnet.nn import gradient_check
 from urelnet.pairs import generate_for_scene
@@ -61,7 +62,7 @@ def test_acceptance_1_gradient_correctness():
             model, features, labels, mask = make_gradient_check_problem(config, rng)
             _, _, grads = model.loss_and_gradients(features, labels, mask)
             report = gradient_check(
-                lambda: model.loss(features, labels, mask),
+                sliced_loss(model, features, labels, mask),
                 model.parameters(), grads, tolerance=1e-4, step=1e-6,
             )
             assert report.passed, (im_mode, i, report.lines())
@@ -455,7 +456,7 @@ def test_acceptance_7_ablation_plumbing():
             rng = np.random.default_rng(6000 + 2 * subset_index + (fusion == "concatenating"))
             model, features, labels, mask = make_gradient_check_problem(check_config, rng)
             _, _, grads = model.loss_and_gradients(features, labels, mask)
-            report = gradient_check(lambda: model.loss(features, labels, mask),
+            report = gradient_check(sliced_loss(model, features, labels, mask),
                                     model.parameters(), grads, tolerance=1e-4, step=1e-6)
             assert report.passed, (modals, fusion, report.lines())
             trained += 1

@@ -2,14 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import urelnet
 from urelnet.cli import main
 
 SMALL_SYNTH = [
@@ -370,6 +375,24 @@ def test_sizes_no_array_can_hold_are_out_of_memory(workspace, capsys, tmp_path, 
     assert main(command + flags + [str(out)]) == 1
     assert _single_error_line(capsys)["category"] == "out-of-memory"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [HUGE, str(10**18)], ids=["beyond-int64", "beyond-memory"])
+def test_a_batch_no_array_can_hold_fails_at_once(workspace, tmp_path, size):
+    # A child process under a wall-clock bound: a batch drawn shuffle by
+    # shuffle before its array exists would reshuffle the pool for ever.
+    run = tmp_path / "out" / "run"
+    argv = SMALL_TRAIN + ["--dataset", str(workspace / "ds"), "--out-dir", str(run),
+                          "--batch-size", size, "--steps", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(urelnet.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "urelnet.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    assert child.stdout == ""
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1, child.stderr
+    assert json.loads(lines[0])["error"]["category"] == "out-of-memory"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("modals", ["", "visual,"])

@@ -100,7 +100,7 @@ def test_fused_sigmoid_ce_gradient_identity():
     y = 1.0
     layer.backward(p - y)  # fused gradient applied to the logits
 
-    def loss():
+    def loss(block):
         return float(sigmoid_ce(sigmoid(layer.forward(x)), y)[0, 0])
 
     numeric = finite_difference_gradients(loss, {"w": layer.weight, "b": layer.bias})
@@ -131,7 +131,7 @@ def test_network_gradients_match_finite_differences():
     model, features, labels, mask = _toy_problem(2)
     _, _, grads = model.loss_and_gradients(features, labels, mask)
     report = gradient_check(
-        lambda: model.loss(features, labels, mask),
+        lambda block: model.loss(features, labels, mask),
         model.parameters(), grads, tolerance=1e-4,
     )
     assert report.passed, report.lines()
@@ -142,7 +142,7 @@ def test_gradient_check_trivially_passes_on_constant_loss():
     layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
     layer.forward(np.ones((1, 3)))
     report = gradient_check(
-        lambda: 0.0,
+        lambda block: 0.0,
         {"w": layer.weight, "b": layer.bias},
         {"w": np.zeros((3, 3)), "b": np.zeros(3)},
         tolerance=1e-4,
@@ -156,7 +156,7 @@ def test_gradient_check_detects_corruption():
     _, _, grads = model.loss_and_gradients(features, labels, mask)
     grads["rel.hidden.weight"][...] *= 2.0
     report = gradient_check(
-        lambda: model.loss(features, labels, mask),
+        lambda block: model.loss(features, labels, mask),
         model.parameters(), grads, tolerance=1e-4,
     )
     assert not report.passed
