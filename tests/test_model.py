@@ -337,7 +337,7 @@ def test_reference_outputs_are_read_only(im_mode):
     networks = reference.values() if im_mode else [reference]
     for outputs in networks:
         assert {"fused", "dc_probs", "rel_probs"} <= set(outputs)
-        for name, output in outputs.items():
+        for output in outputs.values():
             with pytest.raises(ValueError, match="read-only"):
                 output[...] = 0.0
 
