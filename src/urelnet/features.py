@@ -10,11 +10,12 @@ categories, so each is tabulated once, (N, N, M) internal and (N, E)
 external. A scene's ``ScenePairs`` carry its object table (boxes and
 categories, one row per object) and index it, so every object's box,
 category and feature row number is read once; only the union key is
-resolved per pair. The four streams that read one box (subject and object
-visual and external vectors) stay one row per object in a
-``FeatureMatrix``, with the pairs' subject or object indices beside them,
-so the model can transform each object's row once. The training pool
-keeps one row number per pair into the tables instead of rows.
+resolved per pair. Every stream but spatial indexes a shared table, which a
+``FeatureMatrix`` holds without copying. The four streams that read one box
+(subject and object visual and external vectors) index it twice: each
+object's row number, and each pair's subject or object number, so the model
+can transform each object's row once. The training pool and scoring build
+their matrices alike.
 """
 
 from __future__ import annotations
@@ -384,27 +385,37 @@ def _checked_map(fh, data_path, count: int, dim: int) -> np.ndarray:
 class FeatureMatrix:
     """Batched feature streams, one row per pair.
 
-    A stream named in ``index`` is held as a table, and pair p reads row
-    ``index[name][p]`` of it. For inference a one-box stream's table holds
-    one row per object, so the model can transform each object's row once;
-    the other indexed streams, and every stream of the training pool, index
-    the dataset's and the extractor's tables directly. Indexing by name and
-    ``rows`` always hand out one row per pair.
+    A stream named in ``index`` is held as a table that the matrix shares
+    and never copies; the other streams (spatial) hold their own rows. Pair
+    p reads row ``index[name][p]`` of the table, unless the stream is also
+    in ``objects``: a one-box stream holds each object's row number in
+    ``objects[name]``, and ``index[name][p]`` is then pair p's subject or
+    object number, so the model can transform each object's row once.
+    Indexing by name and ``rows`` always hand out one row per pair.
     """
 
     streams: Dict[str, np.ndarray]
     index: Dict[str, np.ndarray] = field(default_factory=dict)
+    objects: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def _table_rows(self, name: str, pairs=None) -> np.ndarray:
+        """Stream ``name``'s rows of the pairs numbered ``pairs``, or of
+        every pair."""
+        table, at = self.streams[name], self.index.get(name)
+        if at is None:
+            return table if pairs is None else table[pairs]
+        if pairs is not None:
+            at = at[pairs]
+        objects = self.objects.get(name)
+        return table[at if objects is None else objects[at]]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            rows = self.streams[name]
-        except KeyError:
+        if name not in self.streams:
             raise DimensionError(
                 f"feature stream {name!r} was not assembled "
                 f"(available: {sorted(self.streams)})"
-            ) from None
-        index = self.index.get(name)
-        return rows if index is None else rows[index]
+            )
+        return self._table_rows(name)
 
     def shape(self, name: str) -> Tuple[int, ...]:
         """The per-pair shape of stream ``name``, without gathering it."""
@@ -418,42 +429,35 @@ class FeatureMatrix:
         return self.shape(next(iter(self.streams)))[0]
 
     def rows(self, indices) -> "FeatureMatrix":
-        return FeatureMatrix(
-            {
-                name: rows[self.index[name][indices]] if name in self.index else rows[indices]
-                for name, rows in self.streams.items()
-            }
-        )
+        return FeatureMatrix({name: self._table_rows(name, indices) for name in self.streams})
 
     @classmethod
     def concatenate(cls, matrices: Sequence["FeatureMatrix"]) -> "FeatureMatrix":
         """The pairs of ``matrices``, in order. Every matrix must index the
-        same streams. A stream whose matrices all index one shared table
-        keeps it; distinct tables are stacked, once per set of tables, and
-        each matrix's row numbers are offset into the stack. The other
-        streams' rows are stacked. One matrix is returned as it is."""
+        same streams, each over the same shared table, which is kept; each
+        matrix's object numbers are offset past the objects before it, and
+        the row numbers are joined. The other streams' rows are stacked.
+        One matrix is returned as it is."""
         first = matrices[0]
         if any(m.streams.keys() != first.streams.keys() or m.index.keys() != first.index.keys()
-               for m in matrices):
+               or m.objects.keys() != first.objects.keys() for m in matrices):
             raise DimensionError("the matrices do not index the same streams")
         if len(matrices) == 1:
             return first
-        streams, index, stacked = {}, {}, {}
-        for name in first.streams:
-            tables = [m.streams[name] for m in matrices]
+        streams, index, objects = {}, {}, {}
+        for name, table in first.streams.items():
             if name not in first.index:
-                streams[name] = np.concatenate(tables)
-            elif all(table is tables[0] for table in tables):
-                streams[name] = tables[0]
-                index[name] = np.concatenate([m.index[name] for m in matrices])
-            else:
-                key = tuple(map(id, tables))
-                if key not in stacked:
-                    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
-                    stacked[key] = np.concatenate(tables), offsets
-                streams[name], offsets = stacked[key]
-                index[name] = np.concatenate([m.index[name] + o for m, o in zip(matrices, offsets)])
-        return cls(streams, index)
+                streams[name] = np.concatenate([m.streams[name] for m in matrices])
+                continue
+            if any(m.streams[name] is not table for m in matrices):
+                raise DimensionError(f"the matrices index different tables for stream {name!r}")
+            streams[name] = table
+            index[name] = np.concatenate([m.index[name] for m in matrices])
+            if name in first.objects:
+                offsets = np.cumsum([0] + [len(m.objects[name]) for m in matrices[:-1]])
+                index[name] += np.repeat(offsets, [len(m.index[name]) for m in matrices])
+                objects[name] = np.concatenate([m.objects[name] for m in matrices])
+        return cls(streams, index, objects)
 
 
 def _check_categories(pairs: ScenePairs, count: int) -> None:
@@ -472,8 +476,7 @@ class FeatureExtractor:
     Every stream but spatial is a row gather from one table: the store's
     visual table, the statistics' internal table viewed as (N * N, M) rows,
     or an (N, E) table of external embeddings built here once. ``matrix``
-    gathers a scene's rows for inference; ``table_matrix`` keeps the row
-    numbers instead, for the training pool.
+    indexes them for a scene's pairs, for the training pool and for scoring.
     """
 
     def __init__(
@@ -554,46 +557,27 @@ class FeatureExtractor:
     def matrix(
         self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str] | None = None
     ) -> FeatureMatrix:
-        """The requested streams (all of them by default), for inference.
+        """The requested streams (all of them by default), for the training
+        pool and for scoring alike.
 
-        The one-box streams hold one row per object, gathered here and
-        indexed by the pairs' subject or object indices; subject and object
-        share those rows. The union visual and internal streams keep one row
-        number per pair into the shared tables, so a matrix of many scenes
-        copies their rows once, when the model reads them; spatial holds its
-        own rows.
+        Every stream but spatial indexes a shared table, which the matrix
+        holds without copying: the union visual and internal streams by one
+        row number per pair, and a one-box stream by every object's row
+        number (``objects``) and the pairs' subject or object indices
+        (``index``); subject and object share the objects' row numbers.
+        Spatial holds its own rows. ``FeatureMatrix.concatenate`` merges the
+        matrices of many scenes without copying a table row.
         """
         names = list(streams) if streams is not None else list(STREAMS)
         rows: Dict[str, np.ndarray] = {}
         index: Dict[str, np.ndarray] = {}
-        gathered: Dict[str, np.ndarray] = {}
+        objects: Dict[str, np.ndarray] = {}
         for name, (table, at) in self._sources(names, pairs, scene).items():
-            role = ONE_BOX_STREAMS.get(name)
-            if role is None:
-                rows[name] = table
-                if at is not None:
-                    index[name] = at
-                continue
-            modality = name[: -len(role) - 1]
-            if modality not in gathered:
-                gathered[modality] = table[at]
-            rows[name] = gathered[modality]
-            index[name] = getattr(pairs, f"{role}_indices")
-        return FeatureMatrix(rows, index)
-
-    def table_matrix(
-        self, pairs: ScenePairs, scene: SceneRecord, streams: Sequence[str]
-    ) -> FeatureMatrix:
-        """The requested streams as one row number per pair into the shared
-        tables, which the matrix holds without copying; only spatial holds
-        its own rows. ``FeatureMatrix.concatenate`` merges such matrices."""
-        rows: Dict[str, np.ndarray] = {}
-        index: Dict[str, np.ndarray] = {}
-        for name, (table, at) in self._sources(streams, pairs, scene).items():
             rows[name] = table
             role = ONE_BOX_STREAMS.get(name)
             if role is not None:
-                index[name] = at[getattr(pairs, f"{role}_indices")]
+                objects[name] = at
+                index[name] = getattr(pairs, f"{role}_indices")
             elif at is not None:
                 index[name] = at
-        return FeatureMatrix(rows, index)
+        return FeatureMatrix(rows, index, objects)

@@ -304,16 +304,16 @@ class RelationNetwork:
 
         Transforming mode transforms each stream, concatenates within each
         modality, transforms again, and concatenates the modality outputs.
-        An indexed stream held in fewer rows than there are pairs, one row
-        per object, is transformed once per object (``_transform``). A
-        modality with such a stream runs its fuse layer block by block
-        (``DenseLayer.forward_blocks``): the pre-activation is the sum, in
-        ``spec`` order, of each stream's product with its column block of
-        the fuse weight, a per-object stream's taken on its object rows and
-        gathered to the pairs; then the bias and relu. Such a forward cannot
-        be backpropagated. Concatenating mode concatenates raw streams first
-        and applies two dense layers with the same stage widths. A layer
-        whose output is in ``kept`` is not run: its output is read.
+        A stream held per object (``FeatureMatrix.objects``) is transformed
+        once per object (``_transform``). A modality with such a stream
+        runs its fuse layer block by block (``DenseLayer.forward_blocks``):
+        the pre-activation is the sum, in ``spec`` order, of each stream's
+        product with its column block of the fuse weight, a per-object
+        stream's taken on its object rows and gathered to the pairs; then
+        the bias and relu. Such a forward cannot be backpropagated.
+        Concatenating mode concatenates raw streams first and applies two
+        dense layers with the same stage widths. A layer whose output is in
+        ``kept`` is not run: its output is read.
         """
         self._cache["per_object"] = []
         if self.config.fusion_mode == "transforming":
@@ -343,19 +343,22 @@ class RelationNetwork:
         self, name: str, features: FeatureMatrix, kept: Mapping[str, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray | None]:
         """``transform.<name>`` of the stream's rows, with the row numbers
-        that gather them to the pairs. An indexed stream whose table has
-        fewer rows than there are pairs (one row per object) is transformed
-        once per table row; every other stream once per pair, with None. A
-        kept output is read, with None."""
+        that gather them to the pairs. A stream held per object is
+        transformed once per object, its table rows ``objects[name]``; every
+        other stream once per pair, with None. A kept output is read, with
+        None."""
         kept_output = kept.get(f"transform.{name}")
         if kept_output is not None:
             return kept_output, None
         layer = self.layers[f"transform.{name}"]
-        at = features.index.get(name)
-        if at is None or len(features.streams[name]) >= len(at):
+        objects = features.objects.get(name)
+        if objects is None:
             return layer.forward(features[name]), None
         self._cache["per_object"].append(name)
-        return layer.forward(features.streams[name]), at
+        transformed = layer.forward(features.streams[name][objects])
+        # Never backpropagated: the gathered object rows are freed now.
+        layer.release()
+        return transformed, features.index[name]
 
     def dc_forward(
         self, fused: np.ndarray, kept: Mapping[str, np.ndarray] = _NOTHING_KEPT

@@ -46,13 +46,19 @@ NOISE_FIELDS = ("box_jitter", "label_flip_rate", "miss_rate", "spurious_rate")
 # The largest mean numpy's Poisson sampler accepts, computed as numpy does.
 _POISSON_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
+# A scene of n relations holds up to 2n annotated objects, whose ordered
+# pairs must fit in one array.
+_MAX_RELATIONS = math.isqrt(MAX_ARRAY_VALUES) // 2
+
 # SyntheticConfig fields by the values they admit: (names, test, rule).
 _CONFIG_RULES = (
     (("train_scenes", "validation_scenes", "test_scenes", "zero_shot_types", "seed"),
      lambda v: v >= 0, ">= 0"),
     (("predicate_count", "visual_dim", "embedding_dim"), lambda v: v >= 1, ">= 1"),
-    (("object_count", "predicate_count", "visual_dim", "embedding_dim"),
+    (("object_count", "predicate_count", "visual_dim", "embedding_dim",
+      "train_scenes", "validation_scenes", "test_scenes"),
      lambda v: v <= MAX_ARRAY_VALUES, f"<= {MAX_ARRAY_VALUES}"),
+    (("max_relations",), lambda v: v <= _MAX_RELATIONS, f"<= {_MAX_RELATIONS}"),
     (("box_jitter", "visual_noise"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
     # Each scene draws its spurious-box count from a Poisson of this mean.
     (("spurious_rate",), lambda v: 0 <= v <= _POISSON_MAX, f"in [0, {_POISSON_MAX:.6g}]"),
@@ -414,16 +420,15 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         tuple(f"obj{i:02d}" for i in range(config.object_count)),
         tuple(f"rel{j}" for j in range(config.predicate_count)),
     )
-    # Features draw nothing from ``rng``, so every scene is built first.
-    built = [
-        _build_scene(f"synth-{split}-{i:04d}", split, config, blueprint, rng)
-        for split, count in (
-            ("train", config.train_scenes),
-            ("validation", config.validation_scenes),
-            ("test", config.test_scenes),
-        )
-        for i in range(count)
-    ]
+    # Features draw nothing from ``rng``, so every scene is built first. The
+    # scene list exists before the first scene, so a count that no memory
+    # can hold fails at once instead of after building scenes for hours.
+    splits = (("train", config.train_scenes), ("validation", config.validation_scenes),
+              ("test", config.test_scenes))
+    built: list = [None] * sum(count for _, count in splits)
+    scenes = ((split, i) for split, count in splits for i in range(count))
+    for at, (split, i) in enumerate(scenes):
+        built[at] = _build_scene(f"synth-{split}-{i:04d}", split, config, blueprint, rng)
     embeddings = EmbeddingTable(
         {vocab.object_names[i]: blueprint.embeddings[i].copy() for i in range(config.object_count)},
         config.embedding_dim,

@@ -132,7 +132,7 @@ def build_training_pool(
                 pairs = pairs.take(np.concatenate([np.flatnonzero(determinate), undetermined]))
         if not pairs:
             continue
-        matrices.append(extractor.table_matrix(pairs, scene, streams))
+        matrices.append(extractor.matrix(pairs, scene, streams))
         labels.append(pairs.labels)
         masks.append(pairs.determinate)
     if not matrices:

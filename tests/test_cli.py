@@ -271,6 +271,8 @@ def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_
         (["--embedding-dim", HUGE], "embedding_dim"),
         (["--objects", HUGE], "object_count"),
         (["--predicates", HUGE], "predicate_count"),
+        (["--train", HUGE], "train_scenes"),
+        (["--max-relations", str(10**18)], "max_relations"),
     ],
     ids=["objects-2", "predicates-zero", "min-relations-zero", "relations-reversed",
          "train-negative", "val-negative", "test-negative", "visual-dim-zero",
@@ -278,7 +280,7 @@ def test_non_utf8_embeddings_file_is_one_json_error_line(workspace, capsys, tmp_
          "spurious-rate-above-poisson-limit",
          "box-jitter-nan", "label-flip-rate-above-one", "miss-rate-negative",
          "zero-shot-types-negative", "seed-negative", "visual-dim-huge", "embedding-dim-huge",
-         "objects-huge", "predicates-huge"],
+         "objects-huge", "predicates-huge", "train-huge", "max-relations-beyond-pairs"],
 )
 def test_bad_synth_arguments_are_usage_errors(capsys, tmp_path, bad, field):
     out = tmp_path / "ds"
@@ -364,12 +366,15 @@ def test_bad_train_arguments_are_usage_errors(workspace, capsys, tmp_path, bad):
 
 @pytest.mark.parametrize(
     "command",
-    [["synth", "--objects", str(2**60 - 1)], ["train", "--transform-dim", str(2**60 - 1)]],
-    ids=["synth-objects", "train-transform-dim"],
+    [["synth", "--objects", str(2**60 - 1)], ["train", "--transform-dim", str(2**60 - 1)],
+     ["synth", "--val", str(10**18)]],
+    ids=["synth-objects", "train-transform-dim", "synth-val"],
 )
 def test_sizes_no_array_can_hold_are_out_of_memory(workspace, capsys, tmp_path, command):
     # Each value passes its own bound, but the arrays it sizes are larger
-    # than numpy can address, which numpy reports as a ValueError.
+    # than numpy can address, which numpy reports as a ValueError, or than
+    # any memory holds, as the scene list synth allocates before its first
+    # scene does.
     out = tmp_path / "out"
     flags = ["--dataset", str(workspace / "ds"), "--out-dir"] if command[0] == "train" else ["--out"]
     assert main(command + flags + [str(out)]) == 1
@@ -575,8 +580,9 @@ def test_failed_allocation_is_one_json_error_line(capsys, tmp_path, monkeypatch,
 
 
 # Train's float flags, each also given NaN, the infinities, zeros, negative
-# and huge values. Integer flags are left out: a huge dimension or batch size
-# is a real request for memory and time, not a malformed number.
+# and huge values. Integer flags are left out here: a huge dimension or batch
+# size is a real request for memory, so ``test_size_flags_fuzz`` runs them in
+# a child process with a capped address space.
 _FLOAT_FLAGS = ("--base-lr", "--decay-rate", "--undetermined-ratio",
                 "--dc-undetermined-weight", "--rel-undetermined-weight", "--dc-loss-weight")
 _EDGE_FLOATS = st.sampled_from(
@@ -606,6 +612,60 @@ def test_train_numeric_flags_fuzz(workspace, flags):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"category", "message"}
+
+
+# The size flags of train and synth. A value is small, negative, or beyond
+# any memory; a value in between is a real request for time, which no
+# wall-clock bound can tell from a hang.
+_SIZE_FLAGS = {
+    "train": ("--batch-size", "--transform-dim", "--dc-hidden-dim", "--rel-hidden-dim",
+              "--epochs", "--decay-interval", "--validation-interval", "--undetermined-cap"),
+    "synth": ("--objects", "--predicates", "--train", "--val", "--test", "--min-relations",
+              "--max-relations", "--visual-dim", "--embedding-dim", "--zero-shot-types"),
+}
+_SIZES = st.integers(-2, 4) | st.integers(2**40, 10**20)
+# The child's address space: far above a tiny run's, far below 2**40 bytes.
+_CHILD_MEMORY = 2**31
+_LIMITED_MAIN = (
+    "import resource, sys\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_MEMORY}, {_CHILD_MEMORY}))\n"
+    "from urelnet.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("command", sorted(_SIZE_FLAGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_size_flags_fuzz(workspace, command, data):
+    # Each run is a child process with a capped address space, under a
+    # wall-clock bound. It exits 0 with one JSON line on stdout, or 1 with
+    # one JSON error line on stderr; it never prints a traceback.
+    flags = data.draw(st.dictionaries(st.sampled_from(_SIZE_FLAGS[command]), _SIZES,
+                                      min_size=1, max_size=3))
+    if command == "train":
+        args = ["train", "--steps", "1", "--transform-dim", "4", "--dc-hidden-dim", "3",
+                "--rel-hidden-dim", "4", "--dataset", str(workspace / "ds")]
+    else:
+        args = ["synth", "--train", "3", "--val", "1", "--test", "2",
+                "--visual-dim", "8", "--embedding-dim", "4"]
+    args += [f"{flag}={value}" for flag, value in flags.items()]
+    env = dict(os.environ, PYTHONPATH=str(Path(urelnet.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(dir=workspace) as scratch:
+        out = ["--out-dir" if command == "train" else "--out", str(Path(scratch) / "out")]
+        child = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *args, *out], env=env,
+                               capture_output=True, text=True, timeout=30)
+    assert child.returncode in (0, 1), child.stderr
+    if child.returncode == 0:
+        assert child.stderr == ""
+        assert len(child.stdout.splitlines()) == 1
+        json.loads(child.stdout)
+    else:
+        assert child.stdout == ""
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1, child.stderr
         assert set(json.loads(lines[0])["error"]) == {"category", "message"}
 
 

@@ -711,28 +711,82 @@ def test_concatenate_merges_row_numbers_over_one_shared_table():
             FeatureMatrix.concatenate(matrices)
 
 
-def test_concatenate_stacks_distinct_tables_once_and_offsets_their_row_numbers():
-    # Two scenes' per-object tables, each shared by a subject and an object stream.
-    tables = [np.arange(6.0).reshape(3, 2), np.arange(10.0, 14.0).reshape(2, 2)]
-    a = FeatureMatrix({"u": tables[0], "v": tables[0], "s": np.ones((2, 1))},
-                      {"u": np.array([2, 0]), "v": np.array([1, 1])})
-    b = FeatureMatrix({"u": tables[1], "v": tables[1], "s": np.zeros((3, 1))},
-                      {"u": np.array([1, 0, 1]), "v": np.array([0, 1, 0])})
+def test_concatenate_offsets_object_numbers_and_joins_objects():
+    # Two scenes' one-box streams over one shared table: "u" and "v" share
+    # each scene's objects' row numbers and index them by subject and object.
+    table = np.arange(12.0).reshape(6, 2)
+    a = FeatureMatrix({"u": table, "v": table, "s": np.ones((2, 1))},
+                      {"u": np.array([2, 0]), "v": np.array([1, 1])},
+                      {"u": np.array([5, 1, 4]), "v": np.array([5, 1, 4])})
+    b = FeatureMatrix({"u": table, "v": table, "s": np.zeros((3, 1))},
+                      {"u": np.array([1, 0, 1]), "v": np.array([0, 1, 0])},
+                      {"u": np.array([0, 3]), "v": np.array([0, 3])})
     merged = FeatureMatrix.concatenate([a, b])
-    assert merged.streams["u"] is merged.streams["v"]
-    assert merged.streams["u"].tolist() == np.concatenate(tables).tolist()
+    assert merged.streams["u"] is merged.streams["v"] is table
+    for name in ("u", "v"):
+        assert merged.objects[name].tolist() == [5, 1, 4, 0, 3]
     assert merged.index["u"].tolist() == [2, 0, 4, 3, 4]
     assert merged.index["v"].tolist() == [1, 1, 3, 4, 3]
     for name in ("u", "v", "s"):
         assert merged[name].tolist() == np.concatenate([a[name], b[name]]).tolist()
+    assert merged.rows([4, 0])["u"].tolist() == [[6.0, 7.0], [8.0, 9.0]]
     assert FeatureMatrix.concatenate([a]) is a
 
 
-def test_table_matrix_reads_the_rows_matrix_gathers():
-    extractor, scene, pairs = _synthetic_scene_pairs()
-    chosen = pairs.take([3, 0, 3, len(pairs) - 1])
-    indexed = extractor.table_matrix(chosen, scene, STREAMS)
-    gathered = extractor.matrix(chosen, scene)
-    assert sorted(indexed.index) == sorted(set(STREAMS) - {"spatial"})
-    for name in STREAMS:
-        assert indexed[name].tobytes() == gathered[name].tobytes(), name
+def test_concatenate_over_different_tables_raises():
+    tables = [np.arange(6.0).reshape(3, 2), np.arange(10.0, 14.0).reshape(2, 2)]
+    a = FeatureMatrix({"t": tables[0]}, {"t": np.array([2, 0])})
+    b = FeatureMatrix({"t": tables[1]}, {"t": np.array([1])})
+    with pytest.raises(DimensionError, match="different tables for stream 't'"):
+        FeatureMatrix.concatenate([a, b])
+    # Per object too, even where only the tables' identity differs.
+    a = FeatureMatrix({"t": tables[0]}, {"t": np.array([0])}, {"t": np.array([1])})
+    b = FeatureMatrix({"t": tables[0].copy()}, {"t": np.array([0])}, {"t": np.array([1])})
+    with pytest.raises(DimensionError, match="different tables"):
+        FeatureMatrix.concatenate([a, b])
+    per_pair = FeatureMatrix({"t": tables[0][:1]}, {"t": np.array([0])})
+    with pytest.raises(DimensionError, match="do not index the same streams"):
+        FeatureMatrix.concatenate([a, per_pair])
+
+
+def test_pool_built_through_matrix_gives_the_per_pair_rows(monkeypatch):
+    # Every batch of the training pool, built through ``matrix``, has the bits
+    # of a per-pair gather from the tables.
+    from urelnet.model import ModelConfig, required_streams
+    from urelnet.synthetic import SyntheticConfig, generate_synthetic
+    from urelnet.training import RunConfig, build_extractor, build_training_pool
+
+    dataset = generate_synthetic(SyntheticConfig(train_scenes=6, test_scenes=0, seed=5))
+    extractor = build_extractor(dataset)
+    vocab, store = dataset.vocabulary, dataset.features
+    config = ModelConfig(vocab.predicate_count, vocab.object_count, store.dim,
+                         dataset.embeddings.dim, im_mode=True)
+    assert set(required_streams(config)) == set(STREAMS)
+    calls = []
+    matrix = FeatureExtractor.matrix
+    monkeypatch.setattr(FeatureExtractor, "matrix",
+                        lambda *args, **kw: calls.append(1) or matrix(*args, **kw))
+    pool = build_training_pool(dataset, extractor, RunConfig(model=config)).features
+    assert len(calls) == len(dataset.split("train"))
+    assert sorted(pool.objects) == sorted(features.ONE_BOX_STREAMS)
+    expected = {name: [] for name in STREAMS}
+    n = vocab.object_count
+    for scene in dataset.split("train"):
+        pairs = generate_for_scene(scene, vocab.predicate_count)
+        s, o = pairs.subject_indices, pairs.object_indices
+        cats = pairs.categories
+        for role, at in (("subject", s), ("object", o)):
+            keys = [pairs.feature_keys[i] for i in at]
+            expected[f"visual_{role}"].append(store.table[store.lookup(keys)])
+            expected[f"external_{role}"].append(extractor._external_table[cats[at]])
+        expected["visual_union"].append(store.table[store.lookup(pairs.union_keys)])
+        expected["internal"].append(extractor._internal_rows[cats[s] * n + cats[o]])
+        expected["spatial"].append(spatial_rows(pairs.boxes[s], pairs.boxes[o]))
+    expected = {name: np.concatenate(rows) for name, rows in expected.items()}
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        idx = rng.integers(pool.count, size=9)
+        batch = pool.rows(idx)
+        assert batch.index == {} and batch.objects == {}
+        for name in STREAMS:
+            assert batch[name].tobytes() == expected[name][idx].tobytes(), name

@@ -688,16 +688,19 @@ PER_OBJECT_IDS = ["union", "union-hidden", "im", "im-hidden", "union-no-visual",
 
 def per_object_features(config, objects, rng):
     """Features of every ordered pair of ``objects`` objects, once with the
-    one-box streams held per object and indexed by the pairs' roles, once
-    with every stream gathered to one row per pair."""
+    one-box streams held per object (``FeatureMatrix.objects``: each
+    object's row of a larger shared table) and indexed by the pairs' roles,
+    once with every stream gathered to one row per pair."""
     subjects, objs = pair_indices(objects)
     per_pair = random_features(config, len(subjects), rng)
-    per_object = random_features(config, objects, rng)
-    streams, index = dict(per_pair.streams), {}
+    tables = random_features(config, objects + 3, rng)
+    rows = rng.permutation(objects + 3)[:objects]
+    streams, index, per_object = dict(per_pair.streams), {}, {}
     for name, role in ONE_BOX_STREAMS.items():
-        streams[name] = per_object[name]
+        streams[name] = tables[name]
+        per_object[name] = rows
         index[name] = subjects if role == "subject" else objs
-    factored = FeatureMatrix(streams, index)
+    factored = FeatureMatrix(streams, index, per_object)
     return factored, FeatureMatrix({name: factored[name] for name in streams})
 
 
