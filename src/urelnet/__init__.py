@@ -10,7 +10,7 @@ from .features import (
     build_triplet_statistics,
     external_linguistic,
 )
-from .model import InferringModel, ModelConfig, RelationNetwork, build_model, joint_loss
+from .model import InferringModel, Model, ModelConfig, RelationNetwork, build_model, joint_loss
 from .evaluation import EvalConfig, PredictionSet, match_predictions, predict_scene, recall_at_n
 from .dataset import Dataset, load_dataset, save_dataset
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -26,6 +26,7 @@ __all__ = [
     "FeatureExtractor",
     "FeatureStore",
     "InferringModel",
+    "Model",
     "ModelConfig",
     "ObjectPair",
     "PairSampler",

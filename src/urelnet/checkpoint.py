@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import CheckpointError, UrelnetError
-from .model import ModelConfig, model_shapes, wire_model
+from .model import Model, ModelConfig, model_shapes, wire_model
 from .nn import Arena, non_finite_block
 
 MAGIC = b"URELNETC"
@@ -95,7 +95,7 @@ def load_checkpoint(path) -> Tuple[ModelConfig, Arena]:
     return config, params
 
 
-def load_model(path):
+def load_model(path) -> Model:
     """The model a checkpoint holds, wired onto the arena ``load_checkpoint``
     read; nothing is drawn or copied."""
     config, params = load_checkpoint(path)

@@ -95,12 +95,15 @@ class ModelConfig:
                 raise UsageError(f"{name} must be a positive integer")
             if value > MAX_ARRAY_VALUES:
                 raise UsageError(f"{name} must be <= {MAX_ARRAY_VALUES}, got {value}")
+            object.__setattr__(self, name, int(value))
         for name in ("dc_undetermined_weight", "rel_undetermined_weight", "dc_loss_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise UsageError(f"{name} must be finite and >= 0")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not isinstance(self.im_mode, (bool, np.bool_)):
             raise UsageError(f"im_mode must be true or false, got {self.im_mode!r}")
-        # Normalize modal order so configurations compare and serialize stably.
+        # Python scalars and one modal order: configs compare and serialize stably.
+        object.__setattr__(self, "im_mode", bool(self.im_mode))
         object.__setattr__(
             self,
             "enabled_modals",
@@ -166,11 +169,18 @@ def stream_spec(config: ModelConfig, role: str = "union") -> List[Tuple[str, Lis
     return spec
 
 
+def network_prefixes(config: ModelConfig) -> Dict[str, str]:
+    """Role -> block-name prefix of each network of the model: the union
+    network alone, unprefixed, or in IM mode all three as ``<role>.``."""
+    if not config.im_mode:
+        return {"union": ""}
+    return {role: f"{role}." for role in NETWORK_ROLES}
+
+
 def required_streams(config: ModelConfig) -> Tuple[str, ...]:
     """Feature streams the model consumes (all three networks in IM mode)."""
-    roles = NETWORK_ROLES if config.im_mode else ("union",)
     seen = []
-    for role in roles:
+    for role in network_prefixes(config):
         for _, streams in stream_spec(config, role):
             for s in streams:
                 if s not in seen:
@@ -235,11 +245,9 @@ def layer_feeds(config: ModelConfig, role: str = "union") -> Dict[str, Tuple[str
 def model_shapes(config: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Block name -> shape of every parameter of the model ``config``
     describes: the union network's blocks, or in IM mode each network's
-    blocks under its role's prefix."""
-    roles = NETWORK_ROLES if config.im_mode else ("union",)
+    blocks under its role's prefix (``network_prefixes``)."""
     shapes: Dict[str, Tuple[int, ...]] = {}
-    for role in roles:
-        prefix = f"{role}." if config.im_mode else ""
+    for role, prefix in network_prefixes(config).items():
         for name, in_dim, out_dim, _ in layer_plan(config, role):
             shapes[f"{prefix}{name}.weight"] = (out_dim, in_dim)
             shapes[f"{prefix}{name}.bias"] = (out_dim,)
@@ -262,8 +270,8 @@ class RelationNetwork:
     """One fused-feature network with confidence and relation heads.
 
     Its layers are wired onto the views of the parameter and gradient arenas
-    it is given (an InferringModel hands each network its sections); the
-    constructor draws nothing. ``build_model`` and ``load_model`` make them.
+    it is given (a ``Model`` hands each network its role's sections); the
+    constructor draws nothing.
     """
 
     def __init__(self, config: ModelConfig, params: Arena, grads: Arena, role: str = "union"):
@@ -510,15 +518,6 @@ class RelationNetwork:
             self.layers["concat.stage1"].backward(
                 self.layers["concat.stage2"].backward(d_fused), input_grad=False
             )
-        return self.gradients()
-
-    # -- parameter access ----------------------------------------------------
-
-    def parameters(self) -> Arena:
-        return self.params
-
-    def gradients(self) -> Arena:
-        """The gradient arena; each backward pass overwrites it."""
         return self.grads
 
     # -- training ------------------------------------------------------------
@@ -535,15 +534,6 @@ class RelationNetwork:
         d_rel, d_dc = joint_loss_gradients(dc_probs, rel_probs, labels, status, self.config)
         grads = self.backward(d_rel, d_dc)
         return loss, breakdown, grads
-
-    def loss(
-        self, features: FeatureMatrix, labels: np.ndarray, determinate_mask,
-        reference: Mapping[str, np.ndarray] | None = None, changed: str | None = None,
-    ) -> float:
-        """The joint loss alone: forward, from ``reference`` with layer
-        ``changed`` if one is given (``forward``), and no backward."""
-        dc_probs, rel_probs = self.forward(features, reference, changed)
-        return joint_loss(dc_probs, rel_probs, labels, determinate_mask, self.config)[0]
 
     def relation_scores(
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray
@@ -651,44 +641,53 @@ def joint_loss_gradients(
     return d_rel, d_dc
 
 
-class InferringModel:
-    """Three-network variant: union, subject-only, and object-only networks.
+class Model:
+    """The union network, and in IM mode the subject-only and object-only
+    networks beside it, each under its role's prefix (``network_prefixes``).
 
     All networks share the architecture and hyperparameters but consume
-    different feature subsets; they are trained jointly on the sum of their
-    losses, and inference multiplies their predictions elementwise (the
-    detector confidences enter the combined score exactly once).
+    different feature subsets. They are trained jointly on the sum of their
+    losses, in role order, and inference multiplies each auxiliary network's
+    predictions onto the union scores elementwise (the detector confidences
+    enter the combined score exactly once). Each network is wired onto its
+    role's section of one parameter and one gradient arena; ``layers`` holds
+    every layer by its block name, network by network in role order.
     """
 
     def __init__(self, config: ModelConfig, params: Arena, grads: Arena):
-        if not config.im_mode:
-            raise ModeError("InferringModel requires im_mode=True in the configuration")
         self.config = config
-        # One arena pair for all three networks; each network is wired onto
-        # its role's section.
         self.params, self.grads = params, grads
+        self.prefixes = network_prefixes(config)
         self.networks = {
-            role: RelationNetwork(
-                config, params.section(f"{role}."), grads.section(f"{role}."), role
-            )
-            for role in NETWORK_ROLES
+            role: RelationNetwork(config, params.section(prefix), grads.section(prefix), role)
+            for role, prefix in self.prefixes.items()
+        }
+        self.layers = {
+            self.prefixes[role] + name: layer
+            for role, net in self.networks.items()
+            for name, layer in net.layers.items()
         }
 
     def forward(self, features: FeatureMatrix) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Each network's (dc_probs, rel_probs), by role."""
         return {role: net.forward(features) for role, net in self.networks.items()}
 
     def loss_and_gradients(
         self, features: FeatureMatrix, labels: np.ndarray, determinate_mask
     ) -> Tuple[float, Dict[str, float], Arena]:
+        """Summed joint loss, each network's terms under its prefix (with
+        its ``<role>.loss`` in IM mode), and the gradient arena, each
+        network's section overwritten by its backward pass."""
         status = BatchStatus.of(determinate_mask)
         total = 0.0
         breakdown: Dict[str, float] = {}
         for role, net in self.networks.items():
             loss, terms, _ = net.loss_and_gradients(features, labels, status)
             total += loss
-            breakdown[f"{role}.loss"] = loss
-            for term, value in terms.items():
-                breakdown[f"{role}.{term}"] = value
+            prefix = self.prefixes[role]
+            if prefix:
+                breakdown[f"{prefix}loss"] = loss
+            breakdown.update((prefix + term, value) for term, value in terms.items())
         return total, breakdown, self.grads
 
     def reference(self, features: FeatureMatrix) -> Dict[str, Dict[str, np.ndarray]]:
@@ -703,63 +702,66 @@ class InferringModel:
         """The summed joint loss alone, in the order of ``loss_and_gradients``.
 
         With a ``reference`` (``reference``), each network runs forward from
-        its own; ``changed`` names a layer as ``<role>.<layer>``, which only
-        the network of that role runs, with the layers downstream of it.
+        its own (``RelationNetwork.forward``); ``changed`` names a layer by
+        its key in ``layers``, which only the network holding it reruns.
         """
         status = BatchStatus.of(determinate_mask)
-        changed_role, _, changed_layer = (changed or "").partition(".")
         total = 0.0
         for role, net in self.networks.items():
+            prefix = self.prefixes[role]
             own = reference[role] if reference is not None else None
-            total += net.loss(
-                features, labels, status, own, changed_layer if role == changed_role else None
-            )
+            layer = changed[len(prefix) :] if changed and changed.startswith(prefix) else None
+            dc_probs, rel_probs = net.forward(features, own, layer)
+            total += joint_loss(dc_probs, rel_probs, labels, status, self.config)[0]
         return total
 
     def relation_scores(
         self, features: FeatureMatrix, subject_confs: np.ndarray, object_confs: np.ndarray
     ) -> np.ndarray:
-        outputs = self.forward(features)
-        for net in self.networks.values():
+        """The union network's scores multiplied by each auxiliary network's
+        ``rel_probs`` and then its ``dc_probs``, in role order; no forward
+        state is kept."""
+        union, *auxiliaries = self.networks.values()
+        scores = union.relation_scores(features, subject_confs, object_confs)
+        for net in auxiliaries:
+            dc_probs, rel_probs = net.forward(features)
             net.release()
-        dc_u, rel_u = outputs["union"]
-        combined = score_relations(rel_u, dc_u, subject_confs, object_confs)
-        for role in ("subject", "object"):
-            dc, rel = outputs[role]
-            combined = combined * rel * dc[:, None]
-        return combined
+            scores = scores * rel_probs * dc_probs[:, None]
+        return scores
 
     def parameters(self) -> Arena:
         return self.params
 
     def gradients(self) -> Arena:
-        """The gradient arena of all three networks; each backward pass
-        overwrites its network's section."""
+        """The gradient arena; each backward pass overwrites its network's section."""
         return self.grads
 
 
-def wire_model(config: ModelConfig, params: Arena):
-    """RelationNetwork, or the three-network InferringModel in IM mode,
-    wired onto ``params`` as they stand, with a zeroed gradient arena of the
-    same layout. ``params`` must have the layout of ``model_shapes(config)``."""
+# perfbench's tracer (``TIMED``) patches the model's methods under this name.
+InferringModel = Model
+
+
+def wire_model(config: ModelConfig, params: Arena) -> Model:
+    """The model of ``config``, wired onto ``params`` as they stand, with a
+    zeroed gradient arena of the same layout. ``params`` must have the
+    layout of ``model_shapes(config)``."""
     shapes = model_shapes(config)
     if {name: block.shape for name, block in params.items()} != shapes:
         raise DimensionError("the parameter arena's layout does not fit the configuration")
-    model_class = InferringModel if config.im_mode else RelationNetwork
-    return model_class(config, params, Arena(shapes))
+    return Model(config, params, Arena(shapes))
 
 
-def build_model(config: ModelConfig, rng: np.random.Generator):
+def build_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """A fresh model: Glorot-uniform weights drawn layer by layer, network
     by network in role order, and zero biases."""
     model = wire_model(config, Arena(model_shapes(config)))
-    for layer in _layers(model):
+    for layer in model.layers.values():
         glorot_uniform(rng, layer.weight)
     return model
 
 
 def sliced_loss(
-    model, features: FeatureMatrix, labels: np.ndarray, determinate_mask
+    model: Model, features: FeatureMatrix, labels: np.ndarray, determinate_mask
 ) -> Callable[[str], float]:
     """``model.loss`` on one batch as the ``loss_fn(name)`` that
     ``nn.gradient_check`` calls, where ``name`` is the one parameter block
@@ -779,13 +781,7 @@ def sliced_loss(
     return loss
 
 
-def _layers(model) -> List[DenseLayer]:
-    """Every layer, network by network in role order, each in creation order."""
-    networks = model.networks.values() if isinstance(model, InferringModel) else [model]
-    return [layer for net in networks for layer in net.layers.values()]
-
-
-def _relu_margin(model) -> float:
+def _relu_margin(model: Model) -> float:
     """Smallest |pre-activation| over all relu layers after a forward pass.
 
     Finite differencing is only meaningful away from relu kinks; a zero
@@ -793,7 +789,7 @@ def _relu_margin(model) -> float:
     all-dead upstream row leaves the pre-activation exactly at the bias).
     """
     margin = np.inf
-    for layer in _layers(model):
+    for layer in model.layers.values():
         if layer.activation == "relu" and layer._pre is not None and layer._pre.size:
             margin = min(margin, float(np.abs(layer._pre).min()))
     return margin
@@ -811,7 +807,7 @@ def make_gradient_check_problem(
     Returns (model, features, labels, determinate_mask).
     """
     model = build_model(config, rng)
-    for layer in _layers(model):
+    for layer in model.layers.values():
         layer.bias[...] = rng.uniform(-0.2, 0.2, size=layer.bias.shape)
     for _ in range(50):
         internal = rng.uniform(0.1, 1.0, size=(batch, config.predicate_count))

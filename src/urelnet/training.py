@@ -22,7 +22,9 @@ from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError, UndefinedMetricError, UsageError
 from .evaluation import TASKS, EvalConfig, ModelScorer, evaluate_configs, evaluate_scenes
 from .features import FeatureExtractor, FeatureMatrix, build_triplet_statistics
-from .model import MODAL_LINGUISTIC_EXTERNAL, ModelConfig, build_model, required_streams, wire_model
+from .model import (
+    MODAL_LINGUISTIC_EXTERNAL, Model, ModelConfig, build_model, required_streams, wire_model,
+)
 from .nn import AdamState, adam_step
 from .pairs import BatchSpec, PairSampler, generate_for_scene, gt_pairs_for_scene
 
@@ -150,7 +152,7 @@ def build_training_pool(
 
 @dataclass
 class TrainingResult:
-    model: object
+    model: Model
     run_config: RunConfig
     log_records: List[dict]
     total_steps: int

@@ -689,7 +689,7 @@ def test_model_scorer_transforms_each_detection_once(im_mode, monkeypatch):
     model = build_model(config, np.random.default_rng(0))
     extractor = build_extractor(dataset)
     scorer = ModelScorer(model, extractor)
-    networks = model.networks if im_mode else {"union": model}
+    networks = model.networks
     names = {layer: f"{role}.{name}" for role, net in networks.items()
              for name, layer in net.layers.items()}
     seen = []

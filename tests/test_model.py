@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from urelnet.errors import DimensionError, ModeError, StateError
+from urelnet.errors import DimensionError, StateError
 from urelnet.features import ONE_BOX_STREAMS, FeatureMatrix
 from urelnet.model import (
     ALL_MODALS,
+    NETWORK_ROLES,
     BatchStatus,
-    InferringModel,
+    Model,
     ModelConfig,
     RelationNetwork,
     build_model,
@@ -110,7 +111,7 @@ def test_fused_dim_three_modals_transforming():
         predicate_count=70, object_count=100, visual_dim=16, embedding_dim=8,
         transform_dim=500,
     )
-    net = build_model(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0)).networks["union"]
     features = random_features(config, 2, np.random.default_rng(1))
     assert net.fuse_features(features).shape == (2, 1500)
     _, rel = net.forward(features)
@@ -119,14 +120,14 @@ def test_fused_dim_three_modals_transforming():
 
 def test_fused_dim_single_modal():
     config = toy_config(enabled_modals=("spatial",), transform_dim=500)
-    net = build_model(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0)).networks["union"]
     features = random_features(config, 3, np.random.default_rng(1))
     assert net.fuse_features(features).shape == (3, 500)
 
 
 def test_dc_forward_range_and_zero_weights():
     config = toy_config()
-    net = build_model(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0)).networks["union"]
     features = random_features(config, 4, np.random.default_rng(1))
     fused = net.fuse_features(features)
     dc = net.dc_forward(fused)
@@ -140,7 +141,7 @@ def test_dc_forward_range_and_zero_weights():
 
 def test_rel_forward_shape_and_zero_head():
     config = toy_config()
-    net = build_model(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0)).networks["union"]
     features = random_features(config, 4, np.random.default_rng(1))
     dc, rel = net.forward(features)
     assert rel.shape == (4, config.predicate_count)
@@ -153,7 +154,7 @@ def test_rel_forward_shape_and_zero_head():
 
 def test_rel_forward_sensitive_to_dc_signal():
     config = toy_config()
-    net = build_model(config, np.random.default_rng(0))
+    net = build_model(config, np.random.default_rng(0)).networks["union"]
     features = random_features(config, 2, np.random.default_rng(1))
     fused = net.fuse_features(features)
     low = net.rel_forward(fused, np.full((2, 1), 0.1))
@@ -334,8 +335,8 @@ def test_reference_outputs_are_read_only(im_mode):
     config = toy_config(im_mode=im_mode)
     model, features, _, _ = make_gradient_check_problem(config, np.random.default_rng(33))
     reference = model.reference(features)
-    networks = reference.values() if im_mode else [reference]
-    for outputs in networks:
+    assert list(reference) == list(model.networks)
+    for outputs in reference.values():
         assert {"fused", "dc_probs", "rel_probs"} <= set(outputs)
         for output in outputs.values():
             with pytest.raises(ValueError, match="read-only"):
@@ -346,12 +347,13 @@ def test_a_forward_from_a_reference_keeps_nothing_for_backward():
     model, features, labels, mask = make_gradient_check_problem(
         toy_config(), np.random.default_rng(34)
     )
-    reference = model.reference(features)
-    dc, rel = model.forward(features, reference, None)
+    net = model.networks["union"]
+    reference = net.reference(features)
+    dc, rel = net.forward(features, reference, None)
     assert dc is reference["dc_probs"] and rel is reference["rel_probs"]
-    model.forward(features, reference, "fuse.visual")
+    net.forward(features, reference, "fuse.visual")
     with pytest.raises(StateError):
-        model.backward(rel, dc)
+        net.backward(rel, dc)
 
 
 def test_sliced_gradient_check_runs_few_layers_per_loss(monkeypatch):
@@ -383,7 +385,7 @@ def test_sliced_gradient_check_runs_few_layers_per_loss(monkeypatch):
 def test_gradient_flows_into_fusion_from_dc():
     config = toy_config()
     rng = np.random.default_rng(4)
-    net = build_model(config, rng)
+    net = build_model(config, rng).networks["union"]
     features, labels, mask = random_batch(config, rng)
     # Only the confidence loss: relation gradients switched off.
     dc, rel = net.forward(features)
@@ -395,7 +397,7 @@ def test_gradient_flows_into_fusion_from_dc():
 
 def test_backward_checks_its_inputs():
     config = toy_config()
-    net = build_model(config, np.random.default_rng(11))
+    net = build_model(config, np.random.default_rng(11)).networks["union"]
     with pytest.raises(StateError):
         net.backward(np.zeros((2, config.predicate_count)), np.zeros(2))
     features, _, _ = random_batch(config, np.random.default_rng(12), batch=2)
@@ -450,12 +452,19 @@ def test_wiring_draws_nothing_and_checks_the_layout(kind):
         wire_model(config, Arena(wrong))
 
 
-def test_im_mode_requires_flag():
-    shapes = model_shapes(toy_config())
-    with pytest.raises(ModeError):
-        InferringModel(toy_config(im_mode=False), Arena(shapes), Arena(shapes))
-    assert isinstance(build_model(toy_config(im_mode=True), np.random.default_rng(0)),
-                      InferringModel)
+def test_im_mode_requires_flag(tmp_path):
+    # One model class: the flag alone decides its networks, whichever of
+    # build_model, wire_model and load_model makes it.
+    from urelnet.checkpoint import load_model, save_checkpoint
+
+    for im_mode, roles in ((False, ["union"]), (True, list(NETWORK_ROLES))):
+        config = toy_config(im_mode=im_mode)
+        built = build_model(config, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.bin", config, built.parameters())
+        wired = wire_model(config, Arena(model_shapes(config)))
+        for model in (built, wired, load_model(tmp_path / "model.bin")):
+            assert isinstance(model, Model)
+            assert list(model.networks) == roles
 
 
 def test_im_auxiliary_networks_use_reduced_streams():
@@ -515,7 +524,7 @@ def test_im_union_loss_equals_non_im_loss():
     features, labels, mask = random_batch(config, rng, batch=4)
     _, terms, _ = model.loss_and_gradients(features, labels, mask)
     # A plain network adopts the union section of the IM arena as it stands.
-    plain = wire_model(toy_config(), model.networks["union"].parameters())
+    plain = wire_model(toy_config(), model.networks["union"].params)
     plain_loss, _, _ = plain.loss_and_gradients(features, labels, mask)
     assert terms["union.loss"] == pytest.approx(plain_loss, abs=1e-12)
 
@@ -548,10 +557,6 @@ ARENA_CONFIGS = {
 }
 
 
-def _networks(model):
-    return model.networks if isinstance(model, InferringModel) else {"union": model}
-
-
 @pytest.mark.parametrize("kind", sorted(ARENA_CONFIGS))
 def test_parameters_and_gradients_are_views_into_one_arena(kind):
     model = build_model(ARENA_CONFIGS[kind], np.random.default_rng(0))
@@ -568,11 +573,12 @@ def test_parameters_and_gradients_are_views_into_one_arena(kind):
         assert offset == arena.flat.size
     params, grads = model.parameters(), model.gradients()
     assert not np.shares_memory(params.flat, grads.flat)
-    for role, net in _networks(model).items():
-        prefix = "" if net is model else f"{role}."
+    for role, net in model.networks.items():
+        prefix = f"{role}." if model.config.im_mode else ""
         for name, layer in net.layers.items():
-            assert layer.weight is net.parameters()[f"{name}.weight"]
-            assert layer.grad_bias is net.gradients()[f"{name}.bias"]
+            assert model.layers[f"{prefix}{name}"] is layer
+            assert layer.weight is net.params[f"{name}.weight"]
+            assert layer.grad_bias is net.grads[f"{name}.bias"]
             assert np.shares_memory(layer.weight, params[f"{prefix}{name}.weight"])
             assert np.shares_memory(layer.grad_weight, grads[f"{prefix}{name}.weight"])
             assert np.shares_memory(layer.bias, params.flat)
@@ -588,7 +594,7 @@ def test_backward_writes_into_the_gradient_arena(kind):
     _, _, grads = model.loss_and_gradients(features, labels, mask)
     assert grads is model.gradients()
     before = grads.flat.copy()
-    for net in _networks(model).values():
+    for net in model.networks.values():
         for layer in net.layers.values():
             assert layer.grad_weight.any()
     features2, labels2, mask2 = random_batch(config, np.random.default_rng(4))
@@ -604,7 +610,7 @@ def test_initial_weights_are_the_per_layer_glorot_draws(kind):
     config = ARENA_CONFIGS[kind]
     model = build_model(config, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    for net in _networks(model).values():
+    for net in model.networks.values():
         for layer in net.layers.values():
             out_dim, in_dim = layer.weight.shape
             bound = math.sqrt(6.0 / (in_dim + out_dim))
@@ -742,7 +748,7 @@ def test_backward_after_a_per_object_forward_raises(im_mode):
     mask = labels.any(axis=1)
     with pytest.raises(StateError, match="once per object"):
         model.loss_and_gradients(factored, labels, mask)
-    net = model.networks["union"] if im_mode else model
+    net = model.networks["union"]
     dc, rel = net.forward(factored)
     with pytest.raises(StateError, match="once per object"):
         net.backward(rel, dc)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -12,7 +13,7 @@ from urelnet import training
 from urelnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, load_model, save_checkpoint
 from urelnet.errors import CheckpointError, IngestionError, UndefinedMetricError, UsageError
 from urelnet.features import FeatureMatrix, FeatureStore
-from urelnet.model import ModelConfig, build_model, model_shapes, required_streams
+from urelnet.model import LOSS_TERMS, ModelConfig, build_model, model_shapes, required_streams
 from urelnet.pairs import (
     BatchSpec,
     PairSampler,
@@ -289,12 +290,20 @@ def test_training_loss_decreases(dataset):
     assert losses[-1] < losses[0]
 
 
-def test_training_logs_all_terms(dataset):
-    result = run_training(dataset, quick_run(dataset, steps=3))
-    record = result.log_records[0]
-    for key in ("step", "learning_rate", "loss", "rel_determinate", "rel_undetermined",
-                "dc_determinate", "dc_undetermined"):
-        assert key in record
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_training_logs_all_terms(dataset, im_mode):
+    # The union model logs its terms bare; the IM model logs each network's
+    # loss and terms under its role, and their sum in role order.
+    rc = quick_run(dataset, model=small_model(dataset, im_mode=im_mode), steps=3)
+    record = run_training(dataset, rc).log_records[0]
+    roles = ("union", "subject", "object")
+    if im_mode:
+        terms = {f"{role}.{term}" for role in roles for term in ("loss",) + LOSS_TERMS}
+        assert record["loss"] == 0.0 + sum(record[f"{role}.loss"] for role in roles)
+    else:
+        terms = set(LOSS_TERMS)
+    assert len(LOSS_TERMS) == 4
+    assert set(record) == {"step", "learning_rate", "loss"} | terms
 
 
 def test_training_is_reproducible(dataset, tmp_path):
@@ -415,6 +424,25 @@ def test_checkpoint_im_mode_roundtrip(dataset, tmp_path):
     report = run_evaluation(model=model, dataset=dataset,
                             tasks=("relation", "predicate"), n_values=(20,))
     assert set(report["tasks"]) == {"relation", "predicate"}
+
+
+@pytest.mark.parametrize("im_mode", [False, True], ids=["union", "im"])
+def test_numpy_scalar_config_survives_a_checkpoint_round_trip(tmp_path, im_mode):
+    config = ModelConfig(
+        predicate_count=np.int64(4), object_count=np.int32(5), visual_dim=np.int64(12),
+        embedding_dim=np.int16(6), transform_dim=np.uint8(7), dc_hidden_dim=np.int64(5),
+        rel_hidden_dim=np.int64(9), dc_undetermined_weight=np.float32(0.3),
+        rel_undetermined_weight=np.float64(0.5), dc_loss_weight=np.float32(0.5),
+        im_mode=np.bool_(im_mode),
+    )
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, config, build_model(config, np.random.default_rng(0)).parameters())
+    loaded, _ = load_checkpoint(path)
+    assert loaded == config
+    for field in dataclasses.fields(ModelConfig):
+        value = getattr(config, field.name)
+        assert type(value) in (int, float, bool, str, tuple), field.name
+        assert type(getattr(loaded, field.name)) is type(value), field.name
 
 
 def test_checkpoint_bad_magic(tmp_path):
