@@ -698,12 +698,16 @@ class Model:
         self, features: FeatureMatrix, labels: np.ndarray, determinate_mask,
         reference: Mapping[str, Mapping[str, np.ndarray]] | None = None,
         changed: str | None = None,
+        reference_losses: Mapping[str, float] | None = None,
     ) -> float:
         """The summed joint loss alone, in the order of ``loss_and_gradients``.
 
         With a ``reference`` (``reference``), each network runs forward from
         its own (``RelationNetwork.forward``); ``changed`` names a layer by
         its key in ``layers``, which only the network holding it reruns.
+        ``reference_losses`` holds each network's joint loss on its
+        reference outputs, on this batch: a network whose forward returns
+        those very outputs adds its stored loss instead of computing it.
         """
         status = BatchStatus.of(determinate_mask)
         total = 0.0
@@ -712,7 +716,14 @@ class Model:
             own = reference[role] if reference is not None else None
             layer = changed[len(prefix) :] if changed and changed.startswith(prefix) else None
             dc_probs, rel_probs = net.forward(features, own, layer)
-            total += joint_loss(dc_probs, rel_probs, labels, status, self.config)[0]
+            if (
+                reference_losses is not None
+                and dc_probs is own["dc_probs"]
+                and rel_probs is own["rel_probs"]
+            ):
+                total += reference_losses[role]
+            else:
+                total += joint_loss(dc_probs, rel_probs, labels, status, self.config)[0]
         return total
 
     def relation_scores(
@@ -767,16 +778,24 @@ def sliced_loss(
     ``nn.gradient_check`` calls, where ``name`` is the one parameter block
     that may differ from the parameters the model holds now.
 
-    One plain forward takes the reference first. Each call then runs only
-    the block's layer and the layers downstream of it (``forward``), and
+    One plain forward takes the reference first, and each network's joint
+    loss on its reference outputs is computed once. Each call then runs
+    only the block's layer and the layers downstream of it (``forward``);
+    a network holding no perturbed block adds its reference loss. The call
     returns the bits that ``model.loss`` returns with the block changed in
     place. The batch's status is built once, for every call.
     """
     status = BatchStatus.of(determinate_mask)
     reference = model.reference(features)
+    reference_losses = {
+        role: joint_loss(own["dc_probs"], own["rel_probs"], labels, status, model.config)[0]
+        for role, own in reference.items()
+    }
 
     def loss(block: str) -> float:
-        return model.loss(features, labels, status, reference, block.rpartition(".")[0])
+        return model.loss(
+            features, labels, status, reference, block.rpartition(".")[0], reference_losses
+        )
 
     return loss
 

@@ -370,13 +370,16 @@ class GradientCheckReport:
 
     @property
     def max_error(self) -> float:
-        return max(self.block_errors.values()) if self.block_errors else 0.0
+        """The worst block's error: NaN if any block's error is NaN."""
+        return self.block_errors[self.worst_block] if self.block_errors else 0.0
 
     @property
     def worst_block(self) -> str:
+        """The first block with a NaN error, else the first with the largest."""
         if not self.block_errors:
             return ""
-        return max(self.block_errors, key=self.block_errors.get)
+        errors = self.block_errors
+        return max(errors, key=lambda name: (math.isnan(errors[name]), errors[name]))
 
     @property
     def passed(self) -> bool:

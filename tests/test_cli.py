@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import urelnet
 from urelnet.cli import main
+from urelnet.nn import GradientCheckReport
 
 SMALL_SYNTH = [
     "synth",
@@ -515,15 +516,33 @@ def test_bad_gradcheck_arguments_are_usage_errors(capsys, bad):
 
 def test_gradcheck_huge_step_fails_without_floating_point_warnings(capsys):
     # The loss overflows at this step; the verdict is FAIL, with no warning.
+    # Some blocks' differences are NaN, and a NaN error is the worst.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["gradcheck", "--instances", "1", "--step", "1e308"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (
-        "instance 0: max relative error 1.000e+00 [FAIL]\n"
-        "  worst block: dc.hidden.bias\n"
-        "gradcheck: 0/1 instances passed (worst 1.000e+00, tolerance 1.0e-04)\n"
+        "instance 0: max relative error nan [FAIL]\n"
+        "  worst block: fuse.visual.weight\n"
+        "gradcheck: 0/1 instances passed (worst nan, tolerance 1.0e-04)\n"
+    )
+
+
+def test_gradcheck_summary_keeps_a_nan_instance_as_the_worst(capsys, monkeypatch):
+    reports = iter([{"a": 2e-5}, {"a": math.nan}, {"a": 3e-5}])
+
+    def fake_check(loss_fn, params, analytic, tolerance, step):
+        return GradientCheckReport(next(reports), tolerance)
+
+    monkeypatch.setattr(urelnet.cli, "gradient_check", fake_check)
+    assert main(["gradcheck", "--instances", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "instance 0: max relative error 2.000e-05 [pass]\n"
+        "instance 1: max relative error nan [FAIL]\n"
+        "  worst block: a\n"
+        "instance 2: max relative error 3.000e-05 [pass]\n"
+        "gradcheck: 2/3 instances passed (worst nan, tolerance 1.0e-04)\n"
     )
 
 

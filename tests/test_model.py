@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import urelnet.model
 from urelnet.errors import DimensionError, StateError
 from urelnet.features import ONE_BOX_STREAMS, FeatureMatrix
 from urelnet.model import (
@@ -292,6 +293,8 @@ SLICED_CASES = {
     "im": dict(im_mode=True),
     "concatenating": dict(fusion_mode="concatenating"),
     "hidden-feed": dict(dc_feed="hidden"),
+    "im-concatenating": dict(im_mode=True, fusion_mode="concatenating"),
+    "im-hidden-feed": dict(im_mode=True, dc_feed="hidden"),
 }
 
 
@@ -380,6 +383,44 @@ def test_sliced_gradient_check_runs_few_layers_per_loss(monkeypatch):
     assert report.passed, report.lines()
     assert counts["loss"] == 2 * model.parameters().flat.size
     assert counts["forward"] / counts["loss"] <= 5.0, counts
+
+
+@pytest.mark.parametrize(
+    "im_mode, block",
+    [
+        (False, "rel.out.weight"),
+        (True, "union.fuse.visual.weight"),
+        (True, "subject.dc.out.bias"),
+        (True, "object.transform.spatial.weight"),
+    ],
+    ids=["union", "im-union", "im-subject", "im-object"],
+)
+def test_a_sliced_loss_value_runs_one_joint_loss_and_each_forward_once(
+    monkeypatch, im_mode, block
+):
+    # The networks that hold no perturbed block add their reference losses,
+    # but each network still runs forward once per value.
+    model, features, labels, mask = make_gradient_check_problem(
+        toy_config(im_mode=im_mode), np.random.default_rng(36)
+    )
+    loss = sliced_loss(model, features, labels, mask)
+    model.parameters()[block].reshape(-1)[0] += 1e-3
+    calls = {"joint_loss": 0, "forward": []}
+    joint, forward = urelnet.model.joint_loss, RelationNetwork.forward
+
+    def counted_joint(*args):
+        calls["joint_loss"] += 1
+        return joint(*args)
+
+    def counted_forward(net, *args):
+        calls["forward"].append(net.role)
+        return forward(net, *args)
+
+    monkeypatch.setattr(urelnet.model, "joint_loss", counted_joint)
+    monkeypatch.setattr(RelationNetwork, "forward", counted_forward)
+    value = loss(block)
+    assert calls == {"joint_loss": 1, "forward": list(model.networks)}
+    assert value == model.loss(features, labels, mask)
 
 
 def test_gradient_flows_into_fusion_from_dc():

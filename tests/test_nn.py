@@ -11,6 +11,7 @@ from urelnet.nn import (
     AdamState,
     Arena,
     DenseLayer,
+    GradientCheckReport,
     adam_step,
     finite_difference_gradients,
     gradient_check,
@@ -161,6 +162,48 @@ def test_gradient_check_detects_corruption():
     )
     assert not report.passed
     assert report.worst_block == "rel.hidden.weight"
+
+
+@pytest.mark.parametrize(
+    "errors, worst",
+    [
+        ({"a": math.nan, "b": 0.0, "c": 2.0}, "a"),
+        ({"a": 0.0, "b": math.nan, "c": 2.0, "d": math.nan}, "b"),
+        ({"a": 3.0, "b": math.inf, "c": math.nan}, "c"),
+    ],
+    ids=["nan-first", "nan-later", "nan-after-inf"],
+)
+def test_a_nan_block_error_fails_the_report_and_is_its_worst_block(errors, worst):
+    report = GradientCheckReport(errors, tolerance=1e-4)
+    assert not report.passed
+    assert report.worst_block == worst
+    assert math.isnan(report.max_error)
+    assert report.lines()[-1] == (
+        f"FAIL: max nan over {len(errors)} blocks (tolerance 1.0e-04, worst {worst!r})"
+    )
+
+
+def test_gradient_check_fails_on_a_nan_loss_in_a_later_block():
+    zeros = {"a": np.zeros(2), "b": np.zeros(2)}
+    report = gradient_check(
+        lambda name: math.nan if name == "b" else 0.0, zeros, zeros, tolerance=1e-4
+    )
+    assert report.block_errors["a"] == 0.0
+    assert not report.passed
+    assert report.worst_block == "b"
+    assert report.lines()[-1] == "FAIL: max nan over 2 blocks (tolerance 1.0e-04, worst 'b')"
+
+
+def test_finite_reports_take_the_first_largest_error():
+    errors = {"a": 1e-7, "b": 3e-5, "c": 3e-5, "d": 0.0}
+    report = GradientCheckReport(errors, tolerance=1e-4)
+    assert report.passed
+    assert (report.worst_block, report.max_error) == ("b", 3e-5)
+    assert report.lines()[-1] == "PASS: max 3.000e-05 over 4 blocks (tolerance 1.0e-04, worst 'b')"
+    failing = GradientCheckReport({**errors, "e": math.inf}, tolerance=1e-4)
+    assert (failing.passed, failing.worst_block, failing.max_error) == (False, "e", math.inf)
+    empty = GradientCheckReport({}, tolerance=1e-4)
+    assert (empty.passed, empty.worst_block, empty.max_error) == (True, "", 0.0)
 
 
 def _arena(**blocks):
